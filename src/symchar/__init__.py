@@ -41,7 +41,6 @@ from symchar.ring import (
     MOD2,
     GradedElement,
     RingDescriptor,
-    kernel_backend,
     make_element,
     one,
     zero,
@@ -89,7 +88,6 @@ __all__ = [
     "MOD2",
     "GradedElement",
     "RingDescriptor",
-    "kernel_backend",
     "make_element",
     "one",
     "zero",

@@ -15,12 +15,18 @@ are much harder to obtain and deliberately unsupported.
 
 A characteristic number is the coefficient of the top generator power in a
 product of class components; the fundamental class is normalized so that
-the top power of the generator evaluates to 1.
+the top power of the generator evaluates to 1.  With one generator u of
+degree g, the degree-d component of a total class c_0 + c_1 u + ... is the
+single monomial c_(d/g) u^(d/g), or 0 when g does not divide d.  So a
+number is a product of coefficients: p_I = prod over i in I of c_(4i/g),
+and w_1^r1 ... w_n^rn = prod of c_(i/g)^ri mod 2 (Milnor-Stasheff,
+Characteristic Classes, sections 15-16).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from symchar.errors import (
     DimensionMismatchError,
@@ -39,13 +45,13 @@ from symchar.ring import (
     RingDescriptor,
     make_element,
     one,
-    zero,
 )
 
 SPHERE = "sphere"
 COMPLEX_PROJECTIVE = "complex-projective"
 QUATERNIONIC_PROJECTIVE = "quaternionic-projective"
 CAYLEY_PLANE = "cayley-plane"
+_KINDS = (SPHERE, COMPLEX_PROJECTIVE, QUATERNIONIC_PROJECTIVE, CAYLEY_PLANE)
 
 PONTRJAGIN = "pontrjagin"
 SW = "sw"
@@ -62,6 +68,11 @@ class DualSpace:
     kind: str
     n: int = 0
 
+    def __post_init__(self) -> None:
+        # the class, ring and dimension branches treat any other kind as CayP^2
+        if self.kind not in _KINDS:
+            raise SymcharError(f"unknown dual space kind {self.kind!r}")
+
     @property
     def real_dimension(self) -> int:
         if self.kind == SPHERE:
@@ -70,9 +81,7 @@ class DualSpace:
             return 2 * self.n
         if self.kind == QUATERNIONIC_PROJECTIVE:
             return 4 * self.n
-        if self.kind == CAYLEY_PLANE:
-            return 16
-        raise SymcharError(f"unknown dual space kind {self.kind!r}")
+        return 16
 
     def render(self) -> str:
         if self.kind == SPHERE:
@@ -147,15 +156,10 @@ def total_stiefel_whitney(space: DualSpace) -> GradedElement:
     )
 
 
-def _degree_component(total: GradedElement, degree: int) -> GradedElement:
-    """The part of a total class in one cohomological degree."""
-    ring = total.ring
-    slot, rem = divmod(degree, ring.generator_degree)
-    if rem or slot > ring.truncation_top:
-        return zero(ring)
-    coeffs = [0] * ring.n_slots
-    coeffs[slot] = total.coefficient(slot)
-    return GradedElement(ring, tuple(coeffs))
+def _coefficients_by_degree(total: GradedElement, dim: int) -> list:
+    """Coefficient of the total class in each degree 0..dim (0 off the grid)."""
+    g = total.ring.generator_degree
+    return [0 if d % g else total.coefficients[d // g] for d in range(dim + 1)]
 
 
 @dataclass(frozen=True)
@@ -193,15 +197,11 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
         return CharNumberTable(
             PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4"
         )
-    total = total_pontrjagin(space)
-    ring = total.ring
-    top_slot = dim // ring.generator_degree
-    entries: dict = {}
-    for partition in partitions_of(dim // 4):
-        acc = one(ring)
-        for part in partition:
-            acc = acc.mul(_degree_component(total, 4 * part))
-        entries[format_partition(partition)] = acc.coefficient(top_slot)
+    p = _coefficients_by_degree(total_pontrjagin(space), dim)
+    entries = {
+        format_partition(partition): prod(p[4 * part] for part in partition)
+        for partition in partitions_of(dim // 4)
+    }
     return CharNumberTable(PONTRJAGIN, dim, entries)
 
 
@@ -209,14 +209,11 @@ def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
     total = total_stiefel_whitney(space)  # rejects HP^n and CayP^2
     dim = space.real_dimension
-    ring = total.ring
-    top_slot = dim // ring.generator_degree
-    entries: dict = {}
-    for monomial in sw_monomials_of(dim):
-        acc = one(ring)
-        for index, exponent in monomial.exponents:
-            acc = acc.mul(_degree_component(total, index).pow(exponent))
-        entries[monomial.format()] = acc.coefficient(top_slot)
+    w = _coefficients_by_degree(total, dim)
+    entries = {
+        monomial.format(): prod(w[i] ** r for i, r in monomial.exponents) & 1
+        for monomial in sw_monomials_of(dim)
+    }
     return CharNumberTable(SW, dim, entries)
 
 

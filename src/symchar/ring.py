@@ -5,31 +5,17 @@ fixed cohomological degree.  An element stores one integer coefficient per
 power of u, constant term first; everything above u^T is discarded.  All
 arithmetic is exact: coefficients are Python ints and never overflow.
 
-The convolution kernels live in a compiled extension when one was built
-(``symchar._ring_core``) and in a pure-Python twin otherwise.  Set the
-environment variable ``SYMCHAR_PURE_PYTHON=1`` to force the fallback.
+The three convolution kernels below (product, power, unit inverse) take
+coefficient sequences of length T + 1 and return lists; ``GradedElement``
+wraps them with the ring checks and the mod-2 reduction.
 """
 
 from __future__ import annotations
 
-import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from symchar.errors import NotInvertibleError, RingMismatchError, SymcharError
-
-if os.environ.get("SYMCHAR_PURE_PYTHON"):
-    from symchar import _ring_py as _kernels
-
-    _BACKEND = "python"
-else:
-    try:
-        from symchar import _ring_core as _kernels  # type: ignore[no-redef]
-
-        _BACKEND = "compiled"
-    except ImportError:
-        from symchar import _ring_py as _kernels  # type: ignore[no-redef]
-
-        _BACKEND = "python"
 
 #: Exact integer coefficients.
 EXACT = "exact-integer"
@@ -39,9 +25,53 @@ MOD2 = "mod-2"
 _MODES = (EXACT, MOD2)
 
 
-def kernel_backend() -> str:
-    """Name of the active kernel implementation: "compiled" or "python"."""
-    return _BACKEND
+def _mul_trunc(a: Sequence[int], b: Sequence[int], top: int) -> list:
+    """Convolution product with terms above slot ``top`` discarded."""
+    n = top + 1
+    out = [0] * n
+    for i in range(n):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _pow_trunc(a: Sequence[int], k: int, top: int) -> list:
+    """k-th power by binary exponentiation, truncated above slot ``top``."""
+    result = [0] * (top + 1)
+    result[0] = 1
+    base = list(a)
+    while k:
+        if k & 1:
+            result = _mul_trunc(result, base, top)
+        k >>= 1
+        if k:
+            base = _mul_trunc(base, base, top)
+    return result
+
+
+def _invert_trunc(a: Sequence[int], top: int) -> list:
+    """Inverse of a unit whose constant term is 1 or -1.
+
+    Geometric-series recursion: with c0 = a[0] (its own inverse),
+    b[0] = c0 and b[k] = -c0 * sum(a[i] * b[k-i] for i in 1..k).
+    The caller is responsible for validating the constant term.
+    """
+    c0 = a[0]
+    out = [0] * (top + 1)
+    out[0] = c0
+    for k in range(1, top + 1):
+        s = 0
+        for i in range(1, k + 1):
+            ai = a[i]
+            if ai:
+                s += ai * out[k - i]
+        out[k] = -c0 * s
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,10 +136,8 @@ class GradedElement:
 
     def mul(self, other: GradedElement) -> GradedElement:
         _check_same_ring(self, other)
-        out = _kernels.mul_trunc(
-            list(self.coefficients),
-            list(other.coefficients),
-            self.ring.truncation_top,
+        out = _mul_trunc(
+            self.coefficients, other.coefficients, self.ring.truncation_top
         )
         return GradedElement(self.ring, _reduce(self.ring, out))
 
@@ -117,9 +145,7 @@ class GradedElement:
         """k-th power, k >= 0 (pow(a, 0) is the multiplicative unit)."""
         if k < 0:
             raise SymcharError("exponent must be non-negative")
-        out = _kernels.pow_trunc(
-            list(self.coefficients), k, self.ring.truncation_top
-        )
+        out = _pow_trunc(self.coefficients, k, self.ring.truncation_top)
         return GradedElement(self.ring, _reduce(self.ring, out))
 
     def invert_unit(self) -> GradedElement:
@@ -133,9 +159,7 @@ class GradedElement:
             raise NotInvertibleError("not invertible in truncated ring")
         if self.ring.coefficient_mode == MOD2 and c0 != 1:
             raise NotInvertibleError("not invertible in truncated ring")
-        out = _kernels.invert_trunc(
-            list(self.coefficients), self.ring.truncation_top
-        )
+        out = _invert_trunc(self.coefficients, self.ring.truncation_top)
         return GradedElement(self.ring, _reduce(self.ring, out))
 
     def is_zero(self) -> bool:

@@ -9,6 +9,7 @@ from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
     DOES_NOT_BOUND,
+    DualSpace,
     INSUFFICIENT_DATA,
     PONTRJAGIN,
     SW,
@@ -124,8 +125,8 @@ def test_dimension_not_multiple_of_four_is_vacuous():
 
 def test_numbers_match_untruncated_convolution_oracle():
     spaces = [sphere(n) for n in range(4, 33, 4)]
-    spaces += [complex_projective(n) for n in range(2, 17, 2)]
-    spaces += [quaternionic_projective(n) for n in range(1, 9)]
+    spaces += [complex_projective(n) for n in range(2, 21, 2)]
+    spaces += [quaternionic_projective(n) for n in range(1, 25)]
     spaces += [cayley_plane()]
     for space in spaces:
         dim = space.real_dimension
@@ -183,7 +184,7 @@ def test_sw_numbers_spheres_all_zero():
 
 
 def test_sw_numbers_match_untruncated_convolution_oracle():
-    for n in range(1, 9):
+    for n in range(1, 12):
         space = complex_projective(n)
         table = stiefel_whitney_numbers(space)
         total = total_stiefel_whitney(space)
@@ -256,3 +257,5 @@ def test_construction_validators():
         complex_projective(0)
     with pytest.raises(SymcharError):
         quaternionic_projective(-1)
+    with pytest.raises(SymcharError):
+        DualSpace("quaternionic", 3)

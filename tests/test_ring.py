@@ -14,7 +14,6 @@ from symchar.ring import (
     EXACT,
     MOD2,
     RingDescriptor,
-    kernel_backend,
     make_element,
     one,
     zero,
@@ -157,10 +156,6 @@ def test_operator_sugar_matches_methods():
     assert a - a == zero(r)
 
 
-def test_backend_is_reported():
-    assert kernel_backend() in ("compiled", "python")
-
-
 def _random_element(rng, ring, bound=9):
     coeffs = [rng.randint(-bound, bound) for _ in range(ring.n_slots)]
     return make_element(ring, coeffs)
@@ -229,22 +224,6 @@ def test_mod2_equals_exact_then_reduce_spot_checks():
         assert reduced(a.pow(k)) == reduced(a).pow(k)
         unit = make_element(exact_ring, [rng.choice([1, -1]), *a.coefficients[1:]])
         assert reduced(unit.invert_unit()) == reduced(unit).invert_unit()
-
-
-def test_kernel_twins_agree():
-    core = pytest.importorskip("symchar._ring_core")
-    from symchar import _ring_py
-
-    rng = random.Random(1105)
-    for _ in range(300):
-        top = rng.randint(0, 16)
-        a = [rng.randint(-99, 99) for _ in range(top + 1)]
-        b = [rng.randint(-99, 99) for _ in range(top + 1)]
-        assert core.mul_trunc(a, b, top) == _ring_py.mul_trunc(a, b, top)
-        k = rng.randint(0, 12)
-        assert core.pow_trunc(a, k, top) == _ring_py.pow_trunc(a, k, top)
-        unit = [rng.choice([1, -1])] + a[1:]
-        assert core.invert_trunc(unit, top) == _ring_py.invert_trunc(unit, top)
 
 
 def test_kernels_preserve_big_integers():
