@@ -13,7 +13,10 @@ from symchar.catalog import (
     dual_of,
     euler_characteristic_dual,
     parse_space,
+    pontrjagin_table,
+    rank_one_dual,
     spec_string,
+    stiefel_whitney_table,
 )
 from symchar.charclass import (
     CharNumberTable,
@@ -66,7 +69,10 @@ __all__ = [
     "dual_of",
     "euler_characteristic_dual",
     "parse_space",
+    "pontrjagin_table",
+    "rank_one_dual",
     "spec_string",
+    "stiefel_whitney_table",
     "CharNumberTable",
     "DualSpace",
     "bounds_orientably",

@@ -13,30 +13,61 @@ classifier then reads everything off rank arithmetic:
 
 Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
+
+The family table is the one place that maps a space to its dual and to its
+number tables: a rank-one family carries the DualSpace (S^n, CP^n, HP^n,
+CayP^2) whose numbers charclass computes, and pontrjagin_table gives the
+all-zero table under a rank gap or on a parallelizable dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from typing import Callable, NamedTuple
 
+from symchar import charclass
 from symchar.errors import (
     MalformedSpecError,
     SymcharError,
     UnknownFamilyError,
+    UnsupportedClassError,
     UnsupportedFamilyError,
 )
 
-# ---------------------------------------------------------------------------
-# Compact group factors.  rank / |Weyl| / dim per classical family:
-#   SU(n):  n-1,  n!,          n^2 - 1
-#   SO(m):  m//2, 2^k k! (m = 2k+1) or 2^(k-1) k! (m = 2k), m(m-1)/2
-#   Sp(n):  n,    2^n n!,      n(2n+1)
-#   U(n):   n,    n!,          n^2
-#   S(U_p x U_q): p+q-1, p! q!, p^2 + q^2 - 1
-#   Spin(9): 4,   384,         36
-#   F4:      4,   1152,        52
-# ---------------------------------------------------------------------------
+
+def _so_weyl_order(m: int) -> int:
+    half = m // 2
+    order = 2**half * factorial(half)
+    return order // 2 if m % 2 == 0 and half >= 1 else order
+
+
+class _FactorKind(NamedTuple):
+    rank: Callable
+    weyl_order: Callable
+    dim: Callable
+    template: str  # one "{}" per parameter
+
+
+# Compact group factors, each a function of the factor's parameters.
+_FACTOR_KINDS = {
+    "SU": _FactorKind(lambda n: n - 1, factorial, lambda n: n * n - 1, "SU({})"),
+    "SO": _FactorKind(
+        lambda m: m // 2, _so_weyl_order, lambda m: m * (m - 1) // 2, "SO({})"
+    ),
+    "Sp": _FactorKind(
+        lambda n: n, lambda n: 2**n * factorial(n), lambda n: n * (2 * n + 1), "Sp({})"
+    ),
+    "U": _FactorKind(lambda n: n, factorial, lambda n: n * n, "U({})"),
+    "SUxU": _FactorKind(
+        lambda p, q: p + q - 1,
+        lambda p, q: factorial(p) * factorial(q),
+        lambda p, q: p * p + q * q - 1,
+        "S(U{}xU{})",
+    ),
+    "Spin9": _FactorKind(lambda: 4, lambda: 384, lambda: 36, "Spin(9)"),
+    "F4": _FactorKind(lambda: 4, lambda: 1152, lambda: 52, "F4"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,88 +75,24 @@ class GroupFactor:
     kind: str
     params: tuple
 
+    def __post_init__(self) -> None:
+        table = _FACTOR_KINDS.get(self.kind)
+        if table is None or table.template.count("{}") != len(self.params):
+            raise SymcharError(
+                f"unknown group factor {self.kind!r} with parameters {self.params}"
+            )
+
     def rank(self) -> int:
-        k, p = self.kind, self.params
-        if k == "SU":
-            return p[0] - 1
-        if k == "SO":
-            return p[0] // 2
-        if k in ("Sp", "U"):
-            return p[0]
-        if k == "SUxU":
-            return p[0] + p[1] - 1
-        if k in ("Spin9", "F4"):
-            return 4
-        raise SymcharError(f"unknown group factor kind {k!r}")
+        return _FACTOR_KINDS[self.kind].rank(*self.params)
 
     def weyl_order(self) -> int:
-        k, p = self.kind, self.params
-        if k in ("SU", "U"):
-            return factorial(p[0])
-        if k == "SO":
-            m = p[0]
-            half = m // 2
-            order = 2**half * factorial(half)
-            if m % 2 == 0 and half >= 1:
-                order //= 2
-            return order
-        if k == "Sp":
-            return 2 ** p[0] * factorial(p[0])
-        if k == "SUxU":
-            return factorial(p[0]) * factorial(p[1])
-        if k == "Spin9":
-            return 384
-        if k == "F4":
-            return 1152
-        raise SymcharError(f"unknown group factor kind {k!r}")
+        return _FACTOR_KINDS[self.kind].weyl_order(*self.params)
 
     def dim(self) -> int:
-        k, p = self.kind, self.params
-        if k == "SU":
-            return p[0] ** 2 - 1
-        if k == "SO":
-            return p[0] * (p[0] - 1) // 2
-        if k == "Sp":
-            return p[0] * (2 * p[0] + 1)
-        if k == "U":
-            return p[0] ** 2
-        if k == "SUxU":
-            return p[0] ** 2 + p[1] ** 2 - 1
-        if k == "Spin9":
-            return 36
-        if k == "F4":
-            return 52
-        raise SymcharError(f"unknown group factor kind {k!r}")
+        return _FACTOR_KINDS[self.kind].dim(*self.params)
 
     def render(self) -> str:
-        k, p = self.kind, self.params
-        if k == "SUxU":
-            return f"S(U{p[0]}xU{p[1]})"
-        if k == "Spin9":
-            return "Spin(9)"
-        if k == "F4":
-            return "F4"
-        return f"{k}({p[0]})"
-
-
-def _su(n: int) -> GroupFactor:
-    return GroupFactor("SU", (n,))
-
-
-def _so(m: int) -> GroupFactor:
-    return GroupFactor("SO", (m,))
-
-
-def _sp(n: int) -> GroupFactor:
-    return GroupFactor("Sp", (n,))
-
-
-def _u(n: int) -> GroupFactor:
-    return GroupFactor("U", (n,))
-
-
-def _suxu(p: int, q: int) -> GroupFactor:
-    return GroupFactor("SUxU", (p, q))
+        return _FACTOR_KINDS[self.kind].template.format(*self.params)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,14 +131,6 @@ class SpaceSpec:
     params: tuple
 
 
-# Family table.  kind is one of:
-#   higher    - verdict from the rank gap of the dual pair
-#   rank-one  - negatively curved (or its positively curved dual form)
-#   typeiv    - complex type, parallelizable dual, no rank data
-_HIGHER = "higher"
-_RANK_ONE = "rank-one"
-_TYPEIV = "typeiv"
-
 VERDICT_EQUAL_RANK = "EqualRank_EulerNonzero"
 VERDICT_RANK_GAP = "RankGap_PontrjaginVanish"
 VERDICT_PARALLELIZABLE = "Parallelizable_Vanish"
@@ -183,90 +142,70 @@ class _Family:
     name: str
     arity: int
     min_params: tuple
-    kind: str
-    dual: object  # params -> DualPair
-    dim: object  # params -> int
+    groups: Callable | None  # params -> (G_U factors, K factors); None for TypeIV
+    space: Callable | None = None  # params -> DualSpace, for the rank-one families
+    label: Callable | None = None  # params -> name of the dual, where "G_U/K" is not
 
 
-def _pair(gu_factors, k_factors, name: str) -> DualPair:
-    return DualPair(CompactGroup(tuple(gu_factors)), CompactGroup(tuple(k_factors)), name)
+def _factor(kind: str, *params: int) -> GroupFactor:
+    return GroupFactor(kind, params)
 
 
+# The dual's name is "G_U/K" rendered from the groups, unless the family
+# has a DualSpace (rank one) or a label of its own.
 _FAMILIES = {
     f.name: f
     for f in (
         _Family(
-            "SU_pq", 2, (1, 1), _HIGHER,
-            lambda p: _pair([_su(p[0] + p[1])], [_suxu(p[0], p[1])],
-                            f"SU({p[0] + p[1]})/S(U{p[0]}xU{p[1]})"),
-            lambda p: 2 * p[0] * p[1],
+            "SU_pq", 2, (1, 1),
+            lambda p, q: ([_factor("SU", p + q)], [_factor("SUxU", p, q)]),
         ),
         _Family(
-            "SO0_pq", 2, (1, 1), _HIGHER,
-            lambda p: _pair([_so(p[0] + p[1])], [_so(p[0]), _so(p[1])],
-                            f"SO({p[0] + p[1]})/SO({p[0]})xSO({p[1]})"),
-            lambda p: p[0] * p[1],
+            "SO0_pq", 2, (1, 1),
+            lambda p, q: ([_factor("SO", p + q)], [_factor("SO", p), _factor("SO", q)]),
         ),
         _Family(
-            "SOstar_2n", 1, (2,), _HIGHER,
-            lambda p: _pair([_so(2 * p[0])], [_u(p[0])], f"SO({2 * p[0]})/U({p[0]})"),
-            lambda p: p[0] * (p[0] - 1),
+            "SOstar_2n", 1, (2,), lambda n: ([_factor("SO", 2 * n)], [_factor("U", n)])
+        ),
+        _Family("Sp_nR", 1, (1,), lambda n: ([_factor("Sp", n)], [_factor("U", n)])),
+        _Family(
+            "Sp_pq", 2, (1, 1),
+            lambda p, q: ([_factor("Sp", p + q)], [_factor("Sp", p), _factor("Sp", q)]),
+        ),
+        _Family("SL_nR", 1, (2,), lambda n: ([_factor("SU", n)], [_factor("SO", n)])),
+        _Family(
+            "SUstar_2n", 1, (2,), lambda n: ([_factor("SU", 2 * n)], [_factor("Sp", n)])
+        ),
+        _Family("TypeIV", 1, (1,), None, label=lambda d: "compact Lie group"),
+        _Family(
+            "RealHyperbolic_n", 1, (1,),
+            lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
+            space=charclass.sphere,
         ),
         _Family(
-            "Sp_nR", 1, (1,), _HIGHER,
-            lambda p: _pair([_sp(p[0])], [_u(p[0])], f"Sp({p[0]})/U({p[0]})"),
-            lambda p: p[0] * (p[0] + 1),
+            "ComplexHyperbolic_n", 1, (1,),
+            lambda n: ([_factor("SU", n + 1)], [_factor("SUxU", 1, n)]),
+            space=charclass.complex_projective,
         ),
         _Family(
-            "Sp_pq", 2, (1, 1), _HIGHER,
-            lambda p: _pair([_sp(p[0] + p[1])], [_sp(p[0]), _sp(p[1])],
-                            f"Sp({p[0] + p[1]})/Sp({p[0]})xSp({p[1]})"),
-            lambda p: 4 * p[0] * p[1],
+            "QuaternionicHyperbolic_n", 1, (1,),
+            lambda n: ([_factor("Sp", n + 1)], [_factor("Sp", 1), _factor("Sp", n)]),
+            space=charclass.quaternionic_projective,
         ),
         _Family(
-            "SL_nR", 1, (2,), _HIGHER,
-            lambda p: _pair([_su(p[0])], [_so(p[0])], f"SU({p[0]})/SO({p[0]})"),
-            lambda p: (p[0] - 1) * (p[0] + 2) // 2,
+            "CayleyHyperbolic", 0, (),
+            lambda: ([_factor("F4")], [_factor("Spin9")]),
+            space=charclass.cayley_plane,
         ),
         _Family(
-            "SUstar_2n", 1, (2,), _HIGHER,
-            lambda p: _pair([_su(2 * p[0])], [_sp(p[0])], f"SU({2 * p[0]})/Sp({p[0]})"),
-            lambda p: (p[0] - 1) * (2 * p[0] + 1),
+            "ConstantPositive_n", 1, (1,),
+            lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
+            space=charclass.sphere,
         ),
         _Family(
-            "TypeIV", 1, (1,), _TYPEIV,
-            lambda p: DualPair(None, None, "compact Lie group"),
-            lambda p: p[0],
-        ),
-        _Family(
-            "RealHyperbolic_n", 1, (1,), _RANK_ONE,
-            lambda p: _pair([_so(p[0] + 1)], [_so(p[0])], f"S^{p[0]}"),
-            lambda p: p[0],
-        ),
-        _Family(
-            "ComplexHyperbolic_n", 1, (1,), _RANK_ONE,
-            lambda p: _pair([_su(p[0] + 1)], [_suxu(1, p[0])], f"CP^{p[0]}"),
-            lambda p: 2 * p[0],
-        ),
-        _Family(
-            "QuaternionicHyperbolic_n", 1, (1,), _RANK_ONE,
-            lambda p: _pair([_sp(p[0] + 1)], [_sp(1), _sp(p[0])], f"HP^{p[0]}"),
-            lambda p: 4 * p[0],
-        ),
-        _Family(
-            "CayleyHyperbolic", 0, (), _RANK_ONE,
-            lambda p: _pair([GroupFactor("F4", ())], [GroupFactor("Spin9", ())], "CayP^2"),
-            lambda p: 16,
-        ),
-        _Family(
-            "ConstantPositive_n", 1, (1,), _RANK_ONE,
-            lambda p: _pair([_so(p[0] + 1)], [_so(p[0])], f"S^{p[0]}"),
-            lambda p: p[0],
-        ),
-        _Family(
-            "Flat_n", 1, (1,), _HIGHER,
-            lambda p: _pair([_u(1)] * p[0], [], f"T^{p[0]}"),
-            lambda p: p[0],
+            "Flat_n", 1, (1,),
+            lambda n: ([_factor("U", 1)] * n, []),
+            label=lambda n: f"T^{n}",
         ),
     )
 }
@@ -349,26 +288,51 @@ def spec_string(spec: SpaceSpec) -> str:
     return f"{spec.family}({','.join(str(p) for p in spec.params)})"
 
 
-def dimension_of(spec: SpaceSpec) -> int:
-    return _family_record(spec).dim(spec.params)
+def _resolve(spec: SpaceSpec) -> tuple:
+    """(family record, dual pair) of a spec."""
+    fam = _family_record(spec)
+    if fam.groups is None:
+        return fam, DualPair(None, None, fam.label(*spec.params))
+    gu_factors, k_factors = fam.groups(*spec.params)
+    gu, k = CompactGroup(tuple(gu_factors)), CompactGroup(tuple(k_factors))
+    if fam.space is not None:
+        name = fam.space(*spec.params).render()
+    elif fam.label is not None:
+        name = fam.label(*spec.params)
+    else:
+        name = f"{gu.render()}/{k.render()}"
+    return fam, DualPair(gu, k, name)
 
 
-def dual_of(spec: SpaceSpec) -> DualPair:
-    return _family_record(spec).dual(spec.params)
-
-
-def euler_characteristic_dual(spec: SpaceSpec) -> int:
-    """chi(G_U / K): |W(G_U)| / |W(K)| at equal rank, 0 otherwise."""
-    pair = dual_of(spec)
+def _dimension(spec: SpaceSpec, pair: DualPair) -> int:
     if pair.gu is None:
-        return 0  # positive-dimensional compact Lie group
-    if pair.gu.rank() != pair.k.rank():
-        return 0
+        return spec.params[0]  # TypeIV(d) has the dimension of its group
+    return pair.gu.dim() - pair.k.dim()
+
+
+def _weyl_quotient(pair: DualPair) -> int:
+    """|W(G_U)| / |W(K)|: the Euler characteristic of an equal-rank dual."""
     w_gu = pair.gu.weyl_order()
     w_k = pair.k.weyl_order()
     if w_gu % w_k:
         raise SymcharError("Weyl order of K must divide that of G_U")
     return w_gu // w_k
+
+
+def dimension_of(spec: SpaceSpec) -> int:
+    return _dimension(spec, _resolve(spec)[1])
+
+
+def dual_of(spec: SpaceSpec) -> DualPair:
+    return _resolve(spec)[1]
+
+
+def euler_characteristic_dual(spec: SpaceSpec) -> int:
+    """chi(G_U / K): |W(G_U)| / |W(K)| at equal rank, 0 otherwise."""
+    pair = dual_of(spec)
+    if pair.gu is None or pair.gu.rank() != pair.k.rank():
+        return 0  # a positive-dimensional compact Lie group, or a rank gap
+    return _weyl_quotient(pair)
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,10 +364,9 @@ class Classification:
 
 
 def classify(spec: SpaceSpec) -> Classification:
-    fam = _family_record(spec)
-    pair = dual_of(spec)
-    dim = dimension_of(spec)
-    if fam.kind == _TYPEIV:
+    fam, pair = _resolve(spec)
+    dim = _dimension(spec, pair)
+    if pair.gu is None:
         return Classification(
             spec.family, spec.params, pair.name, dim,
             None, None, None, VERDICT_PARALLELIZABLE, 0, False,
@@ -413,8 +376,8 @@ def classify(spec: SpaceSpec) -> Classification:
     toral = rank_gu - rank_k
     if toral < 0:
         raise SymcharError("dual pair has rank(K) > rank(G_U)")
-    euler = euler_characteristic_dual(spec)
-    if fam.kind == _RANK_ONE:
+    euler = _weyl_quotient(pair) if toral == 0 else 0
+    if fam.space is not None:
         verdict = VERDICT_RANK_ONE
     elif toral == 0:
         verdict = VERDICT_EQUAL_RANK
@@ -424,3 +387,32 @@ def classify(spec: SpaceSpec) -> Classification:
         spec.family, spec.params, pair.name, dim,
         rank_gu, rank_k, toral, verdict, euler, euler > 0,
     )
+
+
+def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
+    """The compact dual S^n, CP^n, HP^n or CayP^2 of a rank-one family."""
+    fam = _family_record(spec)
+    if fam.space is None:
+        raise UnsupportedClassError(
+            "characteristic classes are computed for rank-one duals only"
+        )
+    return fam.space(*spec.params)
+
+
+def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
+    """Pontrjagin numbers of the compact dual: computed for a rank-one
+    dual, all zero under a rank gap or on a parallelizable dual."""
+    cls = classify(spec)
+    if cls.verdict == VERDICT_RANK_ONE:
+        return charclass.pontrjagin_numbers(rank_one_dual(spec))
+    if cls.verdict == VERDICT_EQUAL_RANK:
+        raise UnsupportedClassError(
+            "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
+        )
+    # every number vanishes: the table of the total class 1, as on S^dim
+    return charclass.pontrjagin_numbers(charclass.sphere(cls.dim))
+
+
+def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:
+    """Stiefel-Whitney numbers of a rank-one dual (S^n and CP^n only)."""
+    return charclass.stiefel_whitney_numbers(rank_one_dual(spec))

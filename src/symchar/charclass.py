@@ -35,6 +35,8 @@ from symchar.errors import (
 )
 from symchar.partitions import (
     format_partition,
+    parse_monomial,
+    parse_partition,
     partitions_of,
     sw_monomials_of,
 )
@@ -51,7 +53,6 @@ SPHERE = "sphere"
 COMPLEX_PROJECTIVE = "complex-projective"
 QUATERNIONIC_PROJECTIVE = "quaternionic-projective"
 CAYLEY_PLANE = "cayley-plane"
-_KINDS = (SPHERE, COMPLEX_PROJECTIVE, QUATERNIONIC_PROJECTIVE, CAYLEY_PLANE)
 
 PONTRJAGIN = "pontrjagin"
 SW = "sw"
@@ -61,53 +62,51 @@ DOES_NOT_BOUND = "does_not_bound"
 INSUFFICIENT_DATA = "insufficient_data"
 
 
+# kind -> (symbol, n -> (degree of the generator u, top surviving power of u))
+_GEOMETRY = {
+    SPHERE: ("S", lambda n: (n, 1)),
+    COMPLEX_PROJECTIVE: ("CP", lambda n: (2, n)),
+    QUATERNIONIC_PROJECTIVE: ("HP", lambda n: (4, n)),
+    CAYLEY_PLANE: ("CayP", lambda n: (8, 2)),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class DualSpace:
     """A rank-one compact dual: S^n, CP^n, HP^n, or CayP^2."""
 
     kind: str
-    n: int = 0
+    n: int
 
     def __post_init__(self) -> None:
-        # the class, ring and dimension branches treat any other kind as CayP^2
-        if self.kind not in _KINDS:
+        if self.kind not in _GEOMETRY:
             raise SymcharError(f"unknown dual space kind {self.kind!r}")
+        if self.n < 1 or (self.kind == CAYLEY_PLANE and self.n != 2):
+            raise SymcharError(
+                f"no dual space {self.render()}: n must be >= 1, and 2 for CayP"
+            )
+
+    def _shape(self) -> tuple:
+        return _GEOMETRY[self.kind][1](self.n)
 
     @property
     def real_dimension(self) -> int:
-        if self.kind == SPHERE:
-            return self.n
-        if self.kind == COMPLEX_PROJECTIVE:
-            return 2 * self.n
-        if self.kind == QUATERNIONIC_PROJECTIVE:
-            return 4 * self.n
-        return 16
+        degree, top = self._shape()
+        return degree * top
 
     def render(self) -> str:
-        if self.kind == SPHERE:
-            return f"S^{self.n}"
-        if self.kind == COMPLEX_PROJECTIVE:
-            return f"CP^{self.n}"
-        if self.kind == QUATERNIONIC_PROJECTIVE:
-            return f"HP^{self.n}"
-        return "CayP^2"
+        return f"{_GEOMETRY[self.kind][0]}^{self.n}"
 
 
 def sphere(n: int) -> DualSpace:
-    if n < 1:
-        raise SymcharError("sphere dimension must be >= 1")
     return DualSpace(SPHERE, n)
 
 
 def complex_projective(n: int) -> DualSpace:
-    if n < 1:
-        raise SymcharError("projective space index must be >= 1")
     return DualSpace(COMPLEX_PROJECTIVE, n)
 
 
 def quaternionic_projective(n: int) -> DualSpace:
-    if n < 1:
-        raise SymcharError("projective space index must be >= 1")
     return DualSpace(QUATERNIONIC_PROJECTIVE, n)
 
 
@@ -120,13 +119,7 @@ _CAYLEY_CLASS = (1, 6, 39)
 
 def cohomology_ring(space: DualSpace, mode: str = EXACT) -> RingDescriptor:
     """The truncated ring carrying the characteristic classes of the space."""
-    if space.kind == SPHERE:
-        return RingDescriptor(space.n, 1, mode)
-    if space.kind == COMPLEX_PROJECTIVE:
-        return RingDescriptor(2, space.n, mode)
-    if space.kind == QUATERNIONIC_PROJECTIVE:
-        return RingDescriptor(4, space.n, mode)
-    return RingDescriptor(8, 2, mode)
+    return RingDescriptor(*space._shape(), mode)
 
 
 def total_pontrjagin(space: DualSpace) -> GradedElement:
@@ -215,6 +208,16 @@ def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
         for monomial in sw_monomials_of(dim)
     }
     return CharNumberTable(SW, dim, entries)
+
+
+def parse_table_key(kind: str, key: str) -> tuple:
+    """(canonical spelling, degree) of a table key: a partition such as
+    "(2,2)" in a Pontrjagin table, a monomial such as "w2 w2" in an SW one."""
+    if kind == PONTRJAGIN:
+        partition = parse_partition(key)
+        return format_partition(partition), 4 * sum(partition)
+    monomial = parse_monomial(key)
+    return monomial.format(), monomial.total_degree
 
 
 def bounds_orientably(

@@ -11,44 +11,13 @@ import json
 import sys
 
 from symchar import catalog, charclass, transfer
-from symchar.charclass import (
-    CharNumberTable,
-    PONTRJAGIN,
-    SW,
-    cayley_plane,
-    complex_projective,
-    quaternionic_projective,
-    sphere,
+from symchar.charclass import PONTRJAGIN, SW, CharNumberTable, parse_table_key
+from symchar.errors import (
+    BadTableError,
+    SymcharError,
+    TooLargeError,
+    UnsupportedClassError,
 )
-from symchar.errors import BadTableError, SymcharError, UnsupportedClassError
-from symchar.partitions import (
-    format_partition,
-    parse_monomial,
-    parse_partition,
-    partitions_of,
-)
-
-_RANK_ONE_DUALS = {
-    "RealHyperbolic_n": lambda params: sphere(params[0]),
-    "ConstantPositive_n": lambda params: sphere(params[0]),
-    "ComplexHyperbolic_n": lambda params: complex_projective(params[0]),
-    "QuaternionicHyperbolic_n": lambda params: quaternionic_projective(params[0]),
-    "CayleyHyperbolic": lambda params: cayley_plane(),
-}
-
-
-def _dual_space(spec: catalog.SpaceSpec):
-    builder = _RANK_ONE_DUALS.get(spec.family)
-    return builder(spec.params) if builder else None
-
-
-def _vanishing_pontrjagin_table(dim: int) -> CharNumberTable:
-    if dim % 4:
-        return CharNumberTable(
-            PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4"
-        )
-    entries = {format_partition(p): 0 for p in partitions_of(dim // 4)}
-    return CharNumberTable(PONTRJAGIN, dim, entries)
 
 
 def _read_table_text(text: str) -> str:
@@ -70,10 +39,15 @@ def _int_entry(key: str, value) -> int:
 def _load_table(text: str) -> CharNumberTable:
     """Parse a table argument: inline JSON or @file, bare entries or the
     full {"dim", "kind", "entries"} document."""
+    text = _read_table_text(text)
     try:
-        data = json.loads(_read_table_text(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadTableError(f"table is not valid JSON: {exc}") from None
+    except ValueError:  # an integer longer than Python reads from text
+        raise BadTableError(
+            f"table has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, dict):
         raise BadTableError("table must be a JSON object")
     reason = None
@@ -88,6 +62,8 @@ def _load_table(text: str) -> CharNumberTable:
             raise BadTableError('table "dim" must be a non-negative integer')
         if not isinstance(raw, dict):
             raise BadTableError('table "entries" must be a JSON object')
+        if reason is not None and not isinstance(reason, str):
+            raise BadTableError('table "reason" must be a string or null')
     else:
         raw = data
         if not raw:
@@ -99,16 +75,10 @@ def _load_table(text: str) -> CharNumberTable:
         dim = None
     entries: dict = {}
     for key, value in raw.items():
-        if kind == PONTRJAGIN:
-            partition = parse_partition(key)
-            canonical = format_partition(partition)
-            degree = 4 * sum(partition)
-            entries_value = _int_entry(key, value)
-        else:
-            monomial = parse_monomial(key)
-            canonical = monomial.format()
-            degree = monomial.total_degree
-            entries_value = _int_entry(key, value) & 1
+        canonical, degree = parse_table_key(kind, key)
+        entries_value = _int_entry(key, value)
+        if kind == SW:
+            entries_value &= 1
         if canonical in entries:
             raise BadTableError(f"duplicate table entry {canonical!r}")
         if dim is None:
@@ -143,11 +113,7 @@ def _cmd_dual(args) -> dict:
 
 def _cmd_p_class(args) -> dict:
     spec = catalog.parse_space(args.space)
-    space = _dual_space(spec)
-    if space is None:
-        raise UnsupportedClassError(
-            "total Pontrjagin classes are computed for rank-one duals only"
-        )
+    space = catalog.rank_one_dual(spec)
     total = charclass.total_pontrjagin(space)
     payload = {
         "space": catalog.spec_string(spec),
@@ -166,24 +132,12 @@ def _cmd_p_class(args) -> dict:
 
 def _cmd_p_numbers(args) -> dict:
     spec = catalog.parse_space(args.space)
-    cls = catalog.classify(spec)
-    if cls.verdict == catalog.VERDICT_RANK_ONE:
-        return charclass.pontrjagin_numbers(_dual_space(spec)).to_json_dict()
-    if cls.verdict in (catalog.VERDICT_RANK_GAP, catalog.VERDICT_PARALLELIZABLE):
-        return _vanishing_pontrjagin_table(cls.dim).to_json_dict()
-    raise UnsupportedClassError(
-        "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
-    )
+    return catalog.pontrjagin_table(spec).to_json_dict()
 
 
 def _cmd_sw_numbers(args) -> dict:
     spec = catalog.parse_space(args.space)
-    space = _dual_space(spec)
-    if space is None:
-        raise UnsupportedClassError(
-            "Stiefel-Whitney numbers are computed for rank-one duals only"
-        )
-    return charclass.stiefel_whitney_numbers(space).to_json_dict()
+    return catalog.stiefel_whitney_table(spec).to_json_dict()
 
 
 def _cmd_transfer(args) -> dict:
@@ -214,25 +168,11 @@ def _cmd_wall(args) -> dict:
         if args.p is not None or args.sw is not None:
             raise SymcharError("pass either a space or --p/--sw tables, not both")
         spec = catalog.parse_space(args.space)
-        cls = catalog.classify(spec)
-        if cls.verdict == catalog.VERDICT_RANK_ONE:
-            space = _dual_space(spec)
-            p_table = charclass.pontrjagin_numbers(space)
-            try:
-                sw_table = charclass.stiefel_whitney_numbers(space)
-            except UnsupportedClassError:
-                sw_table = None
-        elif cls.verdict in (
-            catalog.VERDICT_RANK_GAP,
-            catalog.VERDICT_PARALLELIZABLE,
-        ):
-            p_table = _vanishing_pontrjagin_table(cls.dim)
+        p_table = catalog.pontrjagin_table(spec)
+        try:
+            sw_table = catalog.stiefel_whitney_table(spec)
+        except UnsupportedClassError:
             sw_table = None
-        else:
-            raise UnsupportedClassError(
-                "characteristic numbers of higher-rank equal-rank duals "
-                "are not computed"
-            )
         verdict = charclass.bounds_orientably(p_table, sw_table)
         return {
             "space": catalog.spec_string(spec),
@@ -359,15 +299,27 @@ def _dumps(payload: dict, pretty: bool) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _error(exc: SymcharError) -> dict:
+    return {"error": exc.code, "detail": str(exc)}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.handler(args)
+        payload, status = args.handler(args), 0
     except SymcharError as exc:
-        print(_dumps({"error": exc.code, "detail": str(exc)}, args.pretty))
-        return 1
-    print(_dumps(payload, args.pretty))
-    return 0
+        payload, status = _error(exc), 1
+    try:
+        text = _dumps(payload, args.pretty)
+    except ValueError:  # an integer longer than Python writes as text
+        limit = sys.get_int_max_str_digits()
+        text = _dumps(
+            _error(TooLargeError(f"result has an integer of more than {limit} digits")),
+            args.pretty,
+        )
+        status = 1
+    print(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -63,6 +63,12 @@ class BadTableError(SymcharError):
     code = "bad-table"
 
 
+class TooLargeError(SymcharError):
+    """A result past what Python converts between integers and text."""
+
+    code = "too-large"
+
+
 class BadPrimePowerError(SymcharError):
     code = "bad-prime-power"
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from _oracles import char_number_plain, poly_mul, sw_number_plain
+from symchar.catalog import GroupFactor
 from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
@@ -259,3 +260,9 @@ def test_construction_validators():
         quaternionic_projective(-1)
     with pytest.raises(SymcharError):
         DualSpace("quaternionic", 3)
+    with pytest.raises(SymcharError):
+        DualSpace("complex-projective", -3)
+    with pytest.raises(SymcharError):
+        DualSpace("cayley-plane", 7)
+    with pytest.raises(SymcharError):
+        GroupFactor("XX", (3,))

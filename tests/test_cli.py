@@ -1,8 +1,35 @@
-"""CLI behaviour: JSON goldens, determinism, error codes, exit codes."""
+"""CLI behaviour: JSON goldens, determinism, error codes, exit codes.
+
+Payload checks call ``cli.main`` in this process.  The checks that need a
+real ``python -m symchar`` process (each exit code, cross-process
+determinism) start one.
+"""
 
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from symchar import cli
+from symchar.catalog import (
+    VERDICT_RANK_ONE,
+    classify,
+    dual_of,
+    pontrjagin_table,
+    rank_one_dual,
+    spec_string,
+    stiefel_whitney_table,
+)
+from symchar.charclass import bounds_orientably
+from symchar.errors import SymcharError, UnsupportedClassError
+from test_catalog import _grid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SPACES = [
     "SU_pq(2,3)",
@@ -30,13 +57,39 @@ def run_cli(*args):
     )
 
 
-def run_json(*args):
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return json.loads(proc.stdout)
+@pytest.fixture
+def run(capsys):
+    """cli.main in this process: (exit code, the one JSON document printed)."""
+
+    def call(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1, out + err
+        return code, json.loads(out)
+
+    return call
 
 
-def test_classify_golden_slnr4():
+@pytest.fixture
+def run_json(run):
+    def call(*args):
+        code, payload = run(*args)
+        assert code == 0, payload
+        return payload
+
+    return call
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on converting between int and text."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_classify_golden_slnr4(run_json):
     assert run_json("classify", "SLnR(4)") == {
         "family": "SL_nR",
         "params": [4],
@@ -51,7 +104,7 @@ def test_classify_golden_slnr4():
     }
 
 
-def test_classify_golden_su23():
+def test_classify_golden_su23(run_json):
     payload = run_json("classify", "SU_pq(2,3)")
     assert payload["verdict"] == "EqualRank_EulerNonzero"
     assert payload["toral_rank"] == 0
@@ -64,24 +117,25 @@ def test_classify_output_is_deterministic():
     second = run_cli("classify", "SO0_pq(3,5)")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+    assert json.loads(first.stdout)["verdict"] == "RankGap_PontrjaginVanish"
 
 
-def test_pretty_flag_same_payload():
+def test_pretty_flag_same_payload(run_json, capsys):
     plain = run_json("classify", "CayH")
-    pretty_proc = run_cli("classify", "CayH", "--pretty")
-    assert pretty_proc.returncode == 0
-    assert json.loads(pretty_proc.stdout) == plain
-    assert "\n" in pretty_proc.stdout.strip()
+    assert cli.main(["classify", "CayH", "--pretty"]) == 0
+    pretty = capsys.readouterr().out
+    assert json.loads(pretty) == plain
+    assert "\n" in pretty.strip()
 
 
-def test_dual_type_iv_has_null_groups():
+def test_dual_type_iv_has_null_groups(run_json):
     payload = run_json("dual", "TypeIV(5)")
     assert payload["gu"] is None and payload["k"] is None
     assert payload["dual"] == "compact Lie group"
     assert payload["dim"] == 5
 
 
-def test_dual_quotient_fields():
+def test_dual_quotient_fields(run_json):
     payload = run_json("dual", "QHn(3)")
     assert payload == {
         "family": "QuaternionicHyperbolic_n",
@@ -95,7 +149,7 @@ def test_dual_quotient_fields():
     }
 
 
-def test_p_class_cayley():
+def test_p_class_cayley(run_json):
     payload = run_json("p-class", "CayH")
     assert payload["coefficients"] == [1, 6, 39]
     assert payload["generator_degree"] == 8
@@ -103,13 +157,12 @@ def test_p_class_cayley():
     assert "notes" in payload
 
 
-def test_p_class_requires_rank_one():
-    proc = run_cli("p-class", "SU_pq(2,3)")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "unsupported-class"
+def test_p_class_requires_rank_one(run):
+    code, payload = run("p-class", "SU_pq(2,3)")
+    assert (code, payload["error"]) == (1, "unsupported-class")
 
 
-def test_p_numbers_cayley_golden():
+def test_p_numbers_cayley_golden(run_json):
     assert run_json("p-numbers", "CayH") == {
         "dim": 16,
         "kind": "pontrjagin",
@@ -117,26 +170,25 @@ def test_p_numbers_cayley_golden():
     }
 
 
-def test_p_numbers_rank_gap_vanish():
+def test_p_numbers_rank_gap_vanish(run_json):
     payload = run_json("p-numbers", "SLnR(6)")
     assert payload["dim"] == 20
     assert len(payload["entries"]) == 7  # partitions of 5
     assert all(v == 0 for v in payload["entries"].values())
 
 
-def test_p_numbers_odd_dimension_reason():
+def test_p_numbers_odd_dimension_reason(run_json):
     payload = run_json("p-numbers", "SLnR(4)")
     assert payload["entries"] == {}
     assert payload["reason"] == "dimension-not-multiple-of-4"
 
 
-def test_p_numbers_equal_rank_unsupported():
-    proc = run_cli("p-numbers", "SU_pq(2,3)")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "unsupported-class"
+def test_p_numbers_equal_rank_unsupported(run):
+    code, payload = run("p-numbers", "SU_pq(2,3)")
+    assert (code, payload["error"]) == (1, "unsupported-class")
 
 
-def test_sw_numbers_cp2():
+def test_sw_numbers_cp2(run_json):
     payload = run_json("sw-numbers", "CHn(2)")
     assert payload["entries"]["w2^2"] == 1
     assert payload["entries"]["w4"] == 1
@@ -144,39 +196,46 @@ def test_sw_numbers_cp2():
     assert payload["kind"] == "sw"
 
 
-def test_sw_numbers_unsupported_for_quaternionic():
-    proc = run_cli("sw-numbers", "QHn(2)")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "unsupported-class"
+def test_sw_numbers_unsupported_for_quaternionic(run):
+    code, payload = run("sw-numbers", "QHn(2)")
+    assert (code, payload["error"]) == (1, "unsupported-class")
 
 
-def test_transfer_pullback():
+def test_transfer_pullback(run_json):
     payload = run_json("transfer", "--table", '{"4":39,"2,2":36}', "--deg", "2")
     assert payload["entries"] == {"4": 78, "2,2": 72}
     assert payload["dim"] == 16
 
 
-def test_transfer_solve():
+def test_transfer_solve(run_json):
     payload = run_json(
         "transfer", "--table", '{"4":39,"2,2":36}', "--deg-t", "2", "--deg-f", "3"
     )
     assert payload["entries"] == {"4": 26, "2,2": 24}
 
 
-def test_transfer_solve_inexact_errors():
-    proc = run_cli(
+def test_transfer_solve_inexact_errors(run):
+    code, payload = run(
         "transfer", "--table", '{"4":39}', "--deg-t", "1", "--deg-f", "2"
     )
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "inconsistent-degrees"
+    assert (code, payload["error"]) == (1, "inconsistent-degrees")
 
 
-def test_transfer_requires_a_mode():
-    proc = run_cli("transfer", "--table", '{"4":39}')
-    assert proc.returncode == 1
+def test_transfer_requires_a_mode(run):
+    assert run("transfer", "--table", '{"4":39}')[0] == 1
 
 
-def test_mu_example_with_paren_keys():
+def test_table_reason_must_be_a_string_or_null(run, run_json):
+    def table(reason):
+        return '{"dim":6,"kind":"pontrjagin","entries":{},"reason":%s}' % reason
+
+    code, payload = run("transfer", "--table", table('{"a":[1]}'), "--deg", "2")
+    assert (code, payload["error"]) == (1, "bad-table")
+    assert "reason" not in run_json("transfer", "--table", table("null"), "--deg", "2")
+    assert run_json("transfer", "--table", table('"odd"'), "--deg", "2")["reason"] == "odd"
+
+
+def test_mu_example_with_paren_keys(run_json):
     payload = run_json(
         "mu",
         "--m",
@@ -191,13 +250,12 @@ def test_mu_example_with_paren_keys():
     }
 
 
-def test_mu_inconsistent_tables_error():
-    proc = run_cli("mu", "--m", '{"4": 0}', "--mu-dual", '{"4": 39}')
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "inconsistent-tables"
+def test_mu_inconsistent_tables_error(run):
+    code, payload = run("mu", "--m", '{"4": 0}', "--mu-dual", '{"4": 39}')
+    assert (code, payload["error"]) == (1, "inconsistent-tables")
 
 
-def test_wall_from_space():
+def test_wall_from_space(run_json):
     assert run_json("wall", "CHn(2)")["verdict"] == "does_not_bound"
     assert run_json("wall", "CHn(3)")["verdict"] == "bounds"
     assert run_json("wall", "CayH")["verdict"] == "does_not_bound"
@@ -206,7 +264,7 @@ def test_wall_from_space():
     assert payload["verdict"] == "bounds"  # CP^1 is a 2-sphere
 
 
-def test_wall_from_tables():
+def test_wall_from_tables(run_json):
     assert run_json("wall", "--p", '{"1": 3}')["verdict"] == "does_not_bound"
     assert (
         run_json("wall", "--p", '{"1": 0}')["verdict"] == "insufficient_data"
@@ -217,7 +275,7 @@ def test_wall_from_tables():
     assert payload["verdict"] == "bounds"
 
 
-def test_wall_table_from_file(tmp_path):
+def test_wall_table_from_file(run_json, tmp_path):
     table_file = tmp_path / "cay.json"
     table_file.write_text(
         '{"dim": 16, "kind": "pontrjagin", "entries": {"4": 39, "2,2": 36}}'
@@ -227,28 +285,25 @@ def test_wall_table_from_file(tmp_path):
     assert payload["dim"] == 16
 
 
-def test_table_with_mismatched_degrees_rejected():
-    proc = run_cli("mu", "--m", '{"4": 1, "2,1": 1}', "--mu-dual", '{"4": 1}')
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "bad-table"
+def test_table_with_mismatched_degrees_rejected(run):
+    code, payload = run("mu", "--m", '{"4": 1, "2,1": 1}', "--mu-dual", '{"4": 1}')
+    assert (code, payload["error"]) == (1, "bad-table")
 
 
-def test_gl_order_cli():
+def test_gl_order_cli(run, run_json):
     assert run_json("gl-order", "3", "2") == {"n": 3, "q": 2, "order": 168}
-    proc = run_cli("gl-order", "2", "6")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "bad-prime-power"
+    code, payload = run("gl-order", "2", "6")
+    assert (code, payload["error"]) == (1, "bad-prime-power")
 
 
-def test_ds_check_cli():
+def test_ds_check_cli(run, run_json):
     payload = run_json(
         "ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "3"
     )
     assert payload["divides"] is True
     assert payload["order_product"] == 168 * 11232
-    proc = run_cli("ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "4")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "equal-characteristic"
+    code, payload = run("ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "4")
+    assert (code, payload["error"]) == (1, "equal-characteristic")
 
 
 def test_unknown_family_is_domain_error():
@@ -259,17 +314,15 @@ def test_unknown_family_is_domain_error():
     assert "detail" in payload
 
 
-def test_exceptional_family_error_code():
-    proc = run_cli("classify", "E8(8)")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "unsupported-family"
+def test_exceptional_family_error_code(run):
+    code, payload = run("classify", "E8(8)")
+    assert (code, payload["error"]) == (1, "unsupported-family")
 
 
-def test_malformed_spec_error_code():
+def test_malformed_spec_error_code(run):
     for bad in ["SLnR(x)", "SLnR(", "SU_pq(2)"]:
-        proc = run_cli("classify", bad)
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["error"] == "malformed-spec"
+        code, payload = run("classify", bad)
+        assert (code, payload["error"]) == (1, "malformed-spec")
 
 
 def test_usage_errors_exit_2():
@@ -278,7 +331,7 @@ def test_usage_errors_exit_2():
     assert run_cli("gl-order", "two", "3").returncode == 2
 
 
-def test_classification_round_trips_through_json():
+def test_classification_round_trips_through_json(run_json):
     for space in SPACES:
         first = run_json("classify", space)
         params = ",".join(str(v) for v in first["params"])
@@ -286,8 +339,84 @@ def test_classification_round_trips_through_json():
         assert run_json("classify", rebuilt) == first
 
 
-def test_all_spaces_classify_deterministically():
+_CLASSIFY_ALL = (
+    "import sys\n"
+    "from symchar import cli\n"
+    "for space in sys.argv[1:]:\n"
+    "    cli.main(['classify', space])\n"
+)
+
+
+def test_all_spaces_classify_deterministically(capsys):
     for space in SPACES:
-        a = run_cli("classify", space)
-        b = run_cli("classify", space)
-        assert a.stdout == b.stdout and a.returncode == 0
+        assert cli.main(["classify", space]) == 0
+    here = capsys.readouterr().out
+    for seed in ("1", "2"):
+        child = subprocess.run(
+            [sys.executable, "-c", _CLASSIFY_ALL, *SPACES],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert (child.returncode, child.stdout) == (0, here)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gl-order", "120", "2"], "too-large"),
+        (["classify", "SU_pq(8000,8000)"], "too-large"),
+        (["transfer", "--table", '{"4":%s}' % ("9" * 5000), "--deg", "2"], "bad-table"),
+    ],
+)
+def test_integers_past_the_digit_limit_are_refused(
+    run, default_digit_limit, argv, code
+):
+    exit_code, payload = run(*argv)
+    assert (exit_code, payload["error"]) == (1, code)
+
+
+def _encoded(call, *args) -> str:
+    try:
+        payload = call(*args)
+    except SymcharError as exc:
+        payload = {"error": exc.code, "detail": str(exc)}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _wall_payload(spec) -> dict:
+    p_table = pontrjagin_table(spec)
+    try:
+        sw_table = stiefel_whitney_table(spec)
+    except UnsupportedClassError:
+        sw_table = None
+    verdict = bounds_orientably(p_table, sw_table)
+    return {"space": spec_string(spec), "dim": p_table.dimension, "verdict": verdict}
+
+
+def test_cli_prints_the_library_tables(capsys):
+    library = {
+        "p-numbers": lambda spec: pontrjagin_table(spec).to_json_dict(),
+        "sw-numbers": lambda spec: stiefel_whitney_table(spec).to_json_dict(),
+        "wall": _wall_payload,
+    }
+    for spec in _grid():
+        for command, call in library.items():
+            cli.main([command, spec_string(spec)])
+            assert capsys.readouterr().out == _encoded(call, spec), (command, spec)
+        if classify(spec).verdict == VERDICT_RANK_ONE:
+            assert dual_of(spec).name == rank_one_dual(spec).render()
+
+
+def _readme_commands() -> list:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("symchar ")]
+
+
+def test_readme_command_examples_run(run):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run(*argv)[0] == 0, argv
