@@ -21,12 +21,19 @@ single monomial c_(d/g) u^(d/g), or 0 when g does not divide d.  So a
 number is a product of coefficients: p_I = prod over i in I of c_(4i/g),
 and w_1^r1 ... w_n^rn = prod of c_(i/g)^ri mod 2 (Milnor-Stasheff,
 Characteristic Classes, sections 15-16).
+
+A table is one walk over the partitions (partitions.walk_runs), a run of
+part k taken r times contributing its key text and a coefficient power:
+"k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}" and
+c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
+extends its parent prefix by one run, so it costs one join and one product.
+A table over the partitions of more than MAX_WEIGHT is refused up front,
+before the total class is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 from symchar.errors import (
     DimensionMismatchError,
@@ -34,11 +41,11 @@ from symchar.errors import (
     UnsupportedClassError,
 )
 from symchar.partitions import (
+    check_weight,
     format_partition,
     parse_monomial,
     parse_partition,
-    partitions_of,
-    sw_monomials_of,
+    walk_runs,
 )
 from symchar.ring import (
     EXACT,
@@ -137,16 +144,20 @@ def total_pontrjagin(space: DualSpace) -> GradedElement:
     return make_element(ring, _CAYLEY_CLASS)
 
 
+def _require_sw(space: DualSpace) -> None:
+    if space.kind not in (SPHERE, COMPLEX_PROJECTIVE):
+        raise UnsupportedClassError(
+            f"Stiefel-Whitney classes are unsupported for {space.render()}"
+        )
+
+
 def total_stiefel_whitney(space: DualSpace) -> GradedElement:
     """Total SW class; defined here for spheres and CP^n only."""
+    _require_sw(space)
+    ring = cohomology_ring(space, MOD2)
     if space.kind == SPHERE:
-        return one(cohomology_ring(space, MOD2))
-    if space.kind == COMPLEX_PROJECTIVE:
-        ring = cohomology_ring(space, MOD2)
-        return make_element(ring, [1, 1]).pow(space.n + 1)
-    raise UnsupportedClassError(
-        f"Stiefel-Whitney classes are unsupported for {space.render()}"
-    )
+        return one(ring)
+    return make_element(ring, [1, 1]).pow(space.n + 1)
 
 
 def _coefficients_by_degree(total: GradedElement, dim: int) -> list:
@@ -190,23 +201,26 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
         return CharNumberTable(
             PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4"
         )
+    check_weight(dim // 4)  # before the class: HP^n's costs O(n^2) products
     p = _coefficients_by_degree(total_pontrjagin(space), dim)
-    entries = {
-        format_partition(partition): prod(p[4 * part] for part in partition)
-        for partition in partitions_of(dim // 4)
-    }
+    entries = walk_runs(
+        dim // 4, lambda k, r: (",".join([str(k)] * r), p[4 * k] ** r), ","
+    )
     return CharNumberTable(PONTRJAGIN, dim, entries)
 
 
 def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
-    total = total_stiefel_whitney(space)  # rejects HP^n and CayP^2
+    _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
     dim = space.real_dimension
-    w = _coefficients_by_degree(total, dim)
-    entries = {
-        monomial.format(): prod(w[i] ** r for i, r in monomial.exponents) & 1
-        for monomial in sw_monomials_of(dim)
-    }
+    check_weight(dim)  # before the class: CP^n's costs O(n^2) products
+    w = _coefficients_by_degree(total_stiefel_whitney(space), dim)
+    entries = walk_runs(
+        dim,
+        lambda k, r: (f"w{k}" if r == 1 else f"w{k}^{r}", w[k] & 1),
+        " ",
+        prepend=True,
+    )
     return CharNumberTable(SW, dim, entries)
 
 

@@ -15,8 +15,8 @@ from symchar.charclass import PONTRJAGIN, SW, CharNumberTable, parse_table_key
 from symchar.errors import (
     BadTableError,
     SymcharError,
-    TooLargeError,
     UnsupportedClassError,
+    past_digit_limit,
 )
 
 
@@ -25,7 +25,7 @@ def _read_table_text(text: str) -> str:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, not UTF-8
             raise BadTableError(f"cannot read table file: {exc}") from None
     return text
 
@@ -48,6 +48,8 @@ def _load_table(text: str) -> CharNumberTable:
         raise BadTableError(
             f"table has an integer of more than {sys.get_int_max_str_digits()} digits"
         ) from None
+    except RecursionError:
+        raise BadTableError("table is nested too deeply") from None
     if not isinstance(data, dict):
         raise BadTableError("table must be a JSON object")
     reason = None
@@ -312,12 +314,7 @@ def main(argv=None) -> int:
     try:
         text = _dumps(payload, args.pretty)
     except ValueError:  # an integer longer than Python writes as text
-        limit = sys.get_int_max_str_digits()
-        text = _dumps(
-            _error(TooLargeError(f"result has an integer of more than {limit} digits")),
-            args.pretty,
-        )
-        status = 1
+        text, status = _dumps(_error(past_digit_limit()), args.pretty), 1
     print(text)
     return status
 

@@ -8,6 +8,8 @@ exit 2 instead.
 
 from __future__ import annotations
 
+import sys
+
 
 class SymcharError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -64,9 +66,16 @@ class BadTableError(SymcharError):
 
 
 class TooLargeError(SymcharError):
-    """A result past what Python converts between integers and text."""
+    """A request refused for its size: a table over too many partitions, or
+    a result past what Python converts between integers and text."""
 
     code = "too-large"
+
+
+def past_digit_limit() -> TooLargeError:
+    """The refusal of a result past Python's int-to-text digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return TooLargeError(f"result has an integer of more than {limit} digits")
 
 
 class BadPrimePowerError(SymcharError):

@@ -5,6 +5,17 @@ lexicographically decreasing: partitions_of(4) starts at (4,) and ends at
 (1, 1, 1, 1).  A degree-n SW monomial w_1^r1 ... w_n^rn with sum(i * ri) = n
 corresponds to the partition of n whose parts are the factor indices, so the
 two enumerations are in bijection.
+
+Every enumeration in the package is one walk, walk_runs.  It reads a
+partition as runs, part k taken r times with k decreasing, and builds each
+entry from its parent prefix by one more run: the caller gives each run a
+(text, value) pair, and an entry is the prefix's text joined with the run's
+and the prefix's value times the run's.  An entry so costs one join and one
+product whatever its length; the final run of 1s is placed in one step, and
+the recursion is as deep as the number of distinct parts, below sqrt(2n).
+
+p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
+above MAX_WEIGHT, before any work is done.
 """
 
 from __future__ import annotations
@@ -12,27 +23,72 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
-from symchar.errors import SymcharError
+from symchar.errors import SymcharError, TooLargeError
 
 Partition = tuple[int, ...]
 
+# p(45) = 89 134 entries, built in well under a second; the cap must stay at
+# least 26, whose 2436 partitions index the table of HP^26.
+MAX_WEIGHT = 45
 
-def _descending_parts(n: int, pivot: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, pivot), 0, -1):
-        for rest in _descending_parts(n - k, k):
-            yield (k,) + rest
+
+def check_weight(n: int) -> None:
+    """Refuse a walk over the partitions of n unless 0 <= n <= MAX_WEIGHT."""
+    if n < 0:
+        raise SymcharError("partitions are defined for non-negative integers")
+    if n > MAX_WEIGHT:
+        raise TooLargeError(
+            f"a table over the partitions of {n} is refused: tables are built "
+            f"over the partitions of at most {MAX_WEIGHT}"
+        )
+
+
+def walk_runs(
+    n: int, run: Callable[[int, int], tuple], sep, prepend: bool = False
+) -> dict:
+    """{key: value} over the partitions of n, lexicographically decreasing.
+
+    run(k, r) is the (text, value) of part k taken r times.  A key joins
+    its runs' texts with sep, each run appended (prepended if asked) in
+    order of decreasing part; a value is the product of its runs' values.
+    Texts may be strings or tuples; sep has the same type.
+    """
+    check_weight(n)
+    first = [None] + [
+        [None] + [run(k, r) for r in range(1, n // k + 1)] for k in range(1, n + 1)
+    ]
+    later = [None] + [
+        [None] + [(t + sep if prepend else sep + t, v) for t, v in row[1:]]
+        for row in first[1:]
+    ]
+    entries: dict = {}
+
+    def descend(rest: int, top: int, key, value, cells: list) -> None:
+        for k in range(min(rest, top), 1, -1):
+            row = cells[k]
+            for r in range(rest // k, 0, -1):
+                text, v = row[r]
+                child = text + key if prepend else key + text
+                left = rest - k * r
+                if left:
+                    descend(left, k - 1, child, value * v, later)
+                else:
+                    entries[child] = value * v
+        text, v = cells[1][rest]
+        entries[text + key if prepend else key + text] = value * v
+
+    if n:
+        descend(n, n, sep[:0], 1, first)
+    else:
+        entries[sep[:0]] = 1
+    return entries
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, lexicographically decreasing.  n >= 0."""
-    if n < 0:
-        raise SymcharError("partitions are defined for non-negative integers")
-    return list(_descending_parts(n, n))
+    """All partitions of n, lexicographically decreasing.  0 <= n <= MAX_WEIGHT."""
+    return list(walk_runs(n, lambda k, r: ((k,) * r, 1), ()))
 
 
 def partition_weight(partition: Partition) -> int:
@@ -97,8 +153,13 @@ def parse_monomial(text: str) -> SWMonomial:
         m = _FACTOR_RE.match(tok)
         if not m:
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
-        index = int(m.group(1))
-        exponent = int(m.group(2)) if m.group(2) else 1
+        try:
+            index = int(m.group(1))
+            exponent = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # more digits than Python reads from text
+            raise SymcharError(
+                f"Stiefel-Whitney factor {tok[:20]!r}... is too long"
+            ) from None
         if index < 1 or exponent < 1:
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
         counts[index] += exponent
@@ -115,4 +176,5 @@ def sw_monomials_of(dim: int) -> list[SWMonomial]:
     """All SW monomials of total degree dim, in partition enumeration order."""
     if dim < 1:
         raise SymcharError("monomial degree must be a positive integer")
-    return [monomial_from_partition(p) for p in partitions_of(dim)]
+    exponents = walk_runs(dim, lambda k, r: (((k, r),), 1), (), prepend=True)
+    return [SWMonomial(e) for e in exponents]

@@ -22,8 +22,9 @@ needs it over two fields of distinct characteristic, which is the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import isqrt, lcm, prod
+from math import isqrt, lcm, log10, prod
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
@@ -33,6 +34,7 @@ from symchar.errors import (
     InconsistentDegreesError,
     InconsistentTablesError,
     SymcharError,
+    past_digit_limit,
 )
 
 
@@ -159,12 +161,36 @@ def _prime_power_base(q: int) -> int | None:
     return q
 
 
+# |GL_n(F_q)| = q^(n^2) prod_{i=1}^{n} (1 - q^-i) > 0.288 q^(n^2), since the
+# product is smallest at q = 2 and prod_{i>=1} (1 - 2^-i) = 0.2887...
+_GL_FACTOR_LOG10 = log10(0.288)
+
+
+def _refuse_past_digit_limit(n: int, q: int, orders: int = 1) -> None:
+    """Raise TooLargeError when a product of `orders` orders |GL_n(F_qi)|,
+    prod qi = q, certainly has more digits than Python converts to text (no
+    limit when it is 0): its log10 exceeds n^2 log10 q + orders log10 0.288."""
+    limit = sys.get_int_max_str_digits()
+    # n^2 stays an int: compared with a float it cannot overflow
+    if limit and n * n > (limit - orders * _GL_FACTOR_LOG10) / log10(q):
+        raise past_digit_limit()
+
+
 def gl_order(n: int, q: int) -> int:
-    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i).  q must be a prime power."""
+    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i).  q must be a prime power.
+
+    An order with more digits than Python's int-to-text limit is refused
+    with TooLargeError before it is computed.
+    """
     if n < 1:
         raise SymcharError("matrix size must be a positive integer")
     if _prime_power_base(q) is None:
         raise BadPrimePowerError(f"{q} is not a prime power")
+    _refuse_past_digit_limit(n, q)
+    return _gl_product(n, q)
+
+
+def _gl_product(n: int, q: int) -> int:
     qn = q**n
     return prod(qn - q**i for i in range(n))
 
@@ -191,7 +217,9 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     """Test mu | |GL_{2k+1}(F_q1)| * |GL_{2k+1}(F_q2)|.
 
     The two prime powers must have distinct characteristics; equal ones
-    raise EqualCharacteristicError.
+    raise EqualCharacteristicError.  A product with more digits than
+    Python's int-to-text limit is refused with TooLargeError before the
+    orders are computed.
     """
     if mu_value < 1:
         raise SymcharError("mu must be a positive integer")
@@ -209,7 +237,8 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
             "distinct characteristics"
         )
     n = 2 * k + 1
-    order_1 = gl_order(n, q1)
-    order_2 = gl_order(n, q2)
+    _refuse_past_digit_limit(n, q1 * q2, orders=2)
+    order_1 = _gl_product(n, q1)
+    order_2 = _gl_product(n, q2)
     product = order_1 * order_2
     return DSReport(product % mu_value == 0, order_1, order_2, product)

@@ -8,6 +8,7 @@ route to the same numbers that shares no arithmetic with the package.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import lcm
 
 
@@ -69,6 +70,36 @@ def partitions_by_compositions(n: int) -> set:
 
     rec(n, ())
     return found
+
+
+@cache
+def partitions_by_growth(n: int) -> frozenset:
+    """Partitions of n grown from those of n - 1: add a part 1, or add 1 to
+    one part, then sort.  Polynomial in p(n), where compositions are 2^(n-1)."""
+    if n == 0:
+        return frozenset({()})
+    grown = set()
+    for p in partitions_by_growth(n - 1):
+        grown.add(p + (1,))
+        for i in range(len(p)):
+            bigger = p[:i] + (p[i] + 1,) + p[i + 1 :]
+            grown.add(tuple(sorted(bigger, reverse=True)))
+    return frozenset(grown)
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence:
+    p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            p[m] += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                p[m] += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+    return p[n]
 
 
 def divisors(n: int) -> list:

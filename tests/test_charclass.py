@@ -1,10 +1,19 @@
 """Total classes and characteristic numbers of the rank-one duals."""
 
+from collections import Counter
+from functools import cache
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
-from _oracles import char_number_plain, poly_mul, sw_number_plain
+from _oracles import (
+    char_number_plain,
+    partitions_by_compositions,
+    partitions_by_growth,
+    poly_mul,
+    sw_number_plain,
+)
 from symchar.catalog import GroupFactor
 from symchar.charclass import (
     BOUNDS,
@@ -124,23 +133,29 @@ def test_dimension_not_multiple_of_four_is_vacuous():
         assert table.all_zero()
 
 
+@cache
+def _oracle_partitions(n: int) -> list:
+    """Partitions of n, lexicographically decreasing, from the oracles."""
+    found = partitions_by_compositions(n) if n <= 12 else partitions_by_growth(n)
+    return sorted(found, reverse=True)
+
+
 def test_numbers_match_untruncated_convolution_oracle():
-    spaces = [sphere(n) for n in range(4, 33, 4)]
-    spaces += [complex_projective(n) for n in range(2, 21, 2)]
-    spaces += [quaternionic_projective(n) for n in range(1, 25)]
+    # keys, their order and the values, none of them from partitions_of
+    spaces = [sphere(n) for n in range(1, 49)]
+    spaces += [complex_projective(n) for n in range(1, 31)]
+    spaces += [quaternionic_projective(n) for n in range(1, 31)]
     spaces += [cayley_plane()]
     for space in spaces:
         dim = space.real_dimension
-        table = pontrjagin_numbers(space)
         total = total_pontrjagin(space)
-        for partition in partitions_of(dim // 4):
-            expected = char_number_plain(
-                list(total.coefficients),
-                total.ring.generator_degree,
-                dim,
-                partition,
-            )
-            assert table.entries[format_partition(partition)] == expected
+        coeffs, g = list(total.coefficients), total.ring.generator_degree
+        expected = [
+            (",".join(map(str, p)), char_number_plain(coeffs, g, dim, p))
+            for p in (_oracle_partitions(dim // 4) if dim % 4 == 0 else [])
+        ]
+        table = pontrjagin_numbers(space)
+        assert list(table.entries.items()) == expected, space.render()
 
 
 def test_sw_class_cp_binomial_mod_2():
@@ -185,15 +200,20 @@ def test_sw_numbers_spheres_all_zero():
 
 
 def test_sw_numbers_match_untruncated_convolution_oracle():
-    for n in range(1, 12):
-        space = complex_projective(n)
-        table = stiefel_whitney_numbers(space)
+    spaces = [complex_projective(n) for n in range(1, 14)]
+    spaces += [sphere(n) for n in range(1, 17)]
+    for space in spaces:
+        dim = space.real_dimension
         total = total_stiefel_whitney(space)
-        for monomial in sw_monomials_of(2 * n):
-            expected = sw_number_plain(
-                list(total.coefficients), 2, 2 * n, monomial
-            )
-            assert table.entries[monomial.format()] == expected
+        coeffs, g = list(total.coefficients), total.ring.generator_degree
+        expected = []
+        for p in _oracle_partitions(dim):
+            runs = sorted(Counter(p).items())
+            key = " ".join(f"w{i}" if r == 1 else f"w{i}^{r}" for i, r in runs)
+            monomial = SimpleNamespace(exponents=runs)
+            expected.append((key, sw_number_plain(coeffs, g, dim, monomial)))
+        table = stiefel_whitney_numbers(space)
+        assert list(table.entries.items()) == expected, space.render()
 
 
 def test_sw_unsupported_spaces():

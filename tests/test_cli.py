@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,27 @@ def test_integers_past_the_digit_limit_are_refused(
 ):
     exit_code, payload = run(*argv)
     assert (exit_code, payload["error"]) == (1, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["p-numbers", "QHn(80)"],
+        ["sw-numbers", "CHn(40)"],
+        ["p-numbers", "Flat(2000)"],
+        ["p-numbers", "SLnR(201)"],
+        ["gl-order", "3000", "2"],
+        ["gl-order", "1" + "0" * 200, "2"],
+        ["ds-check", "--mu", "7", "--k", "2000", "--q1", "2", "--q2", "3"],
+    ],
+)
+def test_oversized_requests_are_refused_before_the_work(
+    run, default_digit_limit, argv
+):
+    start = time.perf_counter()
+    exit_code, payload = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (exit_code, payload["error"]) == (1, "too-large")
 
 
 def _encoded(call, *args) -> str:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from _oracles import partitions_by_compositions
-from symchar.errors import SymcharError
+from _oracles import partition_count, partitions_by_compositions, partitions_by_growth
+from symchar.errors import SymcharError, TooLargeError
 from symchar.partitions import (
+    MAX_WEIGHT,
     format_partition,
     monomial_from_partition,
     parse_monomial,
@@ -16,11 +17,26 @@ from symchar.partitions import (
 
 
 def test_counts_match_composition_oracle():
-    for n in range(10):
-        expected = partitions_by_compositions(n)
-        got = partitions_of(n)
-        assert len(got) == len(set(got)) == len(expected)
-        assert set(got) == expected
+    for n in range(17):
+        expected = sorted(partitions_by_compositions(n), reverse=True)
+        assert partitions_of(n) == expected
+
+
+def test_growth_oracle_matches_compositions_and_pentagonal_counts():
+    for n in range(13):
+        assert partitions_by_growth(n) == partitions_by_compositions(n)
+    for n in range(31):
+        assert len(partitions_by_growth(n)) == partition_count(n)
+
+
+def test_walks_are_capped_at_max_weight():
+    # HP^26 (p(26) = 2436) is the largest table a benchmark workload builds
+    assert MAX_WEIGHT >= 26
+    assert partition_count(MAX_WEIGHT) == 89134
+    assert len(partitions_of(MAX_WEIGHT)) == partition_count(MAX_WEIGHT)
+    for enumerate_ in (partitions_of, sw_monomials_of):
+        with pytest.raises(TooLargeError):
+            enumerate_(MAX_WEIGHT + 1)
 
 
 def test_count_sequence():

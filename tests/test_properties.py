@@ -1,0 +1,75 @@
+"""Property tests: every parser either returns a value or raises SymcharError.
+
+Arbitrary text, and text over each grammar's own alphabet so that the
+deeper branches (numbers, separators, exponents, JSON) are reached too.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from symchar import cli
+from symchar.catalog import parse_space
+from symchar.charclass import PONTRJAGIN, SW, parse_table_key
+from symchar.errors import SymcharError
+from symchar.partitions import parse_monomial, parse_partition
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+LONG_DIGITS = st.integers(4000, 6000).map(lambda n: "7" * n)
+
+
+def _texts(alphabet: str):
+    pieces = st.one_of(st.text(alphabet, max_size=12), LONG_DIGITS)
+    return st.one_of(st.text(), st.lists(pieces, max_size=6).map("".join))
+
+
+SPACES = _texts("SU_pqLnRCHQayFlt(),0123456789- ")
+PARTITIONS = _texts("0123456789,() -+_")
+MONOMIALS = _texts("w0123456789^ ")
+TABLES = _texts('{}[]":,0123456789w^ -.eEntrieskdmpojsaglv@')
+
+
+def _value_or_domain_error(call, text):
+    try:
+        call(text)
+    except SymcharError:
+        pass
+
+
+@SETTINGS
+@given(SPACES)
+def test_parse_space_is_total(text):
+    _value_or_domain_error(parse_space, text)
+
+
+@SETTINGS
+@given(PARTITIONS)
+def test_parse_partition_is_total(text):
+    _value_or_domain_error(parse_partition, text)
+
+
+@SETTINGS
+@given(MONOMIALS)
+@example("w" + "7" * 5000)
+def test_parse_monomial_is_total(text):
+    _value_or_domain_error(parse_monomial, text)
+
+
+@SETTINGS
+@given(st.sampled_from([PONTRJAGIN, SW]), st.one_of(PARTITIONS, MONOMIALS))
+def test_parse_table_key_is_total(kind, text):
+    _value_or_domain_error(lambda key: parse_table_key(kind, key), text)
+
+
+@SETTINGS
+@given(TABLES)
+@example("@table\x00.json")
+@example("[" * 100_000)
+def test_load_table_is_total(text):
+    _value_or_domain_error(cli._load_table, text)
+
+
+def test_load_table_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _value_or_domain_error(cli._load_table, f"@{path}")

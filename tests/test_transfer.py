@@ -1,7 +1,8 @@
 """Covering-transfer arithmetic, mu bounds, and general linear orders."""
 
 import random
-from math import lcm
+import sys
+from math import isqrt, lcm, log10, prod
 
 import pytest
 
@@ -18,6 +19,7 @@ from symchar.errors import (
     InconsistentDegreesError,
     InconsistentTablesError,
     SymcharError,
+    TooLargeError,
 )
 from symchar.partitions import format_partition, partitions_of
 from symchar.transfer import (
@@ -255,6 +257,38 @@ def test_gl_order_divisibility_property():
             order = gl_order(n, q)
             assert order % (q - 1) == 0
             assert order % (q ** (n * (n - 1) // 2)) == 0
+
+
+def _gl_exact(n, q):
+    return prod(q**n - q**i for i in range(n))
+
+
+def test_gl_orders_are_refused_only_past_the_digit_limit():
+    # a refused order must have been past the limit; both sides are reached
+    def ds_product(n):
+        return deligne_sullivan_check(7, n // 2, 2, 3).order_product
+
+    calls = [(lambda n, q=q: gl_order(n, q), (q,)) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+    calls.append((ds_product, (2, 3)))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for call, qs in calls:
+            edge = isqrt(int(4300 / sum(log10(q) for q in qs)))
+            outcomes = set()
+            for n in range(edge - 4, edge + 5):
+                if len(qs) == 2 and n % 2 == 0:
+                    continue  # ds-check orders are of GL_(2k+1)
+                exact = prod(_gl_exact(n, q) for q in qs)
+                try:
+                    assert call(n) == exact
+                    outcomes.add("computed")
+                except TooLargeError:
+                    assert exact >= 10**4300, (n, qs)
+                    outcomes.add("refused")
+            assert outcomes == {"computed", "refused"}, qs
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_ds_check_known_true():
