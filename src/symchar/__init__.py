@@ -1,7 +1,7 @@
 """Exact characteristic numbers of compact symmetric-space duals.
 
-Truncated-ring arithmetic, rank classification of locally symmetric
-spaces, characteristic-number tables of the rank-one duals, and the
+Rank classification of locally symmetric spaces, the total classes and
+characteristic-number tables of the rank-one duals, and the
 covering-transfer divisibility bounds built on them.
 """
 
@@ -38,15 +38,6 @@ from symchar.partitions import (
     parse_partition,
     partitions_of,
     sw_monomials_of,
-)
-from symchar.ring import (
-    EXACT,
-    MOD2,
-    GradedElement,
-    RingDescriptor,
-    make_element,
-    one,
-    zero,
 )
 from symchar.transfer import (
     DSReport,
@@ -90,13 +81,6 @@ __all__ = [
     "parse_partition",
     "partitions_of",
     "sw_monomials_of",
-    "EXACT",
-    "MOD2",
-    "GradedElement",
-    "RingDescriptor",
-    "make_element",
-    "one",
-    "zero",
     "DSReport",
     "MuReport",
     "check_cover_degree",

@@ -1,17 +1,22 @@
 """Characteristic classes and numbers of the rank-one compact duals.
 
-Total Pontrjagin classes, written in one generator u of the cohomology ring:
+Total Pontrjagin classes, written in one generator u of the cohomology ring
+Z[u]/(u^(T+1)):
 
-  S^n:    1                                   (u in degree n, T = 1)
-  CP^n:   (1 + a^2)^(n+1)                     (a in degree 2, T = n)
-  HP^n:   (1 + u)^(2n+2) * (1 + 4u)^(-1)      (u in degree 4, T = n)
-  CayP^2: 1 + 6u + 39u^2                      (u in degree 8, T = 2)
+  S^n:    1                               (u in degree n, T = 1)
+  CP^n:   (1 + a^2)^(n+1)                 (a in degree 2, T = n)
+  HP^n:   (1 + u)^(2n+2) * (1 + 4u)^(-1)  (u in degree 4, T = n)
+  CayP^2: 1 + 6u + 39u^2                  (u in degree 8, T = 2)
 
+In closed form, a^(2j) has coefficient C(n+1, j) in CP^n's class and
+HP^n's has c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1): O(n) integer steps each.
 The CayP^2 coefficients are rigid: the only ambiguity is the sign of the
 degree-8 term, and 6 is the standard positive choice (consistent with
 p_2^2 = 36, p_4 = 39).  Stiefel-Whitney classes are computed for spheres
-(all vanish) and CP^n (w = (1 + a)^(n+1) mod 2); for HP^n and CayP^2 they
-are much harder to obtain and deliberately unsupported.
+(all vanish) and CP^n (w = (1 + a)^(n+1) mod 2, whose a^j term is 1 iff the
+bits of j are bits of n + 1, by Lucas' theorem); for HP^n and CayP^2 they
+are much harder to obtain and deliberately unsupported (Milnor-Stasheff,
+Characteristic Classes, section 15; Borel-Hirzebruch 1958).
 
 A characteristic number is the coefficient of the top generator power in a
 product of class components; the fundamental class is normalized so that
@@ -34,11 +39,14 @@ before the total class is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import log10
 
 from symchar.errors import (
     DimensionMismatchError,
     SymcharError,
     UnsupportedClassError,
+    refuse_past_digit_limit,
 )
 from symchar.partitions import (
     check_weight,
@@ -46,14 +54,6 @@ from symchar.partitions import (
     parse_monomial,
     parse_partition,
     walk_runs,
-)
-from symchar.ring import (
-    EXACT,
-    MOD2,
-    GradedElement,
-    RingDescriptor,
-    make_element,
-    one,
 )
 
 SPHERE = "sphere"
@@ -121,27 +121,50 @@ def cayley_plane() -> DualSpace:
     return DualSpace(CAYLEY_PLANE, 2)
 
 
-_CAYLEY_CLASS = (1, 6, 39)
+@dataclass(frozen=True, slots=True)
+class TotalClass:
+    """A total class: coefficients of u^0 .. u^T, u in generator_degree."""
+
+    generator_degree: int
+    truncation_top: int
+    coefficients: tuple
 
 
-def cohomology_ring(space: DualSpace, mode: str = EXACT) -> RingDescriptor:
-    """The truncated ring carrying the characteristic classes of the space."""
-    return RingDescriptor(*space._shape(), mode)
+def _binomials(m: int, count: int) -> list:
+    """C(m, 0) .. C(m, count - 1), each by one multiply and one division."""
+    row = [1]
+    for k in range(1, count):
+        row.append(row[-1] * (m - k + 1) // k)
+    return row
 
 
-def total_pontrjagin(space: DualSpace) -> GradedElement:
-    ring = cohomology_ring(space)
+def _refuse_past_digit_limit(m: int, divisor: int) -> None:
+    """Refuse before computing a class with a coefficient of at least
+    C(2m, m) / divisor >= 4^m / (2 sqrt(m) divisor)."""
+    refuse_past_digit_limit(m, log10(4), -log10(2 * divisor) - log10(m) / 2)
+
+
+def total_pontrjagin(space: DualSpace) -> TotalClass:
+    """Total Pontrjagin class in closed form.  A CP^n or HP^n class whose
+    largest coefficient certainly has more digits than Python's int-to-text
+    limit is refused with TooLargeError before it is computed."""
+    degree, top = space._shape()
+    n = space.n
     if space.kind == SPHERE:
-        return one(ring)
-    if space.kind == COMPLEX_PROJECTIVE:
-        # (1 + a^2)^(n+1); a^2 is the degree-4 slot only when n >= 2
-        base = make_element(ring, [1] if space.n < 2 else [1, 0, 1])
-        return base.pow(space.n + 1)
-    if space.kind == QUATERNIONIC_PROJECTIVE:
-        binom = make_element(ring, [1, 1]).pow(2 * space.n + 2)
-        correction = make_element(ring, [1, 4]).invert_unit()
-        return binom.mul(correction)
-    return make_element(ring, _CAYLEY_CLASS)
+        coefficients = (1, 0)
+    elif space.kind == COMPLEX_PROJECTIVE:
+        # largest coefficient C(n+1, n//2) >= C(2m, m) / 2 with m = n//2 + 1
+        _refuse_past_digit_limit(n // 2 + 1, 2)
+        row = _binomials(n + 1, n // 2 + 1)
+        coefficients = tuple(0 if j % 2 else row[j // 2] for j in range(top + 1))
+    elif space.kind == QUATERNIONIC_PROJECTIVE:
+        # c_n + 4 c_(n-1) = C(2n+2, n) >= C(2m, m) / 2 (m = n + 1): |c| >= that / 5
+        _refuse_past_digit_limit(n + 1, 10)
+        row = _binomials(2 * n + 2, n + 1)
+        coefficients = tuple(accumulate(row, lambda c, binomial: binomial - 4 * c))
+    else:
+        coefficients = (1, 6, 39)
+    return TotalClass(degree, top, coefficients)
 
 
 def _require_sw(space: DualSpace) -> None:
@@ -151,18 +174,17 @@ def _require_sw(space: DualSpace) -> None:
         )
 
 
-def total_stiefel_whitney(space: DualSpace) -> GradedElement:
-    """Total SW class; defined here for spheres and CP^n only."""
+def total_stiefel_whitney(space: DualSpace) -> TotalClass:
+    """Total SW class mod 2; defined here for spheres and CP^n only."""
     _require_sw(space)
-    ring = cohomology_ring(space, MOD2)
-    if space.kind == SPHERE:
-        return one(ring)
-    return make_element(ring, [1, 1]).pow(space.n + 1)
+    degree, top = space._shape()
+    bits = 0 if space.kind == SPHERE else space.n + 1  # bits 0 give w(S^n) = 1
+    return TotalClass(degree, top, tuple(int(j & bits == j) for j in range(top + 1)))
 
 
-def _coefficients_by_degree(total: GradedElement, dim: int) -> list:
+def _coefficients_by_degree(total: TotalClass, dim: int) -> list:
     """Coefficient of the total class in each degree 0..dim (0 off the grid)."""
-    g = total.ring.generator_degree
+    g = total.generator_degree
     return [0 if d % g else total.coefficients[d // g] for d in range(dim + 1)]
 
 
@@ -201,7 +223,7 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
         return CharNumberTable(
             PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4"
         )
-    check_weight(dim // 4)  # before the class: HP^n's costs O(n^2) products
+    check_weight(dim // 4)  # before the class, which costs O(n) products
     p = _coefficients_by_degree(total_pontrjagin(space), dim)
     entries = walk_runs(
         dim // 4, lambda k, r: (",".join([str(k)] * r), p[4 * k] ** r), ","
@@ -213,7 +235,7 @@ def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
     _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
     dim = space.real_dimension
-    check_weight(dim)  # before the class: CP^n's costs O(n^2) products
+    check_weight(dim)  # before the class, which costs O(n) steps
     w = _coefficients_by_degree(total_stiefel_whitney(space), dim)
     entries = walk_runs(
         dim,

@@ -120,8 +120,8 @@ def _cmd_p_class(args) -> dict:
     payload = {
         "space": catalog.spec_string(spec),
         "dual": space.render(),
-        "generator_degree": total.ring.generator_degree,
-        "truncation_top": total.ring.truncation_top,
+        "generator_degree": total.generator_degree,
+        "truncation_top": total.truncation_top,
         "coefficients": list(total.coefficients),
     }
     if space.kind == charclass.CAYLEY_PLANE:

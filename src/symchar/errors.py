@@ -31,14 +31,6 @@ class MalformedSpecError(SymcharError):
     code = "malformed-spec"
 
 
-class RingMismatchError(SymcharError):
-    code = "ring-mismatch"
-
-
-class NotInvertibleError(SymcharError):
-    code = "not-invertible"
-
-
 class UnsupportedClassError(SymcharError):
     """Characteristic-class data the library does not compute."""
 
@@ -66,8 +58,9 @@ class BadTableError(SymcharError):
 
 
 class TooLargeError(SymcharError):
-    """A request refused for its size: a table over too many partitions, or
-    a result past what Python converts between integers and text."""
+    """A request refused for its size: a table over too many partitions, a
+    result past Python's int-to-text limit, or a probable prime past the
+    range where Miller-Rabin proves primality."""
 
     code = "too-large"
 
@@ -76,6 +69,15 @@ def past_digit_limit() -> TooLargeError:
     """The refusal of a result past Python's int-to-text digit limit."""
     limit = sys.get_int_max_str_digits()
     return TooLargeError(f"result has an integer of more than {limit} digits")
+
+
+def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:
+    """Raise past_digit_limit() when a result's log10 is certain to reach
+    Python's int-to-text limit (if any): count * log10_each + log10_rest.
+    count stays an int: compared with a float it cannot overflow."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count >= (limit - log10_rest) / log10_each:
+        raise past_digit_limit()
 
 
 class BadPrimePowerError(SymcharError):

@@ -22,7 +22,6 @@ needs it over two fields of distinct characteristic, which is the
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import isqrt, lcm, log10, prod
 
@@ -34,7 +33,8 @@ from symchar.errors import (
     InconsistentDegreesError,
     InconsistentTablesError,
     SymcharError,
-    past_digit_limit,
+    TooLargeError,
+    refuse_past_digit_limit,
 )
 
 
@@ -149,31 +149,83 @@ def check_cover_degree(mu_value: int, degree: int) -> bool:
     return degree % mu_value == 0
 
 
+_TRIAL_BOUND = 100
+# Miller-Rabin on the prime bases 2..41 is deterministic below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """Whether odd n > 41 is a strong probable prime to every base 2..41.
+    False proves n composite; True proves n prime only below _MR_PROVEN_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1 and e >= 2, in integers only.  The root's
+    top bit_length(e) + 1 bits are set one at a time, so that Newton's steps
+    start within a factor 1 + 1/e above it and converge at once."""
+    k = -(-n.bit_length() // e)
+    t = min(k, e.bit_length() + 1)
+    x = 0
+    for i in range(k - 1, k - 1 - t, -1):
+        if (x | 1 << i) ** e <= n:
+            x |= 1 << i
+    x += 1 << (k - t)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power_base(q: int) -> int | None:
-    """The prime p with q = p^e, or None when q is not a prime power."""
+    """The prime p with q = p^e, or None when q is not a prime power.
+
+    Past trial division every prime factor of q exceeds 100 > 2^6, so
+    e < bit_length(q) / 6.  If q = r^e for a prime e, q is a prime power iff
+    r is one, else iff q is prime: a Miller-Rabin witness proves q composite,
+    passing every base proves it prime below 3.317e24 (TooLargeError past it).
+    """
     if q < 2:
         return None
-    for p in range(2, isqrt(q) + 1):
+    for p in range(2, min(isqrt(q), _TRIAL_BOUND) + 1):
         if q % p == 0:
             while q % p == 0:
                 q //= p
             return p if q == 1 else None
+    if q <= _TRIAL_BOUND**2:
+        return q
+    for e in range(2, q.bit_length() // 6 + 1):
+        if any(e % f == 0 for f in range(2, isqrt(e) + 1)):
+            continue  # a power r^(fg) is an f-th power, tried before
+        r = _iroot(q, e)
+        if r**e == q:
+            return _prime_power_base(r)
+    if not _passes_miller_rabin(q):
+        return None
+    if q >= _MR_PROVEN_BELOW:
+        raise TooLargeError(f"cannot prove {q.bit_length()}-bit q prime past 3.317e24")
     return q
 
 
 # |GL_n(F_q)| = q^(n^2) prod_{i=1}^{n} (1 - q^-i) > 0.288 q^(n^2), since the
 # product is smallest at q = 2 and prod_{i>=1} (1 - 2^-i) = 0.2887...
 _GL_FACTOR_LOG10 = log10(0.288)
-
-
-def _refuse_past_digit_limit(n: int, q: int, orders: int = 1) -> None:
-    """Raise TooLargeError when a product of `orders` orders |GL_n(F_qi)|,
-    prod qi = q, certainly has more digits than Python converts to text (no
-    limit when it is 0): its log10 exceeds n^2 log10 q + orders log10 0.288."""
-    limit = sys.get_int_max_str_digits()
-    # n^2 stays an int: compared with a float it cannot overflow
-    if limit and n * n > (limit - orders * _GL_FACTOR_LOG10) / log10(q):
-        raise past_digit_limit()
 
 
 def gl_order(n: int, q: int) -> int:
@@ -186,7 +238,7 @@ def gl_order(n: int, q: int) -> int:
         raise SymcharError("matrix size must be a positive integer")
     if _prime_power_base(q) is None:
         raise BadPrimePowerError(f"{q} is not a prime power")
-    _refuse_past_digit_limit(n, q)
+    refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
     return _gl_product(n, q)
 
 
@@ -237,7 +289,7 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
             "distinct characteristics"
         )
     n = 2 * k + 1
-    _refuse_past_digit_limit(n, q1 * q2, orders=2)
+    refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
     order_1 = _gl_product(n, q1)
     order_2 = _gl_product(n, q2)
     product = order_1 * order_2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import lcm
+from math import isqrt, lcm
 
 
 def poly_mul(a: list, b: list) -> list:
@@ -19,6 +19,41 @@ def poly_mul(a: list, b: list) -> list:
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def poly_pow(a: list, k: int) -> list:
+    """a^k by k untruncated products."""
+    out = [1]
+    for _ in range(k):
+        out = poly_mul(out, a)
+    return out
+
+
+def total_pontrjagin_plain(kind: str, n: int) -> tuple:
+    """(generator degree, coefficients of u^0 .. u^T) of the total
+    Pontrjagin class of a rank-one dual, from untruncated products truncated
+    once at the end.  HP^n's factor (1 + 4u)^(-1) is its geometric series up
+    to u^n; CayP^2's class is the classical constant (Borel-Hirzebruch)."""
+    if kind == "sphere":
+        return n, [1, 0]
+    if kind == "complex-projective":
+        return 2, poly_pow([1, 0, 1], n + 1)[: n + 1]
+    if kind == "quaternionic-projective":
+        geometric = [(-4) ** k for k in range(n + 1)]
+        return 4, poly_mul(poly_pow([1, 1], 2 * n + 2), geometric)[: n + 1]
+    if kind == "cayley-plane":
+        return 8, [1, 6, 39]
+    raise ValueError(kind)
+
+
+def total_stiefel_whitney_plain(kind: str, n: int) -> tuple:
+    """Same as total_pontrjagin_plain for the SW class of S^n or CP^n:
+    1 and (1 + a)^(n+1), reduced mod 2 at the end."""
+    if kind == "sphere":
+        return n, [1, 0]
+    if kind == "complex-projective":
+        return 2, [c % 2 for c in poly_pow([1, 1], n + 1)[: n + 1]]
+    raise ValueError(kind)
 
 
 def char_number_plain(
@@ -100,6 +135,18 @@ def partition_count(n: int) -> int:
                 p[m] += sign * p[m - k * (3 * k + 1) // 2]
             k += 1
     return p[n]
+
+
+def prime_power_base_by_trial_division(q: int):
+    """The prime p with q = p^e, or None, by trial division up to sqrt(q)."""
+    if q < 2:
+        return None
+    for p in range(2, isqrt(q) + 1):
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return p if q == 1 else None
+    return q
 
 
 def divisors(n: int) -> list:

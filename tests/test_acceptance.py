@@ -18,6 +18,8 @@ from _oracles import (
     gl_count_enumerated,
     smallest_degree_divisors,
     smallest_degree_scan,
+    total_pontrjagin_plain,
+    total_stiefel_whitney_plain,
 )
 from symchar.catalog import (
     SpaceSpec,
@@ -36,6 +38,7 @@ from symchar.charclass import (
     complex_projective,
     pontrjagin_numbers,
     quaternionic_projective,
+    sphere,
     stiefel_whitney_numbers,
     total_pontrjagin,
     total_stiefel_whitney,
@@ -43,13 +46,6 @@ from symchar.charclass import (
 from symchar.cli import build_parser
 from symchar.errors import UnsupportedClassError
 from symchar.partitions import format_partition, partitions_of, sw_monomials_of
-from symchar.ring import (
-    EXACT,
-    MOD2,
-    RingDescriptor,
-    make_element,
-    one,
-)
 from symchar.transfer import check_cover_degree, gl_order, mu, solve_manifold_numbers
 
 
@@ -91,7 +87,7 @@ def test_acceptance_2_quaternionic_family():
     with criterion(2, "quaternionic projective family", 1.0):
         for n in range(1, 7):
             total = total_pontrjagin(quaternionic_projective(n))
-            assert total.coefficient(1) == 2 * n - 2
+            assert total.coefficients[1] == 2 * n - 2
             table = pontrjagin_numbers(quaternionic_projective(n))
             ones = format_partition((1,) * n)
             assert table.entries[ones] == (2 * n - 2) ** n
@@ -212,60 +208,23 @@ def test_acceptance_6_gl_orders_vs_enumeration():
         assert gl_order(3, 3) == 11232
 
 
-def test_acceptance_7_ring_property_suite():
-    with criterion(7, "ring property suite", 30.0):
-        rng = random.Random(7071)
-
-        def random_ring(mode=EXACT):
-            return RingDescriptor(rng.choice([1, 2, 4, 8]), rng.randint(0, 16), mode)
-
-        def random_element(ring, bound=9):
-            return make_element(
-                ring, [rng.randint(-bound, bound) for _ in range(ring.n_slots)]
-            )
-
-        for _ in range(1000):
-            ring = random_ring()
-            a, b, c = (random_element(ring) for _ in range(3))
-            assert a.mul(b) == b.mul(a)
-            assert a.mul(b.mul(c)) == a.mul(b).mul(c)
-            assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-
-        for _ in range(1000):
-            mode = rng.choice([EXACT, MOD2])
-            ring = random_ring(mode)
-            constant = 1 if mode == MOD2 else rng.choice([1, -1])
-            unit = make_element(
-                ring,
-                [constant] + [rng.randint(-9, 9) for _ in range(ring.n_slots - 1)],
-            )
-            assert unit.mul(unit.invert_unit()) == one(ring)
-
-        for _ in range(1000):
-            gen = rng.choice([1, 2, 4, 8])
-            top = rng.randint(1, 16)
-            wide = RingDescriptor(gen, top)
-            narrow = RingDescriptor(gen, top - 1)
-            a, b = random_element(wide), random_element(wide)
-            product = a.mul(b)
-            assert make_element(narrow, product.coefficients[:-1]) == make_element(
-                narrow, a.coefficients[:-1]
-            ).mul(make_element(narrow, b.coefficients[:-1]))
-
-        for _ in range(1000):
-            gen = rng.choice([1, 2, 4, 8])
-            top = rng.randint(0, 16)
-            exact_ring = RingDescriptor(gen, top)
-            mod_ring = RingDescriptor(gen, top, MOD2)
-
-            def reduced(element):
-                return make_element(mod_ring, [x & 1 for x in element.coefficients])
-
-            a, b = random_element(exact_ring), random_element(exact_ring)
-            assert reduced(a.mul(b)) == reduced(a).mul(reduced(b))
-            assert reduced(a.add(b)) == reduced(a).add(reduced(b))
-            k = rng.randint(0, 8)
-            assert reduced(a.pow(k)) == reduced(a).pow(k)
+def test_acceptance_7_total_class_oracle_suite():
+    with criterion(7, "total classes against untruncated products", 30.0):
+        spaces = [sphere(n) for n in range(1, 49)]
+        spaces += [complex_projective(n) for n in range(1, 46)]
+        spaces += [quaternionic_projective(n) for n in range(1, 46)]
+        spaces += [cayley_plane()]
+        for space in spaces:
+            cases = [(total_pontrjagin, total_pontrjagin_plain)]
+            if space.kind in ("sphere", "complex-projective"):
+                cases.append((total_stiefel_whitney, total_stiefel_whitney_plain))
+            for package, oracle in cases:
+                total = package(space)
+                degree, coefficients = oracle(space.kind, space.n)
+                assert total.generator_degree == degree, space.render()
+                assert total.truncation_top == len(coefficients) - 1
+                assert total.truncation_top * degree == space.real_dimension
+                assert total.coefficients == tuple(coefficients), space.render()
 
 
 def test_acceptance_8_low_dimensional_sw_remark():

@@ -1,5 +1,6 @@
 """Total classes and characteristic numbers of the rank-one duals."""
 
+import sys
 from collections import Counter
 from functools import cache
 from math import comb
@@ -13,6 +14,8 @@ from _oracles import (
     partitions_by_growth,
     poly_mul,
     sw_number_plain,
+    total_pontrjagin_plain,
+    total_stiefel_whitney_plain,
 )
 from symchar.catalog import GroupFactor
 from symchar.charclass import (
@@ -33,7 +36,12 @@ from symchar.charclass import (
     total_pontrjagin,
     total_stiefel_whitney,
 )
-from symchar.errors import DimensionMismatchError, SymcharError, UnsupportedClassError
+from symchar.errors import (
+    DimensionMismatchError,
+    SymcharError,
+    TooLargeError,
+    UnsupportedClassError,
+)
 from symchar.partitions import format_partition, partitions_of, sw_monomials_of
 
 
@@ -41,18 +49,18 @@ def test_sphere_class_is_trivial():
     for n in [1, 2, 3, 4, 7, 12]:
         total = total_pontrjagin(sphere(n))
         assert total.coefficients == (1, 0)
-        assert total.ring.generator_degree == n
-        assert total.ring.truncation_top == 1
+        assert total.generator_degree == n
+        assert total.truncation_top == 1
 
 
 def test_cp_class_binomial_coefficients():
     # (1 + a^2)^(n+1): slot 2j carries C(n+1, j), odd slots vanish
     for n in range(1, 9):
         total = total_pontrjagin(complex_projective(n))
-        assert total.ring.generator_degree == 2
+        assert total.generator_degree == 2
         for j in range(n + 1):
             expected = comb(n + 1, j // 2) if j % 2 == 0 else 0
-            assert total.coefficient(j) == expected
+            assert total.coefficients[j] == expected
 
 
 def test_hp2_class_frozen_and_derived():
@@ -68,20 +76,57 @@ def test_hp2_class_frozen_and_derived():
 def test_hp3_class():
     total = total_pontrjagin(quaternionic_projective(3))
     assert total.coefficients == (1, 4, 12, 8)
-    assert total.coefficient(1) == 4
+    assert total.coefficients[1] == 4
 
 
 def test_hp_linear_coefficient_is_2n_minus_2():
     for n in range(1, 9):
         total = total_pontrjagin(quaternionic_projective(n))
-        assert total.coefficient(1) == 2 * n - 2
+        assert total.coefficients[1] == 2 * n - 2
 
 
 def test_cayley_class_frozen():
     total = total_pontrjagin(cayley_plane())
     assert total.coefficients == (1, 6, 39)
-    assert total.ring.generator_degree == 8
-    assert total.coefficient(1) > 0  # sign convention on the degree-8 term
+    assert total.generator_degree == 8
+    assert total.coefficients[1] > 0  # sign convention on the degree-8 term
+
+
+def test_total_classes_are_refused_only_past_the_digit_limit():
+    # a refused class has a coefficient >= 10^4300; both sides are reached.
+    # Each class is checked at its largest slots by one binomial: C(n+1, n//2)
+    # is a coefficient of CP^n's, and (1 + 4u) p(HP^n) = (1 + u)^(2n+2) gives
+    # c_n + 4 c_(n-1) = C(2n+2, n).
+    sweeps = [
+        (
+            quaternionic_projective,
+            range(7130, 7160, 3),
+            lambda n, c: c[n] + 4 * c[n - 1] == comb(2 * n + 2, n),
+        ),
+        (
+            complex_projective,
+            range(14270, 14320, 5),
+            lambda n, c: c[n // 2 * 2] == comb(n + 1, n // 2),
+        ),
+    ]
+    saved = sys.get_int_max_str_digits()
+    try:
+        for build, window, identity in sweeps:
+            outcomes = set()
+            for n in window:
+                sys.set_int_max_str_digits(0)
+                coefficients = total_pontrjagin(build(n)).coefficients
+                assert identity(n, coefficients), n
+                sys.set_int_max_str_digits(4300)
+                try:
+                    assert total_pontrjagin(build(n)).coefficients == coefficients
+                    outcomes.add("computed")
+                except TooLargeError:
+                    assert max(map(abs, coefficients)) >= 10**4300, n
+                    outcomes.add("refused")
+            assert outcomes == {"computed", "refused"}, build
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_cayley_numbers_golden_table():
@@ -148,8 +193,7 @@ def test_numbers_match_untruncated_convolution_oracle():
     spaces += [cayley_plane()]
     for space in spaces:
         dim = space.real_dimension
-        total = total_pontrjagin(space)
-        coeffs, g = list(total.coefficients), total.ring.generator_degree
+        g, coeffs = total_pontrjagin_plain(space.kind, space.n)
         expected = [
             (",".join(map(str, p)), char_number_plain(coeffs, g, dim, p))
             for p in (_oracle_partitions(dim // 4) if dim % 4 == 0 else [])
@@ -162,7 +206,7 @@ def test_sw_class_cp_binomial_mod_2():
     for n in range(1, 9):
         total = total_stiefel_whitney(complex_projective(n))
         for j in range(n + 1):
-            assert total.coefficient(j) == comb(n + 1, j) % 2
+            assert total.coefficients[j] == comb(n + 1, j) % 2
 
 
 def test_sw_numbers_cp2():
@@ -188,7 +232,7 @@ def test_sw_numbers_cp3_all_zero():
 def test_sw_numbers_cp5_all_zero_despite_nonzero_classes():
     # w(CP^5) = 1 + a^2 + a^4 mod 2: nonzero classes, vanishing numbers
     total = total_stiefel_whitney(complex_projective(5))
-    assert total.coefficient(2) == 1 and total.coefficient(4) == 1
+    assert total.coefficients[2] == 1 and total.coefficients[4] == 1
     assert stiefel_whitney_numbers(complex_projective(5)).all_zero()
 
 
@@ -204,8 +248,7 @@ def test_sw_numbers_match_untruncated_convolution_oracle():
     spaces += [sphere(n) for n in range(1, 17)]
     for space in spaces:
         dim = space.real_dimension
-        total = total_stiefel_whitney(space)
-        coeffs, g = list(total.coefficients), total.ring.generator_degree
+        g, coeffs = total_stiefel_whitney_plain(space.kind, space.n)
         expected = []
         for p in _oracle_partitions(dim):
             runs = sorted(Counter(p).items())

@@ -387,6 +387,9 @@ def test_integers_past_the_digit_limit_are_refused(
         ["gl-order", "3000", "2"],
         ["gl-order", "1" + "0" * 200, "2"],
         ["ds-check", "--mu", "7", "--k", "2000", "--q1", "2", "--q2", "3"],
+        ["p-class", "QHn(20000)"],
+        ["p-class", "CHn(40000)"],
+        ["gl-order", "1", str(2**89 - 1)],
     ],
 )
 def test_oversized_requests_are_refused_before_the_work(

@@ -2,12 +2,14 @@
 
 import random
 import sys
+import time
 from math import isqrt, lcm, log10, prod
 
 import pytest
 
 from _oracles import (
     gl_count_enumerated,
+    prime_power_base_by_trial_division,
     smallest_degree_divisors,
     smallest_degree_scan,
 )
@@ -23,6 +25,7 @@ from symchar.errors import (
 )
 from symchar.partitions import format_partition, partitions_of
 from symchar.transfer import (
+    _prime_power_base,
     check_cover_degree,
     deligne_sullivan_check,
     gl_order,
@@ -241,6 +244,63 @@ def test_gl_order_rejects_non_prime_powers():
             gl_order(2, q)
     with pytest.raises(SymcharError):
         gl_order(0, 2)
+
+
+def test_prime_power_base_matches_trial_division():
+    for q in range(-2, 10**5):
+        assert _prime_power_base(q) == prime_power_base_by_trial_division(q), q
+
+
+@pytest.mark.parametrize(
+    "q, base",
+    [
+        (2**61 - 1, 2**61 - 1),
+        ((2**31 - 1) ** 2, 2**31 - 1),
+        (10**18 + 3, 10**18 + 3),
+        (3**40, 3),
+        ((10**9 + 7) * (10**9 + 9), None),
+        ((2**61 - 1) ** 5, 2**61 - 1),  # past the Miller-Rabin range, root within
+    ],
+    ids=["2^61-1", "(2^31-1)^2", "10^18+3", "3^40", "(10^9+7)(10^9+9)", "(2^61-1)^5"],
+)
+def test_large_prime_powers_are_decided_quickly(q, base):
+    start = time.perf_counter()
+    assert _prime_power_base(q) == base
+    if base is None:
+        with pytest.raises(BadPrimePowerError):
+            gl_order(1, q)
+    else:
+        assert gl_order(1, q) == q - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_only_primes_past_the_proven_range_are_refused():
+    # Miller-Rabin on the bases 2..41 proves a prime only below 3.317e24, but
+    # a witness proves a composite at any size
+    for q in (2**89 - 1, (2**89 - 1) ** 2, 2**521 - 1):
+        with pytest.raises(TooLargeError):
+            _prime_power_base(q)
+    for q in (
+        3 * (2**89 - 1),
+        101 * (2**89 - 1),
+        101**12 * 103,
+        (2**89 - 1) * (2**127 - 1),
+        (2**521 - 1) ** 2 * 101,
+    ):
+        assert _prime_power_base(q) is None, q
+        with pytest.raises(BadPrimePowerError):
+            gl_order(1, q)
+
+
+def test_a_4300_digit_composite_is_decided():
+    # no factor up to 100 and no root: one Miller-Rabin round on 14 284 bits
+    q = 10**4299 + 1
+    while any(q % p == 0 for p in range(2, 101)):
+        q += 1
+    start = time.perf_counter()
+    with pytest.raises(BadPrimePowerError):
+        gl_order(1, q)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_gl_order_matches_enumeration_spot_checks():
