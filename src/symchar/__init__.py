@@ -9,9 +9,7 @@ from symchar.catalog import (
     Classification,
     SpaceSpec,
     classify,
-    dimension_of,
     dual_of,
-    euler_characteristic_dual,
     parse_space,
     pontrjagin_table,
     rank_one_dual,
@@ -56,9 +54,7 @@ __all__ = [
     "Classification",
     "SpaceSpec",
     "classify",
-    "dimension_of",
     "dual_of",
-    "euler_characteristic_dual",
     "parse_space",
     "pontrjagin_table",
     "rank_one_dual",

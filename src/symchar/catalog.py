@@ -7,6 +7,8 @@ classifier then reads everything off rank arithmetic:
 
   rank(G_U) == rank(K)  -> Euler characteristic of the dual is |W(G_U)|/|W(K)|
                            (positive), Gauss-Bonnet forces chi(M) != 0.
+                           Each family states that quotient in closed form,
+                           2^e C(m, k).
   rank(G_U) >  rank(K)  -> the dual carries a free torus action of the
                            difference rank, so chi and every Pontrjagin
                            number of the dual vanish.
@@ -23,7 +25,7 @@ all-zero table under a rank gap or on a parallelizable dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from math import comb, log10
 from typing import Callable, NamedTuple
 
 from symchar import charclass
@@ -33,40 +35,28 @@ from symchar.errors import (
     UnknownFamilyError,
     UnsupportedClassError,
     UnsupportedFamilyError,
+    refuse_past_digit_limit,
 )
-
-
-def _so_weyl_order(m: int) -> int:
-    half = m // 2
-    order = 2**half * factorial(half)
-    return order // 2 if m % 2 == 0 and half >= 1 else order
 
 
 class _FactorKind(NamedTuple):
     rank: Callable
-    weyl_order: Callable
     dim: Callable
     template: str  # one "{}" per parameter
 
 
 # Compact group factors, each a function of the factor's parameters.
 _FACTOR_KINDS = {
-    "SU": _FactorKind(lambda n: n - 1, factorial, lambda n: n * n - 1, "SU({})"),
-    "SO": _FactorKind(
-        lambda m: m // 2, _so_weyl_order, lambda m: m * (m - 1) // 2, "SO({})"
-    ),
-    "Sp": _FactorKind(
-        lambda n: n, lambda n: 2**n * factorial(n), lambda n: n * (2 * n + 1), "Sp({})"
-    ),
-    "U": _FactorKind(lambda n: n, factorial, lambda n: n * n, "U({})"),
+    "SU": _FactorKind(lambda n: n - 1, lambda n: n * n - 1, "SU({})"),
+    "SO": _FactorKind(lambda m: m // 2, lambda m: m * (m - 1) // 2, "SO({})"),
+    "Sp": _FactorKind(lambda n: n, lambda n: n * (2 * n + 1), "Sp({})"),
+    "U": _FactorKind(lambda n: n, lambda n: n * n, "U({})"),
     "SUxU": _FactorKind(
-        lambda p, q: p + q - 1,
-        lambda p, q: factorial(p) * factorial(q),
-        lambda p, q: p * p + q * q - 1,
-        "S(U{}xU{})",
+        lambda p, q: p + q - 1, lambda p, q: p * p + q * q - 1, "S(U{}xU{})"
     ),
-    "Spin9": _FactorKind(lambda: 4, lambda: 384, lambda: 36, "Spin(9)"),
-    "F4": _FactorKind(lambda: 4, lambda: 1152, lambda: 52, "F4"),
+    "Spin9": _FactorKind(lambda: 4, lambda: 36, "Spin(9)"),
+    "F4": _FactorKind(lambda: 4, lambda: 52, "F4"),
+    "T": _FactorKind(lambda n: n, lambda n: n, "U(1)^{}"),  # the torus U(1)^n
 }
 
 
@@ -85,9 +75,6 @@ class GroupFactor:
     def rank(self) -> int:
         return _FACTOR_KINDS[self.kind].rank(*self.params)
 
-    def weyl_order(self) -> int:
-        return _FACTOR_KINDS[self.kind].weyl_order(*self.params)
-
     def dim(self) -> int:
         return _FACTOR_KINDS[self.kind].dim(*self.params)
 
@@ -104,9 +91,6 @@ class CompactGroup:
     def rank(self) -> int:
         return sum(f.rank() for f in self.factors)
 
-    def weyl_order(self) -> int:
-        return prod(f.weyl_order() for f in self.factors)
-
     def dim(self) -> int:
         return sum(f.dim() for f in self.factors)
 
@@ -118,11 +102,13 @@ class CompactGroup:
 
 @dataclass(frozen=True, slots=True)
 class DualPair:
-    """Compact dual G_U / K.  TypeIV spaces carry only the display name."""
+    """Compact dual G_U / K.  TypeIV spaces carry only the display name
+    and the dimension."""
 
     gu: CompactGroup | None
     k: CompactGroup | None
     name: str
+    dim: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +129,10 @@ class _Family:
     arity: int
     min_params: tuple
     groups: Callable | None  # params -> (G_U factors, K factors); None for TypeIV
+    aliases: tuple = ()  # short names parse_space accepts besides name
+    # params -> (m, k, e) with chi(G_U/K) = 2^e C(m, k) at equal rank; None for
+    # the families that never reach it
+    euler: Callable | None = None
     space: Callable | None = None  # params -> DualSpace, for the rank-one families
     label: Callable | None = None  # params -> name of the dual, where "G_U/K" is not
 
@@ -159,73 +149,72 @@ _FAMILIES = {
         _Family(
             "SU_pq", 2, (1, 1),
             lambda p, q: ([_factor("SU", p + q)], [_factor("SUxU", p, q)]),
+            aliases=("SUpq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
             "SO0_pq", 2, (1, 1),
             lambda p, q: ([_factor("SO", p + q)], [_factor("SO", p), _factor("SO", q)]),
+            aliases=("SO0pq",), euler=lambda p, q: ((p + q) // 2, p // 2, 1),
         ),
         _Family(
-            "SOstar_2n", 1, (2,), lambda n: ([_factor("SO", 2 * n)], [_factor("U", n)])
+            "SOstar_2n", 1, (2,), lambda n: ([_factor("SO", 2 * n)], [_factor("U", n)]),
+            aliases=("SOstar2n", "SOstar"), euler=lambda n: (0, 0, n - 1),
         ),
-        _Family("Sp_nR", 1, (1,), lambda n: ([_factor("Sp", n)], [_factor("U", n)])),
+        _Family(
+            "Sp_nR", 1, (1,), lambda n: ([_factor("Sp", n)], [_factor("U", n)]),
+            aliases=("SpnR",), euler=lambda n: (0, 0, n),
+        ),
         _Family(
             "Sp_pq", 2, (1, 1),
             lambda p, q: ([_factor("Sp", p + q)], [_factor("Sp", p), _factor("Sp", q)]),
+            aliases=("Sppq",), euler=lambda p, q: (p + q, p, 0),
         ),
-        _Family("SL_nR", 1, (2,), lambda n: ([_factor("SU", n)], [_factor("SO", n)])),
         _Family(
-            "SUstar_2n", 1, (2,), lambda n: ([_factor("SU", 2 * n)], [_factor("Sp", n)])
+            "SL_nR", 1, (2,), lambda n: ([_factor("SU", n)], [_factor("SO", n)]),
+            aliases=("SLnR",), euler=lambda n: (0, 0, 1),  # equal rank at n = 2 only
+        ),
+        _Family(
+            "SUstar_2n", 1, (2,), lambda n: ([_factor("SU", 2 * n)], [_factor("Sp", n)]),
+            aliases=("SUstar2n", "SUstar"),
         ),
         _Family("TypeIV", 1, (1,), None, label=lambda d: "compact Lie group"),
         _Family(
             "RealHyperbolic_n", 1, (1,),
             lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
-            space=charclass.sphere,
+            aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
             "ComplexHyperbolic_n", 1, (1,),
             lambda n: ([_factor("SU", n + 1)], [_factor("SUxU", 1, n)]),
+            aliases=("CHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.complex_projective,
         ),
         _Family(
             "QuaternionicHyperbolic_n", 1, (1,),
             lambda n: ([_factor("Sp", n + 1)], [_factor("Sp", 1), _factor("Sp", n)]),
+            aliases=("QHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.quaternionic_projective,
         ),
         _Family(
             "CayleyHyperbolic", 0, (),
             lambda: ([_factor("F4")], [_factor("Spin9")]),
-            space=charclass.cayley_plane,
+            aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
         ),
         _Family(
             "ConstantPositive_n", 1, (1,),
             lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
-            space=charclass.sphere,
+            aliases=("ConstPos",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "Flat_n", 1, (1,),
-            lambda n: ([_factor("U", 1)] * n, []),
-            label=lambda n: f"T^{n}",
+            "Flat_n", 1, (1,), lambda n: ([_factor("T", n)], []),
+            aliases=("Flat",), label=lambda n: f"T^{n}",
         ),
     )
 }
 
-_ALIASES = {
-    "SU_pq": "SU_pq", "SUpq": "SU_pq",
-    "SO0_pq": "SO0_pq", "SO0pq": "SO0_pq",
-    "SOstar_2n": "SOstar_2n", "SOstar2n": "SOstar_2n", "SOstar": "SOstar_2n",
-    "Sp_nR": "Sp_nR", "SpnR": "Sp_nR",
-    "Sp_pq": "Sp_pq", "Sppq": "Sp_pq",
-    "SL_nR": "SL_nR", "SLnR": "SL_nR",
-    "SUstar_2n": "SUstar_2n", "SUstar2n": "SUstar_2n", "SUstar": "SUstar_2n",
-    "TypeIV": "TypeIV",
-    "RealHyperbolic_n": "RealHyperbolic_n", "RHn": "RealHyperbolic_n",
-    "ComplexHyperbolic_n": "ComplexHyperbolic_n", "CHn": "ComplexHyperbolic_n",
-    "QuaternionicHyperbolic_n": "QuaternionicHyperbolic_n",
-    "QHn": "QuaternionicHyperbolic_n",
-    "CayleyHyperbolic": "CayleyHyperbolic", "CayH": "CayleyHyperbolic",
-    "ConstantPositive_n": "ConstantPositive_n", "ConstPos": "ConstantPositive_n",
-    "Flat_n": "Flat_n", "Flat": "Flat_n",
+# every name parse_space accepts -> canonical family name
+_NAMES = {
+    alias: f.name for f in _FAMILIES.values() for alias in (f.name, *f.aliases)
 }
 
 # Spaces modeled on other exceptional groups exist but are out of scope.
@@ -274,7 +263,7 @@ def parse_space(text: str) -> SpaceSpec:
             f"unsupported family {name!r}: exceptional spaces other than "
             "CayleyHyperbolic are out of scope"
         )
-    canonical = _ALIASES.get(name)
+    canonical = _NAMES.get(name)
     if canonical is None:
         raise UnknownFamilyError(f"unknown family {name!r}")
     spec = SpaceSpec(canonical, params)
@@ -291,8 +280,8 @@ def spec_string(spec: SpaceSpec) -> str:
 def _resolve(spec: SpaceSpec) -> tuple:
     """(family record, dual pair) of a spec."""
     fam = _family_record(spec)
-    if fam.groups is None:
-        return fam, DualPair(None, None, fam.label(*spec.params))
+    if fam.groups is None:  # TypeIV(d) has the dimension of its group
+        return fam, DualPair(None, None, fam.label(*spec.params), spec.params[0])
     gu_factors, k_factors = fam.groups(*spec.params)
     gu, k = CompactGroup(tuple(gu_factors)), CompactGroup(tuple(k_factors))
     if fam.space is not None:
@@ -301,38 +290,23 @@ def _resolve(spec: SpaceSpec) -> tuple:
         name = fam.label(*spec.params)
     else:
         name = f"{gu.render()}/{k.render()}"
-    return fam, DualPair(gu, k, name)
-
-
-def _dimension(spec: SpaceSpec, pair: DualPair) -> int:
-    if pair.gu is None:
-        return spec.params[0]  # TypeIV(d) has the dimension of its group
-    return pair.gu.dim() - pair.k.dim()
-
-
-def _weyl_quotient(pair: DualPair) -> int:
-    """|W(G_U)| / |W(K)|: the Euler characteristic of an equal-rank dual."""
-    w_gu = pair.gu.weyl_order()
-    w_k = pair.k.weyl_order()
-    if w_gu % w_k:
-        raise SymcharError("Weyl order of K must divide that of G_U")
-    return w_gu // w_k
-
-
-def dimension_of(spec: SpaceSpec) -> int:
-    return _dimension(spec, _resolve(spec)[1])
+    return fam, DualPair(gu, k, name, gu.dim() - k.dim())
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
     return _resolve(spec)[1]
 
 
-def euler_characteristic_dual(spec: SpaceSpec) -> int:
-    """chi(G_U / K): |W(G_U)| / |W(K)| at equal rank, 0 otherwise."""
-    pair = dual_of(spec)
-    if pair.gu is None or pair.gu.rank() != pair.k.rank():
-        return 0  # a positive-dimensional compact Lie group, or a rank gap
-    return _weyl_quotient(pair)
+def _two_power_binomial(m: int, k: int, e: int) -> int:
+    """2^e C(m, k): the Euler characteristic |W(G_U)|/|W(K)| of an
+    equal-rank dual.  Refused with TooLargeError before it is computed when
+    2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is certain to pass
+    Python's int-to-text limit."""
+    refuse_past_digit_limit(e, log10(2), 0)
+    k = min(k, m - k)
+    if k:
+        refuse_past_digit_limit(k, log10(m) - log10(k), 0)
+    return comb(m, k) << e
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,10 +339,9 @@ class Classification:
 
 def classify(spec: SpaceSpec) -> Classification:
     fam, pair = _resolve(spec)
-    dim = _dimension(spec, pair)
     if pair.gu is None:
         return Classification(
-            spec.family, spec.params, pair.name, dim,
+            spec.family, spec.params, pair.name, pair.dim,
             None, None, None, VERDICT_PARALLELIZABLE, 0, False,
         )
     rank_gu = pair.gu.rank()
@@ -376,7 +349,7 @@ def classify(spec: SpaceSpec) -> Classification:
     toral = rank_gu - rank_k
     if toral < 0:
         raise SymcharError("dual pair has rank(K) > rank(G_U)")
-    euler = _weyl_quotient(pair) if toral == 0 else 0
+    euler = _two_power_binomial(*fam.euler(*spec.params)) if toral == 0 else 0
     if fam.space is not None:
         verdict = VERDICT_RANK_ONE
     elif toral == 0:
@@ -384,7 +357,7 @@ def classify(spec: SpaceSpec) -> Classification:
     else:
         verdict = VERDICT_RANK_GAP
     return Classification(
-        spec.family, spec.params, pair.name, dim,
+        spec.family, spec.params, pair.name, pair.dim,
         rank_gu, rank_k, toral, verdict, euler, euler > 0,
     )
 
@@ -401,16 +374,17 @@ def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
 
 def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     """Pontrjagin numbers of the compact dual: computed for a rank-one
-    dual, all zero under a rank gap or on a parallelizable dual."""
-    cls = classify(spec)
-    if cls.verdict == VERDICT_RANK_ONE:
-        return charclass.pontrjagin_numbers(rank_one_dual(spec))
-    if cls.verdict == VERDICT_EQUAL_RANK:
+    dual, all zero under a rank gap or on a parallelizable dual.  Decided
+    from the family and the ranks: the Euler characteristic is not needed."""
+    fam, pair = _resolve(spec)
+    if fam.space is not None:
+        return charclass.pontrjagin_numbers(fam.space(*spec.params))
+    if pair.gu is not None and pair.gu.rank() == pair.k.rank():
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
     # every number vanishes: the table of the total class 1, as on S^dim
-    return charclass.pontrjagin_numbers(charclass.sphere(cls.dim))
+    return charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

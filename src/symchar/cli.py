@@ -109,7 +109,7 @@ def _cmd_dual(args) -> dict:
         "k": pair.k.render() if pair.k else None,
         "rank_gu": pair.gu.rank() if pair.gu else None,
         "rank_k": pair.k.rank() if pair.k else None,
-        "dim": catalog.dimension_of(spec),
+        "dim": pair.dim,
     }
 
 

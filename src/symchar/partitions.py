@@ -91,10 +91,6 @@ def partitions_of(n: int) -> list[Partition]:
     return list(walk_runs(n, lambda k, r: ((k,) * r, 1), ()))
 
 
-def partition_weight(partition: Partition) -> int:
-    return sum(partition)
-
-
 def format_partition(partition: Partition) -> str:
     """Canonical serialization: comma-joined parts, "" for the empty one."""
     return ",".join(str(p) for p in partition)
@@ -163,12 +159,6 @@ def parse_monomial(text: str) -> SWMonomial:
         if index < 1 or exponent < 1:
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
         counts[index] += exponent
-    return SWMonomial(tuple(sorted(counts.items())))
-
-
-def monomial_from_partition(partition: Partition) -> SWMonomial:
-    """Partition parts become factor indices: (3, 1, 1) -> w1^2 w3."""
-    counts = Counter(partition)
     return SWMonomial(tuple(sorted(counts.items())))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm, prod
 
 
 def poly_mul(a: list, b: list) -> list:
@@ -27,6 +27,73 @@ def poly_pow(a: list, k: int) -> list:
     for _ in range(k):
         out = poly_mul(out, a)
     return out
+
+
+def _so_weyl_order(n: int) -> int:
+    m, odd = divmod(n, 2)
+    return 2**m * factorial(m) if odd else 2 ** (m - 1) * factorial(m)
+
+
+# Compact group factors: kind -> (rank, order of the Weyl group), each a
+# function of the factor's parameters (n >= 1).  The orders: SU(n) n!,
+# SO(2m+1) 2^m m!, SO(2m) 2^(m-1) m!, Sp(n) 2^n n!, U(n) n!, Spin(9) 384,
+# F4 1152; S(U(p) x U(q)) has the Weyl group S_p x S_q and rank p + q - 1.
+_FACTORS = {
+    "SU": (lambda n: n - 1, lambda n: factorial(n)),
+    "SO": (lambda n: n // 2, _so_weyl_order),
+    "Sp": (lambda n: n, lambda n: 2**n * factorial(n)),
+    "U": (lambda n: n, lambda n: factorial(n)),
+    "SUxU": (lambda p, q: p + q - 1, lambda p, q: factorial(p) * factorial(q)),
+    "Spin9": (lambda: 4, lambda: 384),
+    "F4": (lambda: 4, lambda: 1152),
+}
+
+
+def weyl_order(kind: str, *params: int) -> int:
+    """|W| of one compact factor, e.g. weyl_order("SO", 7) == 48."""
+    return _FACTORS[kind][1](*params)
+
+
+def group_weyl_order(factors) -> int:
+    """|W| of a product of (kind, *params) factors: the product of theirs."""
+    return prod(weyl_order(*f) for f in factors)
+
+
+def _group_rank(factors) -> int:
+    return sum(_FACTORS[kind][0](*params) for kind, *params in factors)
+
+
+# family -> params -> (G_U factors, K factors) of the compact dual, written
+# out again here rather than read from the package.
+_COMPACT_DUALS = {
+    "SU_pq": lambda p, q: ([("SU", p + q)], [("SUxU", p, q)]),
+    "SO0_pq": lambda p, q: ([("SO", p + q)], [("SO", p), ("SO", q)]),
+    "SOstar_2n": lambda n: ([("SO", 2 * n)], [("U", n)]),
+    "Sp_nR": lambda n: ([("Sp", n)], [("U", n)]),
+    "Sp_pq": lambda p, q: ([("Sp", p + q)], [("Sp", p), ("Sp", q)]),
+    "SL_nR": lambda n: ([("SU", n)], [("SO", n)]),
+    "SUstar_2n": lambda n: ([("SU", 2 * n)], [("Sp", n)]),
+    "RealHyperbolic_n": lambda n: ([("SO", n + 1)], [("SO", n)]),
+    "ComplexHyperbolic_n": lambda n: ([("SU", n + 1)], [("SUxU", 1, n)]),
+    "QuaternionicHyperbolic_n": lambda n: ([("Sp", n + 1)], [("Sp", 1), ("Sp", n)]),
+    "CayleyHyperbolic": lambda: ([("F4",)], [("Spin9",)]),
+    "ConstantPositive_n": lambda n: ([("SO", n + 1)], [("SO", n)]),
+    "Flat_n": lambda n: ([("U", 1)] * n, []),
+}
+
+
+def euler_char_by_weyl_quotient(family: str, params: tuple) -> int:
+    """chi(G_U/K) of a family's compact dual: |W(G_U)| / |W(K)| from two
+    whole factorial products at equal rank (Hopf-Samelson), 0 under a rank
+    gap and on the parallelizable dual of TypeIV."""
+    if family == "TypeIV":
+        return 0
+    gu, k = _COMPACT_DUALS[family](*params)
+    if _group_rank(gu) != _group_rank(k):
+        return 0
+    quotient, rest = divmod(group_weyl_order(gu), group_weyl_order(k))
+    assert rest == 0, (family, params)
+    return quotient
 
 
 def total_pontrjagin_plain(kind: str, n: int) -> tuple:

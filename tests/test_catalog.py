@@ -1,9 +1,11 @@
 """Family catalog: parsing, dual pairs, rank arithmetic, classification."""
 
+from itertools import product
 from math import comb
 
 import pytest
 
+from _oracles import euler_char_by_weyl_quotient, group_weyl_order, weyl_order
 from symchar.catalog import (
     Classification,
     CompactGroup,
@@ -13,10 +15,9 @@ from symchar.catalog import (
     VERDICT_PARALLELIZABLE,
     VERDICT_RANK_GAP,
     VERDICT_RANK_ONE,
+    _FAMILIES,
     classify,
-    dimension_of,
     dual_of,
-    euler_characteristic_dual,
     parse_space,
     spec_string,
 )
@@ -40,14 +41,14 @@ def test_factor_ranks():
 
 
 def test_factor_weyl_orders():
-    assert GroupFactor("SU", (5,)).weyl_order() == 120
-    assert GroupFactor("SO", (7,)).weyl_order() == 48
-    assert GroupFactor("SO", (8,)).weyl_order() == 192
-    assert GroupFactor("SO", (2,)).weyl_order() == 1
-    assert GroupFactor("Sp", (3,)).weyl_order() == 48
-    assert GroupFactor("SUxU", (2, 3)).weyl_order() == 12
-    assert GroupFactor("Spin9", ()).weyl_order() == 384
-    assert GroupFactor("F4", ()).weyl_order() == 1152
+    assert weyl_order("SU", 5) == 120
+    assert weyl_order("SO", 7) == 48
+    assert weyl_order("SO", 8) == 192
+    assert weyl_order("SO", 2) == 1
+    assert weyl_order("Sp", 3) == 48
+    assert weyl_order("SUxU", 2, 3) == 12
+    assert weyl_order("Spin9") == 384
+    assert weyl_order("F4") == 1152
 
 
 def test_rank_and_weyl_multiplicative_over_products():
@@ -55,11 +56,13 @@ def test_rank_and_weyl_multiplicative_over_products():
     f2 = GroupFactor("Sp", (2,))
     g = CompactGroup((f1, f2))
     assert g.rank() == f1.rank() + f2.rank()
-    assert g.weyl_order() == f1.weyl_order() * f2.weyl_order()
+    assert group_weyl_order([("SO", 3), ("Sp", 2)]) == (
+        weyl_order("SO", 3) * weyl_order("Sp", 2)
+    )
     assert g.dim() == f1.dim() + f2.dim()
     trivial = CompactGroup(())
     assert trivial.rank() == 0
-    assert trivial.weyl_order() == 1
+    assert group_weyl_order([]) == 1
     assert trivial.render() == "1"
 
 
@@ -130,20 +133,20 @@ def _grid():
 
 
 def test_dimension_examples():
-    assert dimension_of(parse_space("CHn(2)")) == 4
-    assert dimension_of(parse_space("SU_pq(2,3)")) == 12
-    assert dimension_of(parse_space("SLnR(3)")) == 5
-    assert dimension_of(parse_space("SLnR(6)")) == 20
-    assert dimension_of(parse_space("SUstar_2n(3)")) == 14
-    assert dimension_of(parse_space("CayH")) == 16
-    assert dimension_of(parse_space("TypeIV(7)")) == 7
+    assert classify(parse_space("CHn(2)")).dim == 4
+    assert classify(parse_space("SU_pq(2,3)")).dim == 12
+    assert classify(parse_space("SLnR(3)")).dim == 5
+    assert classify(parse_space("SLnR(6)")).dim == 20
+    assert classify(parse_space("SUstar_2n(3)")).dim == 14
+    assert classify(parse_space("CayH")).dim == 16
+    assert classify(parse_space("TypeIV(7)")).dim == 7
 
 
 def test_dimension_matches_group_difference_oracle():
     for spec in _grid():
-        assert dimension_of(spec) == _DIM_ORACLE[spec.family](spec.params)
+        assert classify(spec).dim == _DIM_ORACLE[spec.family](spec.params)
         pair = dual_of(spec)
-        assert dimension_of(spec) == pair.gu.dim() - pair.k.dim()
+        assert pair.dim == pair.gu.dim() - pair.k.dim()
 
 
 def test_classify_sp_nr_3():
@@ -221,24 +224,24 @@ def test_euler_characteristics_against_betti_oracle():
     # 0..2n for CP^n, one per multiple of 4 up to 4n for HP^n, degrees
     # {0, 8, 16} for CayP^2, {0, n} for S^n.
     for n in range(1, 7):
-        cp = euler_characteristic_dual(SpaceSpec("ComplexHyperbolic_n", (n,)))
+        cp = classify(SpaceSpec("ComplexHyperbolic_n", (n,))).euler_char_dual
         assert cp == len(range(0, 2 * n + 1, 2)) == n + 1
-        hp = euler_characteristic_dual(SpaceSpec("QuaternionicHyperbolic_n", (n,)))
+        hp = classify(SpaceSpec("QuaternionicHyperbolic_n", (n,))).euler_char_dual
         assert hp == len(range(0, 4 * n + 1, 4)) == n + 1
-    assert euler_characteristic_dual(SpaceSpec("CayleyHyperbolic", ())) == 3
+    assert classify(SpaceSpec("CayleyHyperbolic", ())).euler_char_dual == 3
     for n in range(1, 9):
-        sphere_chi = euler_characteristic_dual(SpaceSpec("RealHyperbolic_n", (n,)))
+        sphere_chi = classify(SpaceSpec("RealHyperbolic_n", (n,))).euler_char_dual
         assert sphere_chi == (2 if n % 2 == 0 else 0)
 
 
 def test_euler_closed_forms_for_hermitian_families():
     for n in range(1, 7):
-        assert euler_characteristic_dual(SpaceSpec("Sp_nR", (n,))) == 2**n
+        assert classify(SpaceSpec("Sp_nR", (n,))).euler_char_dual == 2**n
     for n in range(2, 7):
-        assert euler_characteristic_dual(SpaceSpec("SOstar_2n", (n,))) == 2 ** (n - 1)
+        assert classify(SpaceSpec("SOstar_2n", (n,))).euler_char_dual == 2 ** (n - 1)
     for p in range(1, 6):
         for q in range(1, 6):
-            assert euler_characteristic_dual(SpaceSpec("SU_pq", (p, q))) == comb(
+            assert classify(SpaceSpec("SU_pq", (p, q))).euler_char_dual == comb(
                 p + q, p
             )
 
@@ -250,6 +253,14 @@ def test_euler_positive_iff_equal_rank():
         assert cls.minvol_positive == (cls.euler_char_dual > 0)
         if cls.toral_rank == 0:
             assert cls.dim % 2 == 0
+
+
+def test_euler_matches_weyl_quotient_oracle():
+    # every family at every parameter up to 40, every pair in 1..40 x 1..40
+    for fam in _FAMILIES.values():
+        for params in product(*(range(low, 41) for low in fam.min_params)):
+            expected = euler_char_by_weyl_quotient(fam.name, params)
+            assert classify(SpaceSpec(fam.name, params)).euler_char_dual == expected
 
 
 def test_parse_aliases():

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import euler_char_by_weyl_quotient
 from symchar import cli
 from symchar.catalog import (
+    SpaceSpec,
     VERDICT_RANK_ONE,
     classify,
     dual_of,
@@ -390,6 +392,9 @@ def test_integers_past_the_digit_limit_are_refused(
         ["p-class", "QHn(20000)"],
         ["p-class", "CHn(40000)"],
         ["gl-order", "1", str(2**89 - 1)],
+        ["classify", "SU_pq(200000,200000)"],
+        ["classify", "SpnR(100000)"],
+        ["classify", "SOstar(%d)" % 10**21],
     ],
 )
 def test_oversized_requests_are_refused_before_the_work(
@@ -399,6 +404,47 @@ def test_oversized_requests_are_refused_before_the_work(
     exit_code, payload = run(*argv)
     assert time.perf_counter() - start < 1.0
     assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+@pytest.mark.parametrize(
+    "argv, code, key, value",
+    [
+        (["classify", "SU_pq(1,300000)"], 0, "euler_char_dual", 300001),
+        (["classify", "Flat(%d)" % 10**20], 0, "toral_rank", 10**20),
+        (["classify", "RHn(%d)" % 10**26], 0, "euler_char_dual", 2),
+        (["dual", "Flat(%d)" % 10**20], 0, "gu", "U(1)^%d" % 10**20),
+        (["p-numbers", "SpnR(20000)"], 1, "error", "unsupported-class"),
+    ],
+)
+def test_large_spaces_answer_at_once(run, argv, code, key, value):
+    start = time.perf_counter()
+    exit_code, payload = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (exit_code, payload[key]) == (code, value)
+
+
+# Sp(n)/U(n) has chi = 2^n, past 4300 digits from n = 14285 on; SU(2m)/S(UmxUm)
+# has C(2m, m), past 4300 digits from m = 7146 on and refused before it is
+# computed from m = 14285 on, where C(2m, m) >= 2^m passes the limit.
+_LIMIT_SWEEP = {
+    "Sp_nR": [(n,) for n in range(14270, 14301)],
+    "SU_pq": [(m, m) for m in (*range(7136, 7157), *range(14283, 14288))],
+}
+
+
+def test_euler_characteristics_at_the_digit_limit(run, default_digit_limit):
+    for family, cases in _LIMIT_SWEEP.items():
+        outcomes = set()
+        for params in cases:
+            exit_code, payload = run("classify", spec_string(SpaceSpec(family, params)))
+            expected = euler_char_by_weyl_quotient(family, params)
+            if exit_code:
+                assert payload["error"] == "too-large", params
+                assert expected >= 10**4300, params
+            else:
+                assert payload["euler_char_dual"] == expected, params
+            outcomes.add(exit_code)
+        assert outcomes == {0, 1}, family
 
 
 def _encoded(call, *args) -> str:

@@ -7,10 +7,8 @@ from symchar.errors import SymcharError, TooLargeError
 from symchar.partitions import (
     MAX_WEIGHT,
     format_partition,
-    monomial_from_partition,
     parse_monomial,
     parse_partition,
-    partition_weight,
     partitions_of,
     sw_monomials_of,
 )
@@ -58,7 +56,7 @@ def test_enumeration_is_lexicographically_decreasing():
     for n in range(1, 11):
         ps = partitions_of(n)
         assert all(ps[i] > ps[i + 1] for i in range(len(ps) - 1))
-        assert all(partition_weight(p) == n for p in ps)
+        assert all(sum(p) == n for p in ps)
 
 
 def test_partition_of_zero_is_empty():
@@ -115,12 +113,6 @@ def test_degree_one_monomial():
 def test_monomial_degree_rejects_non_positive():
     with pytest.raises(SymcharError):
         sw_monomials_of(0)
-
-
-def test_monomial_from_partition():
-    m = monomial_from_partition((3, 1, 1))
-    assert m.exponents == ((1, 2), (3, 1))
-    assert m.format() == "w1^2 w3"
 
 
 def test_monomial_format_parse_round_trip():

@@ -2,13 +2,21 @@
 
 Arbitrary text, and text over each grammar's own alphabet so that the
 deeper branches (numbers, separators, exponents, JSON) are reached too.
+classify and dual answer any spec of a known family, however large its
+parameters, with one JSON document.
 """
 
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symchar import cli
-from symchar.catalog import parse_space
+from symchar.catalog import _NAMES, parse_space
 from symchar.charclass import PONTRJAGIN, SW, parse_table_key
 from symchar.errors import SymcharError
 from symchar.partitions import parse_monomial, parse_partition
@@ -73,3 +81,30 @@ def test_load_table_refuses_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "table.json"
     path.write_bytes(b"\xff\xfe{}")
     _value_or_domain_error(cli._load_table, f"@{path}")
+
+
+@pytest.fixture(scope="module")
+def default_digit_limit():
+    """Python's default limit on converting between int and text."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+PARAMETERS = st.lists(
+    st.one_of(st.integers(-2, 10**60), st.integers(10**3999, 10**4000 - 1)),
+    max_size=2,
+)
+
+
+@settings(max_examples=300, deadline=1000, derandomize=True, database=None)
+@given(st.sampled_from(["classify", "dual"]), st.sampled_from(sorted(_NAMES)), PARAMETERS)
+def test_classify_and_dual_are_total(default_digit_limit, command, name, params):
+    spec = f"{name}({','.join(map(str, params))})" if params else name
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([command, spec])
+    assert code in (0, 1)
+    assert out.getvalue().count("\n") == 1
+    json.loads(out.getvalue())
