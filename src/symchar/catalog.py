@@ -24,7 +24,6 @@ all-zero table under a rank gap or on a parallelizable dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, log10
 from typing import Callable, NamedTuple
 
@@ -35,84 +34,56 @@ from symchar.errors import (
     UnknownFamilyError,
     UnsupportedClassError,
     UnsupportedFamilyError,
+    past_digit_limit,
     refuse_past_digit_limit,
 )
 
 
-class _FactorKind(NamedTuple):
-    rank: Callable
-    dim: Callable
-    template: str  # one "{}" per parameter
-
-
-# Compact group factors, each a function of the factor's parameters.
+# Compact group factors: kind -> (rank, dimension, text), the rank and the
+# dimension as functions of the factor's parameters, the text with one "{}"
+# per parameter.  A factor is a tuple (kind, *params); a group is a list of
+# factors, the empty list being the trivial group.
 _FACTOR_KINDS = {
-    "SU": _FactorKind(lambda n: n - 1, lambda n: n * n - 1, "SU({})"),
-    "SO": _FactorKind(lambda m: m // 2, lambda m: m * (m - 1) // 2, "SO({})"),
-    "Sp": _FactorKind(lambda n: n, lambda n: n * (2 * n + 1), "Sp({})"),
-    "U": _FactorKind(lambda n: n, lambda n: n * n, "U({})"),
-    "SUxU": _FactorKind(
-        lambda p, q: p + q - 1, lambda p, q: p * p + q * q - 1, "S(U{}xU{})"
-    ),
-    "Spin9": _FactorKind(lambda: 4, lambda: 36, "Spin(9)"),
-    "F4": _FactorKind(lambda: 4, lambda: 52, "F4"),
-    "T": _FactorKind(lambda n: n, lambda n: n, "U(1)^{}"),  # the torus U(1)^n
+    "SU": (lambda n: n - 1, lambda n: n * n - 1, "SU({})"),
+    "SO": (lambda m: m // 2, lambda m: m * (m - 1) // 2, "SO({})"),
+    "Sp": (lambda n: n, lambda n: n * (2 * n + 1), "Sp({})"),
+    "U": (lambda n: n, lambda n: n * n, "U({})"),
+    "SUxU": (lambda p, q: p + q - 1, lambda p, q: p * p + q * q - 1, "S(U{}xU{})"),
+    "Spin9": (lambda: 4, lambda: 36, "Spin(9)"),
+    "F4": (lambda: 4, lambda: 52, "F4"),
+    "T": (lambda n: n, lambda n: n, "U(1)^{}"),  # the torus U(1)^n
 }
 
 
-@dataclass(frozen=True, slots=True)
-class GroupFactor:
-    kind: str
-    params: tuple
-
-    def __post_init__(self) -> None:
-        table = _FACTOR_KINDS.get(self.kind)
-        if table is None or table.template.count("{}") != len(self.params):
-            raise SymcharError(
-                f"unknown group factor {self.kind!r} with parameters {self.params}"
-            )
-
-    def rank(self) -> int:
-        return _FACTOR_KINDS[self.kind].rank(*self.params)
-
-    def dim(self) -> int:
-        return _FACTOR_KINDS[self.kind].dim(*self.params)
-
-    def render(self) -> str:
-        return _FACTOR_KINDS[self.kind].template.format(*self.params)
+def _group_sum(factors: list, column: int) -> int:
+    """The rank (column 0) or the dimension (column 1) of a group."""
+    return sum(_FACTOR_KINDS[kind][column](*params) for kind, *params in factors)
 
 
-@dataclass(frozen=True, slots=True)
-class CompactGroup:
-    """A finite product of compact group factors (empty = trivial group)."""
-
-    factors: tuple
-
-    def rank(self) -> int:
-        return sum(f.rank() for f in self.factors)
-
-    def dim(self) -> int:
-        return sum(f.dim() for f in self.factors)
-
-    def render(self) -> str:
-        if not self.factors:
-            return "1"
-        return "x".join(f.render() for f in self.factors)
+def group_text(factors: list) -> str:
+    """A group as text, "1" for the trivial group.  A parameter derived from
+    the spec's (p+q, 2n, n+1) can pass Python's int-to-text limit where the
+    spec's own do not; that is refused with TooLargeError."""
+    try:
+        texts = [_FACTOR_KINDS[kind][2].format(*params) for kind, *params in factors]
+    except ValueError:
+        raise past_digit_limit() from None
+    return "x".join(texts) or "1"
 
 
-@dataclass(frozen=True, slots=True)
-class DualPair:
-    """Compact dual G_U / K.  TypeIV spaces carry only the display name
-    and the dimension."""
+class DualPair(NamedTuple):
+    """Compact dual G_U / K, each group a list of factors.  TypeIV spaces
+    carry only the display name and the dimension."""
 
-    gu: CompactGroup | None
-    k: CompactGroup | None
+    gu: list | None
+    k: list | None
     name: str
     dim: int
+    rank_gu: int | None
+    rank_k: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple):
     family: str
     params: tuple
 
@@ -123,8 +94,7 @@ VERDICT_PARALLELIZABLE = "Parallelizable_Vanish"
 VERDICT_RANK_ONE = "RankOne"
 
 
-@dataclass(frozen=True, slots=True)
-class _Family:
+class _Family(NamedTuple):
     name: str
     arity: int
     min_params: tuple
@@ -137,10 +107,6 @@ class _Family:
     label: Callable | None = None  # params -> name of the dual, where "G_U/K" is not
 
 
-def _factor(kind: str, *params: int) -> GroupFactor:
-    return GroupFactor(kind, params)
-
-
 # The dual's name is "G_U/K" rendered from the groups, unless the family
 # has a DualSpace (rank one) or a label of its own.
 _FAMILIES = {
@@ -148,65 +114,65 @@ _FAMILIES = {
     for f in (
         _Family(
             "SU_pq", 2, (1, 1),
-            lambda p, q: ([_factor("SU", p + q)], [_factor("SUxU", p, q)]),
+            lambda p, q: ([("SU", p + q)], [("SUxU", p, q)]),
             aliases=("SUpq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
             "SO0_pq", 2, (1, 1),
-            lambda p, q: ([_factor("SO", p + q)], [_factor("SO", p), _factor("SO", q)]),
+            lambda p, q: ([("SO", p + q)], [("SO", p), ("SO", q)]),
             aliases=("SO0pq",), euler=lambda p, q: ((p + q) // 2, p // 2, 1),
         ),
         _Family(
-            "SOstar_2n", 1, (2,), lambda n: ([_factor("SO", 2 * n)], [_factor("U", n)]),
+            "SOstar_2n", 1, (2,), lambda n: ([("SO", 2 * n)], [("U", n)]),
             aliases=("SOstar2n", "SOstar"), euler=lambda n: (0, 0, n - 1),
         ),
         _Family(
-            "Sp_nR", 1, (1,), lambda n: ([_factor("Sp", n)], [_factor("U", n)]),
+            "Sp_nR", 1, (1,), lambda n: ([("Sp", n)], [("U", n)]),
             aliases=("SpnR",), euler=lambda n: (0, 0, n),
         ),
         _Family(
             "Sp_pq", 2, (1, 1),
-            lambda p, q: ([_factor("Sp", p + q)], [_factor("Sp", p), _factor("Sp", q)]),
+            lambda p, q: ([("Sp", p + q)], [("Sp", p), ("Sp", q)]),
             aliases=("Sppq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
-            "SL_nR", 1, (2,), lambda n: ([_factor("SU", n)], [_factor("SO", n)]),
+            "SL_nR", 1, (2,), lambda n: ([("SU", n)], [("SO", n)]),
             aliases=("SLnR",), euler=lambda n: (0, 0, 1),  # equal rank at n = 2 only
         ),
         _Family(
-            "SUstar_2n", 1, (2,), lambda n: ([_factor("SU", 2 * n)], [_factor("Sp", n)]),
+            "SUstar_2n", 1, (2,), lambda n: ([("SU", 2 * n)], [("Sp", n)]),
             aliases=("SUstar2n", "SUstar"),
         ),
         _Family("TypeIV", 1, (1,), None, label=lambda d: "compact Lie group"),
         _Family(
             "RealHyperbolic_n", 1, (1,),
-            lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
+            lambda n: ([("SO", n + 1)], [("SO", n)]),
             aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
             "ComplexHyperbolic_n", 1, (1,),
-            lambda n: ([_factor("SU", n + 1)], [_factor("SUxU", 1, n)]),
+            lambda n: ([("SU", n + 1)], [("SUxU", 1, n)]),
             aliases=("CHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.complex_projective,
         ),
         _Family(
             "QuaternionicHyperbolic_n", 1, (1,),
-            lambda n: ([_factor("Sp", n + 1)], [_factor("Sp", 1), _factor("Sp", n)]),
+            lambda n: ([("Sp", n + 1)], [("Sp", 1), ("Sp", n)]),
             aliases=("QHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.quaternionic_projective,
         ),
         _Family(
             "CayleyHyperbolic", 0, (),
-            lambda: ([_factor("F4")], [_factor("Spin9")]),
+            lambda: ([("F4",)], [("Spin9",)]),
             aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
         ),
         _Family(
             "ConstantPositive_n", 1, (1,),
-            lambda n: ([_factor("SO", n + 1)], [_factor("SO", n)]),
+            lambda n: ([("SO", n + 1)], [("SO", n)]),
             aliases=("ConstPos",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "Flat_n", 1, (1,), lambda n: ([_factor("T", n)], []),
+            "Flat_n", 1, (1,), lambda n: ([("T", n)], []),
             aliases=("Flat",), label=lambda n: f"T^{n}",
         ),
     )
@@ -281,16 +247,17 @@ def _resolve(spec: SpaceSpec) -> tuple:
     """(family record, dual pair) of a spec."""
     fam = _family_record(spec)
     if fam.groups is None:  # TypeIV(d) has the dimension of its group
-        return fam, DualPair(None, None, fam.label(*spec.params), spec.params[0])
-    gu_factors, k_factors = fam.groups(*spec.params)
-    gu, k = CompactGroup(tuple(gu_factors)), CompactGroup(tuple(k_factors))
+        label = fam.label(*spec.params)
+        return fam, DualPair(None, None, label, spec.params[0], None, None)
+    gu, k = fam.groups(*spec.params)
     if fam.space is not None:
         name = fam.space(*spec.params).render()
     elif fam.label is not None:
         name = fam.label(*spec.params)
     else:
-        name = f"{gu.render()}/{k.render()}"
-    return fam, DualPair(gu, k, name, gu.dim() - k.dim())
+        name = f"{group_text(gu)}/{group_text(k)}"
+    dim = _group_sum(gu, 1) - _group_sum(k, 1)
+    return fam, DualPair(gu, k, name, dim, _group_sum(gu, 0), _group_sum(k, 0))
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
@@ -309,8 +276,7 @@ def _two_power_binomial(m: int, k: int, e: int) -> int:
     return comb(m, k) << e
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     family: str
     params: tuple
     dual: str
@@ -323,18 +289,7 @@ class Classification:
     minvol_positive: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": list(self.params),
-            "dual": self.dual,
-            "dim": self.dim,
-            "rank_gu": self.rank_gu,
-            "rank_k": self.rank_k,
-            "toral_rank": self.toral_rank,
-            "verdict": self.verdict,
-            "euler_char_dual": self.euler_char_dual,
-            "minvol_positive": self.minvol_positive,
-        }
+        return {**self._asdict(), "params": list(self.params)}
 
 
 def classify(spec: SpaceSpec) -> Classification:
@@ -344,9 +299,7 @@ def classify(spec: SpaceSpec) -> Classification:
             spec.family, spec.params, pair.name, pair.dim,
             None, None, None, VERDICT_PARALLELIZABLE, 0, False,
         )
-    rank_gu = pair.gu.rank()
-    rank_k = pair.k.rank()
-    toral = rank_gu - rank_k
+    toral = pair.rank_gu - pair.rank_k
     if toral < 0:
         raise SymcharError("dual pair has rank(K) > rank(G_U)")
     euler = _two_power_binomial(*fam.euler(*spec.params)) if toral == 0 else 0
@@ -358,7 +311,7 @@ def classify(spec: SpaceSpec) -> Classification:
         verdict = VERDICT_RANK_GAP
     return Classification(
         spec.family, spec.params, pair.name, pair.dim,
-        rank_gu, rank_k, toral, verdict, euler, euler > 0,
+        pair.rank_gu, pair.rank_k, toral, verdict, euler, euler > 0,
     )
 
 
@@ -379,7 +332,7 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     fam, pair = _resolve(spec)
     if fam.space is not None:
         return charclass.pontrjagin_numbers(fam.space(*spec.params))
-    if pair.gu is not None and pair.gu.rank() == pair.k.rank():
+    if pair.gu is not None and pair.rank_gu == pair.rank_k:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )

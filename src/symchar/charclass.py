@@ -38,9 +38,9 @@ before the total class is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import log10
+from typing import NamedTuple
 
 from symchar.errors import (
     DimensionMismatchError,
@@ -78,20 +78,20 @@ _GEOMETRY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class DualSpace:
+class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
     """A rank-one compact dual: S^n, CP^n, HP^n, or CayP^2."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _GEOMETRY:
-            raise SymcharError(f"unknown dual space kind {self.kind!r}")
-        if self.n < 1 or (self.kind == CAYLEY_PLANE and self.n != 2):
+    def __new__(cls, kind: str, n: int):
+        if kind not in _GEOMETRY:
+            raise SymcharError(f"unknown dual space kind {kind!r}")
+        if n < 1 or (kind == CAYLEY_PLANE and n != 2):
             raise SymcharError(
-                f"no dual space {self.render()}: n must be >= 1, and 2 for CayP"
+                f"no dual space {_GEOMETRY[kind][0]}^{n}: n must be >= 1, "
+                "and 2 for CayP"
             )
+        return super().__new__(cls, kind, n)
 
     def _shape(self) -> tuple:
         return _GEOMETRY[self.kind][1](self.n)
@@ -121,8 +121,7 @@ def cayley_plane() -> DualSpace:
     return DualSpace(CAYLEY_PLANE, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class TotalClass:
+class TotalClass(NamedTuple):
     """A total class: coefficients of u^0 .. u^T, u in generator_degree."""
 
     generator_degree: int
@@ -188,8 +187,7 @@ def _coefficients_by_degree(total: TotalClass, dim: int) -> list:
     return [0 if d % g else total.coefficients[d // g] for d in range(dim + 1)]
 
 
-@dataclass(frozen=True)
-class CharNumberTable:
+class CharNumberTable(NamedTuple):
     """Characteristic numbers of one space, keyed by serialized index.
 
     Pontrjagin tables are keyed by partitions ("2,2"); SW tables by
@@ -199,7 +197,7 @@ class CharNumberTable:
 
     kind: str
     dimension: int
-    entries: dict = field(default_factory=dict)
+    entries: dict
     reason: str | None = None
 
     def all_zero(self) -> bool:

@@ -105,10 +105,10 @@ def _cmd_dual(args) -> dict:
         "family": spec.family,
         "params": list(spec.params),
         "dual": pair.name,
-        "gu": pair.gu.render() if pair.gu else None,
-        "k": pair.k.render() if pair.k else None,
-        "rank_gu": pair.gu.rank() if pair.gu else None,
-        "rank_k": pair.k.rank() if pair.k else None,
+        "gu": None if pair.gu is None else catalog.group_text(pair.gu),
+        "k": None if pair.k is None else catalog.group_text(pair.k),
+        "rank_gu": pair.rank_gu,
+        "rank_k": pair.rank_k,
         "dim": pair.dim,
     }
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from symchar.errors import SymcharError, TooLargeError
 
@@ -115,8 +114,7 @@ def parse_partition(text: str) -> Partition:
     return parts
 
 
-@dataclass(frozen=True, slots=True)
-class SWMonomial:
+class SWMonomial(NamedTuple):
     """A monomial in Stiefel-Whitney classes, e.g. w_1^2 w_3.
 
     exponents: ((index, exponent), ...) with indices strictly increasing

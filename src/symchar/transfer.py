@@ -22,8 +22,8 @@ needs it over two fields of distinct characteristic, which is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm, log10, prod
+from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
@@ -84,8 +84,7 @@ def solve_manifold_numbers(
     )
 
 
-@dataclass(frozen=True)
-class MuReport:
+class MuReport(NamedTuple):
     """The divisibility bound mu together with its per-partition pieces."""
 
     mu: int
@@ -93,11 +92,7 @@ class MuReport:
     skipped: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "contributions": dict(self.contributions),
-            "skipped": list(self.skipped),
-        }
+        return self._asdict()
 
 
 def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
@@ -156,13 +151,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-def _passes_miller_rabin(n: int) -> bool:
-    """Whether odd n > 41 is a strong probable prime to every base 2..41.
-    False proves n composite; True proves n prime only below _MR_PROVEN_BELOW."""
+def _passes_miller_rabin(n: int, bases: tuple) -> bool:
+    """Whether odd n > 41 is a strong probable prime to every base given.
+    False proves n composite; True proves n prime only below _MR_PROVEN_BELOW,
+    and there only for the bases 2..41."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -199,7 +195,9 @@ def _prime_power_base(q: int) -> int | None:
     Past trial division every prime factor of q exceeds 100 > 2^6, so
     e < bit_length(q) / 6.  If q = r^e for a prime e, q is a prime power iff
     r is one, else iff q is prime: a Miller-Rabin witness proves q composite,
-    passing every base proves it prime below 3.317e24 (TooLargeError past it).
+    passing every base 2..41 proves it prime below 3.317e24.  Past that bound
+    a q that passes is refused with TooLargeError whatever the other bases
+    say, so base 2 alone is tried there.
     """
     if q < 2:
         return None
@@ -216,9 +214,10 @@ def _prime_power_base(q: int) -> int | None:
         r = _iroot(q, e)
         if r**e == q:
             return _prime_power_base(r)
-    if not _passes_miller_rabin(q):
+    proven = q < _MR_PROVEN_BELOW
+    if not _passes_miller_rabin(q, _MR_BASES if proven else _MR_BASES[:1]):
         return None
-    if q >= _MR_PROVEN_BELOW:
+    if not proven:
         raise TooLargeError(f"cannot prove {q.bit_length()}-bit q prime past 3.317e24")
     return q
 
@@ -247,8 +246,7 @@ def _gl_product(n: int, q: int) -> int:
     return prod(qn - q**i for i in range(n))
 
 
-@dataclass(frozen=True)
-class DSReport:
+class DSReport(NamedTuple):
     """Witnesses for the smoothing divisibility test."""
 
     divides: bool
@@ -257,12 +255,7 @@ class DSReport:
     order_product: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "divides": self.divides,
-            "order_1": self.order_1,
-            "order_2": self.order_2,
-            "order_product": self.order_product,
-        }
+        return self._asdict()
 
 
 def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:

@@ -17,7 +17,6 @@ from _oracles import (
     total_pontrjagin_plain,
     total_stiefel_whitney_plain,
 )
-from symchar.catalog import GroupFactor
 from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
@@ -327,5 +326,3 @@ def test_construction_validators():
         DualSpace("complex-projective", -3)
     with pytest.raises(SymcharError):
         DualSpace("cayley-plane", 7)
-    with pytest.raises(SymcharError):
-        GroupFactor("XX", (3,))

@@ -152,6 +152,32 @@ def test_dual_quotient_fields(run_json):
     }
 
 
+# `dual` of each of SPACES, byte for byte: every factor kind's rank, dimension
+# and text, and the trivial K of Flat(3).
+DUAL_GOLDENS = [
+    '{"dim":12,"dual":"SU(5)/S(U2xU3)","family":"SU_pq","gu":"SU(5)","k":"S(U2xU3)","params":[2,3],"rank_gu":4,"rank_k":4}',
+    '{"dim":15,"dual":"SO(8)/SO(3)xSO(5)","family":"SO0_pq","gu":"SO(8)","k":"SO(3)xSO(5)","params":[3,5],"rank_gu":4,"rank_k":3}',
+    '{"dim":12,"dual":"SO(8)/U(4)","family":"SOstar_2n","gu":"SO(8)","k":"U(4)","params":[4],"rank_gu":4,"rank_k":4}',
+    '{"dim":12,"dual":"Sp(3)/U(3)","family":"Sp_nR","gu":"Sp(3)","k":"U(3)","params":[3],"rank_gu":3,"rank_k":3}',
+    '{"dim":8,"dual":"Sp(3)/Sp(1)xSp(2)","family":"Sp_pq","gu":"Sp(3)","k":"Sp(1)xSp(2)","params":[1,2],"rank_gu":3,"rank_k":3}',
+    '{"dim":9,"dual":"SU(4)/SO(4)","family":"SL_nR","gu":"SU(4)","k":"SO(4)","params":[4],"rank_gu":3,"rank_k":2}',
+    '{"dim":14,"dual":"SU(6)/Sp(3)","family":"SUstar_2n","gu":"SU(6)","k":"Sp(3)","params":[3],"rank_gu":5,"rank_k":3}',
+    '{"dim":8,"dual":"compact Lie group","family":"TypeIV","gu":null,"k":null,"params":[8],"rank_gu":null,"rank_k":null}',
+    '{"dim":3,"dual":"S^3","family":"RealHyperbolic_n","gu":"SO(4)","k":"SO(3)","params":[3],"rank_gu":2,"rank_k":1}',
+    '{"dim":4,"dual":"CP^2","family":"ComplexHyperbolic_n","gu":"SU(3)","k":"S(U1xU2)","params":[2],"rank_gu":2,"rank_k":2}',
+    '{"dim":8,"dual":"HP^2","family":"QuaternionicHyperbolic_n","gu":"Sp(3)","k":"Sp(1)xSp(2)","params":[2],"rank_gu":3,"rank_k":3}',
+    '{"dim":16,"dual":"CayP^2","family":"CayleyHyperbolic","gu":"F4","k":"Spin(9)","params":[],"rank_gu":4,"rank_k":4}',
+    '{"dim":4,"dual":"S^4","family":"ConstantPositive_n","gu":"SO(5)","k":"SO(4)","params":[4],"rank_gu":2,"rank_k":2}',
+    '{"dim":3,"dual":"T^3","family":"Flat_n","gu":"U(1)^3","k":"1","params":[3],"rank_gu":3,"rank_k":0}',
+]
+
+
+def test_dual_goldens(capsys):
+    for space, golden in zip(SPACES, DUAL_GOLDENS, strict=True):
+        assert cli.main(["dual", space]) == 0
+        assert capsys.readouterr().out == golden + "\n", space
+
+
 def test_p_class_cayley(run_json):
     payload = run_json("p-class", "CayH")
     assert payload["coefficients"] == [1, 6, 39]
@@ -350,6 +376,17 @@ _CLASSIFY_ALL = (
 )
 
 
+def test_cli_import_leaves_dataclasses_out():
+    child = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import symchar.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(README.parent / "src")},
+    )
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
 def test_all_spaces_classify_deterministically(capsys):
     for space in SPACES:
         assert cli.main(["classify", space]) == 0
@@ -370,6 +407,12 @@ def test_all_spaces_classify_deterministically(capsys):
         (["gl-order", "120", "2"], "too-large"),
         (["classify", "SU_pq(8000,8000)"], "too-large"),
         (["transfer", "--table", '{"4":%s}' % ("9" * 5000), "--deg", "2"], "bad-table"),
+        # a parameter derived from a 4300-digit one (2n, p+q, n+1) has 4301
+        (["classify", "SOstar_2n(%s)" % ("9" * 4300)], "too-large"),
+        (["dual", "SOstar_2n(%s)" % ("9" * 4300)], "too-large"),
+        (["classify", "SU_pq(%s,1)" % ("9" * 4300)], "too-large"),
+        (["dual", "SU_pq(%s,1)" % ("9" * 4300)], "too-large"),
+        (["dual", "RHn(%s)" % ("9" * 4300)], "too-large"),
     ],
 )
 def test_integers_past_the_digit_limit_are_refused(
@@ -414,6 +457,7 @@ def test_oversized_requests_are_refused_before_the_work(
         (["classify", "RHn(%d)" % 10**26], 0, "euler_char_dual", 2),
         (["dual", "Flat(%d)" % 10**20], 0, "gu", "U(1)^%d" % 10**20),
         (["p-numbers", "SpnR(20000)"], 1, "error", "unsupported-class"),
+        (["classify", "RHn(%s)" % ("9" * 4300)], 0, "dual", "S^%s" % ("9" * 4300)),
     ],
 )
 def test_large_spaces_answer_at_once(run, argv, code, key, value):

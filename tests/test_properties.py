@@ -98,8 +98,17 @@ PARAMETERS = st.lists(
 )
 
 
+NINES = 10**4300 - 1  # 4300 digits; 2n, p+q and n+1 have 4301
+
+
 @settings(max_examples=300, deadline=1000, derandomize=True, database=None)
 @given(st.sampled_from(["classify", "dual"]), st.sampled_from(sorted(_NAMES)), PARAMETERS)
+@example(command="classify", name="SOstar_2n", params=[NINES])
+@example(command="dual", name="SOstar_2n", params=[NINES])
+@example(command="classify", name="SU_pq", params=[NINES, 1])
+@example(command="dual", name="SU_pq", params=[NINES, 1])
+@example(command="dual", name="RHn", params=[NINES])
+@example(command="classify", name="RHn", params=[NINES])
 def test_classify_and_dual_are_total(default_digit_limit, command, name, params):
     spec = f"{name}({','.join(map(str, params))})" if params else name
     out = io.StringIO()

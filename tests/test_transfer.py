@@ -292,6 +292,15 @@ def test_only_primes_past_the_proven_range_are_refused():
             gl_order(1, q)
 
 
+def test_a_large_prime_is_refused_after_one_round():
+    # past 3.317e24 a q that passes base 2 is refused whatever the other
+    # bases say, so only base 2 is tried: one round on 4253 bits
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        gl_order(1, 2**4253 - 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_a_4300_digit_composite_is_decided():
     # no factor up to 100 and no root: one Miller-Rabin round on 14 284 bits
     q = 10**4299 + 1
