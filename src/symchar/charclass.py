@@ -33,7 +33,8 @@ part k taken r times contributing its key text and a coefficient power:
 c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
 extends its parent prefix by one run, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
-before the total class is computed.
+before the total class is computed.  Only the two table builders use
+partitions, so they import it: classify, dual and p-class never load it.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ from symchar.errors import (
     SymcharError,
     UnsupportedClassError,
     refuse_past_digit_limit,
-)
-from symchar.partitions import (
-    check_weight,
-    format_partition,
-    parse_monomial,
-    parse_partition,
-    walk_runs,
 )
 
 SPHERE = "sphere"
@@ -216,6 +210,8 @@ class CharNumberTable(NamedTuple):
 
 def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
     """All Pontrjagin numbers p_I, I ranging over partitions of dim/4."""
+    from symchar.partitions import check_weight, walk_runs
+
     dim = space.real_dimension
     if dim % 4:
         return CharNumberTable(
@@ -231,6 +227,8 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
 
 def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
+    from symchar.partitions import check_weight, walk_runs
+
     _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
     dim = space.real_dimension
     check_weight(dim)  # before the class, which costs O(n) steps
@@ -242,16 +240,6 @@ def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
         prepend=True,
     )
     return CharNumberTable(SW, dim, entries)
-
-
-def parse_table_key(kind: str, key: str) -> tuple:
-    """(canonical spelling, degree) of a table key: a partition such as
-    "(2,2)" in a Pontrjagin table, a monomial such as "w2 w2" in an SW one."""
-    if kind == PONTRJAGIN:
-        partition = parse_partition(key)
-        return format_partition(partition), 4 * sum(partition)
-    monomial = parse_monomial(key)
-    return monomial.format(), monomial.total_degree
 
 
 def bounds_orientably(

@@ -2,6 +2,9 @@
 
 Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
 Usage errors are argparse's and exit 2.
+
+Each handler imports the library modules it calls, so a call loads only
+what its subcommand runs: a usage error loads none of them.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import argparse
 import json
 import sys
 
-from symchar import catalog, charclass, transfer
-from symchar.charclass import PONTRJAGIN, SW, CharNumberTable, parse_table_key
 from symchar.errors import (
     BadTableError,
     SymcharError,
@@ -36,9 +37,12 @@ def _int_entry(key: str, value) -> int:
     return value
 
 
-def _load_table(text: str) -> CharNumberTable:
-    """Parse a table argument: inline JSON or @file, bare entries or the
-    full {"dim", "kind", "entries"} document."""
+def _load_table(text: str):
+    """Parse a table argument into a CharNumberTable: inline JSON or @file,
+    bare entries or the full {"dim", "kind", "entries"} document."""
+    from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
+    from symchar.partitions import parse_table_key
+
     text = _read_table_text(text)
     try:
         data = json.loads(text)
@@ -94,11 +98,15 @@ def _load_table(text: str) -> CharNumberTable:
 
 
 def _cmd_classify(args) -> dict:
+    from symchar import catalog
+
     spec = catalog.parse_space(args.space)
     return catalog.classify(spec).to_json_dict()
 
 
 def _cmd_dual(args) -> dict:
+    from symchar import catalog
+
     spec = catalog.parse_space(args.space)
     pair = catalog.dual_of(spec)
     return {
@@ -114,6 +122,8 @@ def _cmd_dual(args) -> dict:
 
 
 def _cmd_p_class(args) -> dict:
+    from symchar import catalog, charclass
+
     spec = catalog.parse_space(args.space)
     space = catalog.rank_one_dual(spec)
     total = charclass.total_pontrjagin(space)
@@ -133,16 +143,22 @@ def _cmd_p_class(args) -> dict:
 
 
 def _cmd_p_numbers(args) -> dict:
+    from symchar import catalog
+
     spec = catalog.parse_space(args.space)
     return catalog.pontrjagin_table(spec).to_json_dict()
 
 
 def _cmd_sw_numbers(args) -> dict:
+    from symchar import catalog
+
     spec = catalog.parse_space(args.space)
     return catalog.stiefel_whitney_table(spec).to_json_dict()
 
 
 def _cmd_transfer(args) -> dict:
+    from symchar import transfer
+
     table = _load_table(args.table)
     if args.deg is not None:
         if args.deg_t is not None or args.deg_f is not None:
@@ -160,15 +176,21 @@ def _cmd_transfer(args) -> dict:
 
 
 def _cmd_mu(args) -> dict:
+    from symchar import transfer
+
     table_m = _load_table(args.m)
     table_mu = _load_table(args.mu_dual)
     return transfer.mu(table_m, table_mu).to_json_dict()
 
 
 def _cmd_wall(args) -> dict:
+    from symchar import charclass
+
     if args.space is not None:
         if args.p is not None or args.sw is not None:
             raise SymcharError("pass either a space or --p/--sw tables, not both")
+        from symchar import catalog
+
         spec = catalog.parse_space(args.space)
         p_table = catalog.pontrjagin_table(spec)
         try:
@@ -190,10 +212,14 @@ def _cmd_wall(args) -> dict:
 
 
 def _cmd_gl_order(args) -> dict:
+    from symchar import transfer
+
     return {"n": args.n, "q": args.q, "order": transfer.gl_order(args.n, args.q)}
 
 
 def _cmd_ds_check(args) -> dict:
+    from symchar import transfer
+
     report = transfer.deligne_sullivan_check(args.mu, args.k, args.q1, args.q2)
     payload = report.to_json_dict()
     payload.update({"mu": args.mu, "k": args.k, "q1": args.q1, "q2": args.q2})

@@ -59,8 +59,9 @@ class BadTableError(SymcharError):
 
 class TooLargeError(SymcharError):
     """A request refused for its size: a table over too many partitions, a
-    result past Python's int-to-text limit, or a probable prime past the
-    range where Miller-Rabin proves primality."""
+    result past Python's int-to-text limit, a probable prime past the range
+    where Miller-Rabin proves primality, or a field size past the bits that
+    Miller-Rabin is run on."""
 
     code = "too-large"
 

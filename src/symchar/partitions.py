@@ -20,10 +20,12 @@ above MAX_WEIGHT, before any work is done.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from typing import Callable, NamedTuple
 
+# charclass imports this module only inside its table builders, so the
+# import below makes no cycle
+from symchar.charclass import PONTRJAGIN
 from symchar.errors import SymcharError, TooLargeError
 
 Partition = tuple[int, ...]
@@ -134,22 +136,25 @@ class SWMonomial(NamedTuple):
         return " ".join(factors)
 
 
-_FACTOR_RE = re.compile(r"^w(\d+)(?:\^(\d+))?$")
-
-
 def parse_monomial(text: str) -> SWMonomial:
-    """Parse "w1^2 w3" style monomials (factors in any order)."""
+    """Parse "w1^2 w3" style monomials (factors in any order).  A factor is
+    "w", decimal digits and optionally "^" and decimal digits; the digits
+    are any Unicode decimals, which int() reads."""
     counts: Counter[int] = Counter()
     tokens = text.split()
     if not tokens:
         raise SymcharError("empty Stiefel-Whitney monomial")
     for tok in tokens:
-        m = _FACTOR_RE.match(tok)
-        if not m:
+        digits, caret, power = tok[1:].partition("^")
+        if (
+            tok[:1] != "w"
+            or not digits.isdecimal()
+            or (caret and not power.isdecimal())
+        ):
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
         try:
-            index = int(m.group(1))
-            exponent = int(m.group(2)) if m.group(2) else 1
+            index = int(digits)
+            exponent = int(power) if caret else 1
         except ValueError:  # more digits than Python reads from text
             raise SymcharError(
                 f"Stiefel-Whitney factor {tok[:20]!r}... is too long"
@@ -158,6 +163,16 @@ def parse_monomial(text: str) -> SWMonomial:
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
         counts[index] += exponent
     return SWMonomial(tuple(sorted(counts.items())))
+
+
+def parse_table_key(kind: str, key: str) -> tuple:
+    """(canonical spelling, degree) of a table key: a partition such as
+    "(2,2)" in a Pontrjagin table, a monomial such as "w2 w2" in an SW one."""
+    if kind == PONTRJAGIN:
+        partition = parse_partition(key)
+        return format_partition(partition), 4 * sum(partition)
+    monomial = parse_monomial(key)
+    return monomial.format(), monomial.total_degree
 
 
 def sw_monomials_of(dim: int) -> list[SWMonomial]:

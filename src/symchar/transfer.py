@@ -149,6 +149,12 @@ _TRIAL_BOUND = 100
 # (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+# One round costs about d^3 for d digits (pow reduces by long division): on a
+# 2-vCPU VM, Python 3.11.7, 29 ms at 2048 bits, 0.24 s at 4096, 0.67 s at
+# 6144 and 7.6 s at 14 284 (4300 digits).  At 4096 bits a round costs about
+# what the root search costs on a 4300-digit q (0.23 s), so no q costs more
+# than about a quarter second; past the cap q is refused before the round.
+_MR_MAX_BITS = 4096
 
 
 def _passes_miller_rabin(n: int, bases: tuple) -> bool:
@@ -197,7 +203,8 @@ def _prime_power_base(q: int) -> int | None:
     r is one, else iff q is prime: a Miller-Rabin witness proves q composite,
     passing every base 2..41 proves it prime below 3.317e24.  Past that bound
     a q that passes is refused with TooLargeError whatever the other bases
-    say, so base 2 alone is tried there.
+    say, so base 2 alone is tried there, and a q of more than _MR_MAX_BITS
+    bits is refused before that round.
     """
     if q < 2:
         return None
@@ -214,6 +221,11 @@ def _prime_power_base(q: int) -> int | None:
         r = _iroot(q, e)
         if r**e == q:
             return _prime_power_base(r)
+    if q.bit_length() > _MR_MAX_BITS:
+        raise TooLargeError(
+            f"{q.bit_length()}-bit q has no factor up to {_TRIAL_BOUND} and no "
+            f"root; primality is tested up to {_MR_MAX_BITS} bits"
+        )
     proven = q < _MR_PROVEN_BELOW
     if not _passes_miller_rabin(q, _MR_BASES if proven else _MR_BASES[:1]):
         return None

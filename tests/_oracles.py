@@ -8,6 +8,7 @@ route to the same numbers that shares no arithmetic with the package.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cache
 from math import factorial, isqrt, lcm, prod
 
@@ -202,6 +203,31 @@ def partition_count(n: int) -> int:
                 p[m] += sign * p[m - k * (3 * k + 1) // 2]
             k += 1
     return p[n]
+
+
+# An SW factor: "w", decimal digits, optionally "^" and decimal digits.  \d
+# matches any Unicode decimal (category Nd), as int() reads.
+_FACTOR_RE = re.compile(r"^w(\d+)(?:\^(\d+))?$")
+
+
+def sw_monomial_by_regex(text: str):
+    """The ((index, exponent), ...) of a monomial such as "w3 w1^2", indices
+    ascending, by matching each factor to _FACTOR_RE.  None when the text is
+    not a monomial (no factor or a malformed one), "too long" when a factor
+    has a number past Python's int-to-text limit."""
+    counts: dict = {}
+    for token in text.split():
+        m = _FACTOR_RE.match(token)
+        if not m:
+            return None
+        try:
+            index, exponent = int(m[1]), int(m[2] or 1)
+        except ValueError:
+            return "too long"
+        if index < 1 or exponent < 1:
+            return None
+        counts[index] = counts.get(index, 0) + exponent
+    return tuple(sorted(counts.items())) or None
 
 
 def prime_power_base_by_trial_division(q: int):

@@ -5,6 +5,7 @@ real ``python -m symchar`` process (each exit code, cross-process
 determinism) start one.
 """
 
+import importlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import symchar
 from _oracles import euler_char_by_weyl_quotient
 from symchar import cli
 from symchar.catalog import (
@@ -376,15 +378,60 @@ _CLASSIFY_ALL = (
 )
 
 
-def test_cli_import_leaves_dataclasses_out():
+_FOOTPRINT = """\
+import sys
+try:
+    {}
+except SystemExit:
+    pass
+print(*sorted(m for m in sys.modules if m.startswith("symchar") or m == "dataclasses"))
+"""
+
+
+def _main(*argv):
+    return f"import symchar.cli; symchar.cli.main({list(argv)!r})"
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import symchar", ""),
+        ("import symchar.cli", "cli errors"),
+        (_main("gl-order", "3", "2"), "charclass cli errors transfer"),
+        (_main("ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "3"),
+         "charclass cli errors transfer"),
+        (_main("classify", "SU_pq(2,3)"), "catalog charclass cli errors"),
+        (_main("dual", "SU_pq(2,3)"), "catalog charclass cli errors"),
+        (_main("p-class", "CayH"), "catalog charclass cli errors"),
+        (_main("gl-order", "3"), "cli errors"),  # a usage error
+    ],
+    ids=["package", "cli", "gl-order", "ds-check", "classify", "dual", "p-class", "usage-error"],
+)
+def test_a_call_loads_only_the_modules_it_runs(statement, loaded):
     child = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import symchar.cli, sys; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c", _FOOTPRINT.format(statement)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(README.parent / "src")},
     )
-    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+    assert child.returncode == 0, child.stderr
+    expected = ["symchar", *(f"symchar.{name}" for name in loaded.split())]
+    assert child.stdout.splitlines()[-1].split() == expected  # and no dataclasses
+
+
+def test_every_export_resolves_to_its_home_module():
+    for name in symchar.__all__:
+        value = getattr(symchar, name)
+        if name != "__version__":
+            assert value.__module__.startswith("symchar."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace: dict = {}
+    exec("from symchar import *", namespace)
+    assert set(symchar.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        symchar.no_such_name
+    with pytest.raises(ImportError):
+        exec("from symchar import no_such_name", {})
 
 
 def test_all_spaces_classify_deterministically(capsys):

@@ -3,11 +3,13 @@
 Arbitrary text, and text over each grammar's own alphabet so that the
 deeper branches (numbers, separators, exponents, JSON) are reached too.
 classify and dual answer any spec of a known family, however large its
-parameters, with one JSON document.
+parameters, with one JSON document, and so does every subcommand on any
+arguments, or it ends in a usage error.
 """
 
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import sw_monomial_by_regex
 from symchar import cli
-from symchar.catalog import _NAMES, parse_space
-from symchar.charclass import PONTRJAGIN, SW, parse_table_key
+from symchar.catalog import _FAMILIES, _NAMES, parse_space
+from symchar.charclass import PONTRJAGIN, SW
 from symchar.errors import SymcharError
-from symchar.partitions import parse_monomial, parse_partition
+from symchar.partitions import parse_monomial, parse_partition, parse_table_key
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -61,6 +64,24 @@ def test_parse_partition_is_total(text):
 @example("w" + "7" * 5000)
 def test_parse_monomial_is_total(text):
     _value_or_domain_error(parse_monomial, text)
+
+
+@SETTINGS
+@given(st.one_of(MONOMIALS, _texts("w^0123456789\u0663\u00b2\uff17_+ ")))
+@example("w1^")
+@example("w^2")
+@example("w\u0663")  # an Arabic-Indic 3: a Unicode decimal
+@example("w\u00b2")  # a superscript 2: a digit but not a decimal
+@example("w1_0")
+@example("w1^+2")  # int() reads "+2", the grammar does not
+@example("w1^\u00b2")
+@example("w" + "7" * 5000)
+def test_parse_monomial_agrees_with_the_regex_grammar(text):
+    try:
+        parsed = parse_monomial(text).exponents
+    except SymcharError as exc:
+        parsed = "too long" if "too long" in str(exc) else None
+    assert parsed == sw_monomial_by_regex(text)
 
 
 @SETTINGS
@@ -117,3 +138,97 @@ def test_classify_and_dual_are_total(default_digit_limit, command, name, params)
     assert code in (0, 1)
     assert out.getvalue().count("\n") == 1
     json.loads(out.getvalue())
+
+
+def _not_help(token: str) -> bool:
+    """argparse answers -h, --h, --he, ... with help text and exit 0."""
+    return not re.match("-h|--h", token)
+
+
+def _spec(name: str, params: list) -> str:
+    return f"{name}({','.join(map(str, params))})" if params else name
+
+
+def _small_specs(name: str):
+    """Specs of the family named, with its arity and parameters up to 12."""
+    arity = _FAMILIES[_NAMES[name]].arity
+    params = st.lists(st.integers(0, 12), min_size=arity, max_size=arity)
+    return params.map(lambda p: _spec(name, p))
+
+
+SPECS = st.one_of(
+    st.sampled_from(sorted(_NAMES)).flatmap(_small_specs),
+    st.builds(_spec, st.sampled_from(sorted(_NAMES)), PARAMETERS),
+    SPACES.filter(_not_help),
+)
+INTEGERS = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(10**3999, 10**4000 - 1).map(str),
+    st.text("0123456789x_ .", max_size=6),
+)
+P_KEYS = ["4", "2,2", "(2, 2)", "1,1,1,1", "3,1", "2,1,1", "3", ""]
+SW_KEYS = ["w4", "w2^2", "w2 w2", "w1^4", "w1 w3", "w1^2 w2", "w3"]
+TABLE = st.one_of(
+    TABLES.filter(_not_help),
+    *(
+        st.dictionaries(st.sampled_from(keys), st.integers(-(10**6), 10**6), max_size=5)
+        .map(json.dumps)
+        for keys in (P_KEYS, SW_KEYS)
+    ),
+)
+ARGV = st.one_of(
+    *(
+        st.tuples(st.just(command), SPECS)
+        for command in ("classify", "dual", "p-class", "p-numbers", "sw-numbers", "wall")
+    ),
+    st.tuples(st.just("wall"), st.just("--p"), TABLE),
+    st.tuples(st.just("wall"), st.just("--p"), TABLE, st.just("--sw"), TABLE),
+    st.tuples(st.just("transfer"), st.just("--table"), TABLE, st.just("--deg"), INTEGERS),
+    st.tuples(
+        st.just("transfer"), st.just("--table"), TABLE,
+        st.just("--deg-t"), INTEGERS, st.just("--deg-f"), INTEGERS,
+    ),
+    st.tuples(st.just("mu"), st.just("--m"), TABLE, st.just("--mu-dual"), TABLE),
+    st.tuples(st.just("gl-order"), INTEGERS, INTEGERS),
+    st.tuples(
+        st.just("ds-check"), st.just("--mu"), INTEGERS, st.just("--k"), INTEGERS,
+        st.just("--q1"), INTEGERS, st.just("--q2"), INTEGERS,
+    ),
+    st.lists(st.text(max_size=8).filter(_not_help), max_size=4),  # any argv at all
+).map(list)
+
+
+# The slowest answers stay well under the deadline: p-class 'QHn(7000)'
+# takes about 1.2 s, a 4000-digit field size about 0.2 s.
+@settings(max_examples=400, deadline=2000, derandomize=True, database=None)
+@given(ARGV, st.booleans())
+@example(["classify", "SU_pq(2,3)"], False)
+@example(["dual", "SLnR(4)"], True)
+@example(["p-class", "CayH"], False)
+@example(["p-numbers", "QHn(2)"], True)
+@example(["sw-numbers", "CHn(2)"], False)
+@example(["wall", "CHn(3)"], False)
+@example(["wall", "--p", '{"4": 0}', "--sw", '{"w4": 0, "w2^2": 0}'], False)
+@example(["transfer", "--table", '{"4":39,"2,2":36}', "--deg", "2"], False)
+@example(["transfer", "--table", '{"4":39,"2,2":36}', "--deg-t", "2", "--deg-f", "3"], False)
+@example(["mu", "--m", '{"4":13,"2,2":12}', "--mu-dual", '{"4":39,"2,2":36}'], False)
+@example(["gl-order", "3", "2"], False)
+@example(["ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "3"], True)
+@example(["gl-order", "3", "2", "x"], False)  # a usage error
+def test_every_subcommand_is_total(default_digit_limit, argv, pretty):
+    if pretty:
+        argv = [*argv, "--pretty"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == ""
+        return
+    assert code in (0, 1)
+    assert out.getvalue().endswith("}\n")
+    payload = json.loads(out.getvalue())  # one document and nothing after it
+    assert isinstance(payload, dict) and (code == 1) == ("error" in payload)

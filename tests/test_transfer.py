@@ -25,6 +25,7 @@ from symchar.errors import (
 )
 from symchar.partitions import format_partition, partitions_of
 from symchar.transfer import (
+    _MR_MAX_BITS,
     _prime_power_base,
     check_cover_degree,
     deligne_sullivan_check,
@@ -294,22 +295,43 @@ def test_only_primes_past_the_proven_range_are_refused():
 
 def test_a_large_prime_is_refused_after_one_round():
     # past 3.317e24 a q that passes base 2 is refused whatever the other
-    # bases say, so only base 2 is tried: one round on 4253 bits
+    # bases say, so only base 2 is tried: one round on 3217 bits
     start = time.perf_counter()
     with pytest.raises(TooLargeError):
-        gl_order(1, 2**4253 - 1)
+        gl_order(1, 2**3217 - 1)
     assert time.perf_counter() - start < 1.0
 
 
-def test_a_4300_digit_composite_is_decided():
-    # no factor up to 100 and no root: one Miller-Rabin round on 14 284 bits
-    q = 10**4299 + 1
-    while any(q % p == 0 for p in range(2, 101)):
-        q += 1
+def _odd_without_factor_to_100(q):
+    q |= 1
+    while any(q % p == 0 for p in range(3, 101, 2)):
+        q += 2
+    return q
+
+
+def test_a_4300_digit_composite_is_refused_at_once():
+    # no factor up to 100 and no root on 14 281 bits: the Miller-Rabin round
+    # (about 7 s) is past the bit cap, so only the root search runs
+    q = _odd_without_factor_to_100(10**4299)
     start = time.perf_counter()
-    with pytest.raises(BadPrimePowerError):
+    with pytest.raises(TooLargeError):
         gl_order(1, q)
-    assert time.perf_counter() - start < 30.0
+    with pytest.raises(TooLargeError):
+        deligne_sullivan_check(1, 1, 2, q)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_bit_cap_stops_only_miller_rabin():
+    below = _odd_without_factor_to_100(2 ** (_MR_MAX_BITS - 1))
+    above = 103 * below  # composite, no factor up to 100, no root
+    assert below.bit_length() == _MR_MAX_BITS < above.bit_length()
+    with pytest.raises(BadPrimePowerError):
+        gl_order(1, below)  # a witness to base 2 on the last bits tested
+    with pytest.raises(TooLargeError):
+        gl_order(1, above)
+    # 13 317 bits, but the root search comes first and finds 101
+    assert _prime_power_base(101**2000) == 101
+    assert gl_order(1, 101**2000) == 101**2000 - 1
 
 
 def test_gl_order_matches_enumeration_spot_checks():
