@@ -24,6 +24,8 @@ all-zero table under a rank gap or on a parallelizable dual.
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
 from math import comb, log10
 from typing import Callable, NamedTuple
 
@@ -55,9 +57,14 @@ _FACTOR_KINDS = {
 }
 
 
-def _group_sum(factors: list, column: int) -> int:
-    """The rank (column 0) or the dimension (column 1) of a group."""
-    return sum(_FACTOR_KINDS[kind][column](*params) for kind, *params in factors)
+def _group_sums(factors: list) -> tuple:
+    """(rank, dimension) of a group, in one pass over its factors."""
+    rank = dim = 0
+    for kind, *params in factors:
+        rank_of, dim_of, _ = _FACTOR_KINDS[kind]
+        rank += rank_of(*params)
+        dim += dim_of(*params)
+    return rank, dim
 
 
 def group_text(factors: list) -> str:
@@ -196,7 +203,10 @@ def _family_record(spec: SpaceSpec) -> _Family:
             f"{fam.name} takes {fam.arity} parameter(s), got {len(spec.params)}"
         )
     for value, minimum in zip(spec.params, fam.min_params):
-        if not isinstance(value, int) or value < minimum:
+        # exact ints only: a bool (True == 1, with the same hash) or another
+        # int subclass would render as its own text, and classify's memo
+        # would answer it from the plain int's entry
+        if type(value) is not int or value < minimum:
             raise MalformedSpecError(
                 f"{fam.name} parameters must be integers >= {fam.min_params}"
             )
@@ -243,21 +253,25 @@ def spec_string(spec: SpaceSpec) -> str:
     return f"{spec.family}({','.join(str(p) for p in spec.params)})"
 
 
+def _dual_pair(fam: _Family, params: tuple) -> DualPair:
+    if fam.groups is None:  # TypeIV(d) has the dimension of its group
+        return DualPair(None, None, fam.label(*params), params[0], None, None)
+    gu, k = fam.groups(*params)
+    if fam.space is not None:
+        name = fam.space(*params).render()
+    elif fam.label is not None:
+        name = fam.label(*params)
+    else:
+        name = f"{group_text(gu)}/{group_text(k)}"
+    rank_gu, dim_gu = _group_sums(gu)
+    rank_k, dim_k = _group_sums(k)
+    return DualPair(gu, k, name, dim_gu - dim_k, rank_gu, rank_k)
+
+
 def _resolve(spec: SpaceSpec) -> tuple:
     """(family record, dual pair) of a spec."""
     fam = _family_record(spec)
-    if fam.groups is None:  # TypeIV(d) has the dimension of its group
-        label = fam.label(*spec.params)
-        return fam, DualPair(None, None, label, spec.params[0], None, None)
-    gu, k = fam.groups(*spec.params)
-    if fam.space is not None:
-        name = fam.space(*spec.params).render()
-    elif fam.label is not None:
-        name = fam.label(*spec.params)
-    else:
-        name = f"{group_text(gu)}/{group_text(k)}"
-    dim = _group_sum(gu, 1) - _group_sum(k, 1)
-    return fam, DualPair(gu, k, name, dim, _group_sum(gu, 0), _group_sum(k, 0))
+    return fam, _dual_pair(fam, spec.params)
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
@@ -292,17 +306,46 @@ class Classification(NamedTuple):
         return {**self._asdict(), "params": list(self.params)}
 
 
+# classify's memo: at most this many results are kept, least recently used
+# first out.  Only a spec whose parameters sum to at most
+# _MEMO_MAX_PARAM_SUM is stored: its Euler characteristic is below
+# 2^(sum + 2) for every family (C(m, k) <= 2^m), which bounds the integers
+# and texts an entry holds, and so the memory of a full memo.
+CLASSIFY_MEMO_SIZE = 1024
+_MEMO_MAX_PARAM_SUM = 2048
+
+
 def classify(spec: SpaceSpec) -> Classification:
-    fam, pair = _resolve(spec)
+    """The dual, the ranks, the verdict and the Euler characteristic of a
+    space.  The spec is validated first; a valid spec's result is then
+    memoized per (family, parameters, int-to-text digit limit), since the
+    limit decides what is refused.  Results are immutable tuples and a
+    repeated spec gets the same object."""
+    _family_record(spec)
+    params = tuple(spec.params)
+    if sum(params) > _MEMO_MAX_PARAM_SUM:
+        return _classification(spec.family, params)
+    return _classify_memo(spec.family, params, sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
+def _classify_memo(family: str, params: tuple, digit_limit: int) -> Classification:
+    return _classification(family, params)
+
+
+def _classification(family: str, params: tuple) -> Classification:
+    """classify of a validated spec, computed."""
+    fam = _FAMILIES[family]
+    pair = _dual_pair(fam, params)
     if pair.gu is None:
         return Classification(
-            spec.family, spec.params, pair.name, pair.dim,
+            family, params, pair.name, pair.dim,
             None, None, None, VERDICT_PARALLELIZABLE, 0, False,
         )
     toral = pair.rank_gu - pair.rank_k
     if toral < 0:
         raise SymcharError("dual pair has rank(K) > rank(G_U)")
-    euler = _two_power_binomial(*fam.euler(*spec.params)) if toral == 0 else 0
+    euler = _two_power_binomial(*fam.euler(*params)) if toral == 0 else 0
     if fam.space is not None:
         verdict = VERDICT_RANK_ONE
     elif toral == 0:
@@ -310,7 +353,7 @@ def classify(spec: SpaceSpec) -> Classification:
     else:
         verdict = VERDICT_RANK_GAP
     return Classification(
-        spec.family, spec.params, pair.name, pair.dim,
+        family, params, pair.name, pair.dim,
         pair.rank_gu, pair.rank_k, toral, verdict, euler, euler > 0,
     )
 

@@ -80,6 +80,8 @@ class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
     def __new__(cls, kind: str, n: int):
         if kind not in _GEOMETRY:
             raise SymcharError(f"unknown dual space kind {kind!r}")
+        if type(n) is not int:  # a bool would render as "S^True"
+            raise SymcharError(f"dual space dimension must be an integer, got {n!r}")
         if n < 1 or (kind == CAYLEY_PLANE and n != 2):
             raise SymcharError(
                 f"no dual space {_GEOMETRY[kind][0]}^{n}: n must be >= 1, "
@@ -195,7 +197,7 @@ class CharNumberTable(NamedTuple):
     reason: str | None = None
 
     def all_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
+        return not any(self.entries.values())
 
     def to_json_dict(self) -> dict:
         payload = {

@@ -155,6 +155,10 @@ _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 # what the root search costs on a 4300-digit q (0.23 s), so no q costs more
 # than about a quarter second; past the cap q is refused before the round.
 _MR_MAX_BITS = 4096
+# The root search grows faster than d^2 in the digits of q (0.23 s at 4300
+# digits, 5.9 s at 17 200), so a q longer than 10^4300 - 1, the largest one
+# the CLI reads, is refused before it.
+_ROOT_MAX_BITS = 14_285
 
 
 def _passes_miller_rabin(n: int, bases: tuple) -> bool:
@@ -204,7 +208,8 @@ def _prime_power_base(q: int) -> int | None:
     passing every base 2..41 proves it prime below 3.317e24.  Past that bound
     a q that passes is refused with TooLargeError whatever the other bases
     say, so base 2 alone is tried there, and a q of more than _MR_MAX_BITS
-    bits is refused before that round.
+    bits is refused before that round.  A q left by trial division with
+    more than _ROOT_MAX_BITS bits is refused before the root search.
     """
     if q < 2:
         return None
@@ -215,6 +220,11 @@ def _prime_power_base(q: int) -> int | None:
             return p if q == 1 else None
     if q <= _TRIAL_BOUND**2:
         return q
+    if q.bit_length() > _ROOT_MAX_BITS:
+        raise TooLargeError(
+            f"{q.bit_length()}-bit q has no factor up to {_TRIAL_BOUND}; prime "
+            f"powers are sought up to {_ROOT_MAX_BITS} bits"
+        )
     for e in range(2, q.bit_length() // 6 + 1):
         if any(e % f == 0 for f in range(2, isqrt(e) + 1)):
             continue  # a power r^(fg) is an f-th power, tried before

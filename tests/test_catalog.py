@@ -1,12 +1,15 @@
 """Family catalog: parsing, dual pairs, rank arithmetic, classification."""
 
+import sys
 from itertools import product
 from math import comb
 
 import pytest
 
 from _oracles import euler_char_by_weyl_quotient, group_weyl_order, weyl_order
+from symchar import catalog
 from symchar.catalog import (
+    CLASSIFY_MEMO_SIZE,
     Classification,
     SpaceSpec,
     VERDICT_EQUAL_RANK,
@@ -21,6 +24,7 @@ from symchar.catalog import (
 )
 from symchar.errors import (
     MalformedSpecError,
+    TooLargeError,
     UnknownFamilyError,
     UnsupportedFamilyError,
 )
@@ -285,3 +289,54 @@ def test_spec_string_round_trip():
     for spec in _grid():
         assert parse_space(spec_string(spec)) == spec
     assert spec_string(SpaceSpec("CayleyHyperbolic", ())) == "CayleyHyperbolic"
+
+
+def test_memoized_results_equal_computed_ones():
+    catalog._classify_memo.cache_clear()
+    specs = _grid() + [SpaceSpec(f.name, f.min_params) for f in _FAMILIES.values()]
+    for spec in specs:
+        computed = catalog._classification(spec.family, spec.params)
+        first = classify(spec)
+        assert first == computed
+        assert classify(spec) is first
+    assert catalog._classify_memo.cache_info().hits >= len(specs)
+    # a parameter list is keyed as a tuple, not refused as unhashable
+    assert classify(SpaceSpec("SU_pq", [2, 3])) == classify(SpaceSpec("SU_pq", (2, 3)))
+
+
+def test_the_memo_is_keyed_on_the_digit_limit(monkeypatch):
+    # chi = 2^14300 and 2^14299 are computed with no limit and refused by
+    # classify itself at 4300 digits, whether or not the first is stored
+    saved = sys.get_int_max_str_digits()
+    try:
+        for max_sum in (catalog._MEMO_MAX_PARAM_SUM, 10**6):
+            monkeypatch.setattr(catalog, "_MEMO_MAX_PARAM_SUM", max_sum)
+            catalog._classify_memo.cache_clear()
+            for text in ("SpnR(14300)", "SOstar_2n(14300)"):
+                spec = parse_space(text)
+                sys.set_int_max_str_digits(0)
+                assert classify(spec).euler_char_dual >= 10**4300
+                sys.set_int_max_str_digits(4300)
+                with pytest.raises(TooLargeError):
+                    classify(spec)
+            stored = catalog._classify_memo.cache_info().currsize
+            assert stored == (2 if max_sum > 14300 else 0)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_the_memo_stays_bounded():
+    catalog._classify_memo.cache_clear()
+    for n in range(1, CLASSIFY_MEMO_SIZE + 100):
+        classify(SpaceSpec("Flat_n", (n,)))
+    assert catalog._classify_memo.cache_info().currsize == CLASSIFY_MEMO_SIZE
+
+
+def test_a_spec_past_the_size_rule_is_not_stored():
+    top = catalog._MEMO_MAX_PARAM_SUM
+    catalog._classify_memo.cache_clear()
+    classify(SpaceSpec("SU_pq", (top - 1, 1)))
+    assert catalog._classify_memo.cache_info().currsize == 1
+    past = classify(SpaceSpec("SU_pq", (top, 1)))
+    assert catalog._classify_memo.cache_info().currsize == 1
+    assert past == catalog._classification("SU_pq", (top, 1))

@@ -17,6 +17,7 @@ from _oracles import (
     total_pontrjagin_plain,
     total_stiefel_whitney_plain,
 )
+from symchar.catalog import SpaceSpec, classify
 from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
@@ -37,6 +38,7 @@ from symchar.charclass import (
 )
 from symchar.errors import (
     DimensionMismatchError,
+    MalformedSpecError,
     SymcharError,
     TooLargeError,
     UnsupportedClassError,
@@ -326,3 +328,9 @@ def test_construction_validators():
         DualSpace("complex-projective", -3)
     with pytest.raises(SymcharError):
         DualSpace("cayley-plane", 7)
+    # True == 1 and hashes alike, but is no dimension: neither "S^True" nor
+    # a memo hit on the entry for 1
+    with pytest.raises(SymcharError):
+        sphere(True)
+    with pytest.raises(MalformedSpecError):
+        classify(SpaceSpec("RealHyperbolic_n", (True,)))

@@ -321,6 +321,18 @@ def test_a_4300_digit_composite_is_refused_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_field_size_past_the_cli_range_is_refused_before_the_root_search():
+    # 57 138 bits, past the 14 285 of 10^4300 - 1: the root search alone
+    # would take about 6 s
+    q = _odd_without_factor_to_100(10**17200)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        gl_order(1, q)
+    with pytest.raises(TooLargeError):
+        deligne_sullivan_check(1, 1, 2, q)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_the_bit_cap_stops_only_miller_rabin():
     below = _odd_without_factor_to_100(2 ** (_MR_MAX_BITS - 1))
     above = 103 * below  # composite, no factor up to 100, no root
