@@ -22,8 +22,6 @@ CayP^2) whose numbers charclass computes, and pontrjagin_table gives the
 all-zero table under a rank gap or on a parallelizable dual.
 """
 
-from __future__ import annotations
-
 import sys
 from functools import lru_cache
 from math import comb, log10

@@ -37,8 +37,6 @@ before the total class is computed.  Only the two table builders use
 partitions, so they import it: classify, dual and p-class never load it.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from math import log10
 from typing import NamedTuple

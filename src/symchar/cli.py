@@ -1,17 +1,18 @@
 """Command-line interface.  Every subcommand prints one JSON document.
 
 Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
-Usage errors are argparse's and exit 2.
+A usage error (an unknown subcommand or option, a missing or malformed
+argument) exits 2 with the usage and the error on stderr and nothing on
+stdout; -h or --help prints help and exits 0.
 
 Each handler imports the library modules it calls, so a call loads only
 what its subcommand runs: a usage error loads none of them.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from symchar.errors import (
     BadTableError,
@@ -226,99 +227,235 @@ def _cmd_ds_check(args) -> dict:
     return payload
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symchar",
-        description=(
+# The command table: subcommand -> (handler, help, arguments).  An argument
+# is (name, type, required, help): a name starting with "--" is an option
+# taking one value, any other name a positional.  Every subcommand also takes
+# --pretty and -h/--help.
+_SPACE = ("space", str, True, "")
+COMMANDS = {
+    "classify": (
+        _cmd_classify,
+        "rank classification of a locally symmetric space",
+        [("space", str, True, 'e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')],
+    ),
+    "dual": (_cmd_dual, "compact dual pair of a space", [_SPACE]),
+    "p-class": (_cmd_p_class, "total Pontrjagin class of a rank-one dual", [_SPACE]),
+    "p-numbers": (_cmd_p_numbers, "Pontrjagin numbers of the compact dual", [_SPACE]),
+    "sw-numbers": (
+        _cmd_sw_numbers, "Stiefel-Whitney numbers of the compact dual", [_SPACE]
+    ),
+    "transfer": (
+        _cmd_transfer,
+        "pull a number table back along a cover, or solve for the base",
+        [
+            ("--table", str, True, "JSON table or @file"),
+            ("--deg", int, False, "covering degree for a pullback"),
+            ("--deg-t", int, False, "covering degree in the diagram"),
+            ("--deg-f", int, False, "tangential-map degree"),
+        ],
+    ),
+    "mu": (
+        _cmd_mu,
+        "least covering-degree bound from two Pontrjagin tables",
+        [
+            ("--m", str, True, "table of the manifold"),
+            ("--mu-dual", str, True, "table of the dual"),
+        ],
+    ),
+    "wall": (
+        _cmd_wall,
+        "does the space's compact dual bound orientably?",
+        [
+            ("space", str, False, ""),
+            ("--p", str, False, "Pontrjagin table (JSON or @file)"),
+            ("--sw", str, False, "Stiefel-Whitney table (JSON or @file)"),
+        ],
+    ),
+    "gl-order": (
+        _cmd_gl_order, "order of GL_n over F_q", [("n", int, True, ""), ("q", int, True, "")]
+    ),
+    "ds-check": (
+        _cmd_ds_check,
+        "divisibility test against two general linear group orders",
+        [(name, int, True, "") for name in ("--mu", "--k", "--q1", "--q2")],
+    ),
+}
+_HELP = ("-h", "--help")
+# A token argparse reads as a number, not an option, when no option looks
+# like one: a positional or an option's value.
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: symchar [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: symchar {command} [-h] [--pretty]"]
+    for name, _, required, _ in COMMANDS[command][2]:
+        word = f"{name} {_dest(name).upper()}" if name[:2] == "--" else name
+        words.append(word if required else f"[{word}]")
+    return " ".join(words)
+
+
+def _usage_error(command: str | None, message: str):
+    prog = "symchar" if command is None else f"symchar {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: str | None, name: str, joined: str | None):
+    """Print the help text and exit 0.  A value joined to the help option is a
+    usage error, except that -hh (-h=h, ...) reads as -h repeated."""
+    if joined is not None and (name != "-h" or not joined or joined.strip("h")):
+        _usage_error(command, f"argument -h/--help: ignored explicit argument {joined!r}")
+    if command is None:
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+        head = (
             "Exact characteristic numbers and rank classification for "
             "compact symmetric-space duals"
-        ),
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+        )
+    else:
+        rows = [(name, text) for name, _, _, text in COMMANDS[command][2]]
+        head = COMMANDS[command][1]
+        rows.append(("--pretty", "indent the JSON output"))
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [_usage(command), "", head, ""]
+    lines += [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser(
-        "classify", parents=[common],
-        help="rank classification of a locally symmetric space",
-    )
-    p.add_argument("space", help='e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser(
-        "dual", parents=[common], help="compact dual pair of a space"
-    )
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_dual)
+def _read_option(command: str | None, token: str, names) -> tuple | None:
+    """argparse's reading of one token: None for a positional, else (option
+    name, the value joined to it or None), the name None for an unknown
+    option.  A long option may be shortened to any prefix that no other
+    option of the command shares."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, joined, value = token.partition("=")
+    if joined and name in names:
+        return name, value
+    if token[1] == "-":
+        found = [(full, value if joined else None) for full in names if full.startswith(name)]
+    else:
+        found = [(full, token[2:]) for full in names if full == token[:2]]
+    if len(found) > 1:
+        matches = ", ".join(full for full, _ in found)
+        _usage_error(command, f"ambiguous option: {name} could match {matches}")
+    if found:
+        return found[0]
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
 
-    p = sub.add_parser(
-        "p-class", parents=[common],
-        help="total Pontrjagin class of a rank-one dual",
-    )
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_p_class)
 
-    p = sub.add_parser(
-        "p-numbers", parents=[common],
-        help="Pontrjagin numbers of the compact dual",
-    )
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_p_numbers)
+def _convert(command: str, argument: tuple, text: str):
+    name, kind, _, _ = argument
+    try:
+        return kind(text)
+    except ValueError:  # int(): not a number, or past the int-to-text limit
+        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
-    p = sub.add_parser(
-        "sw-numbers", parents=[common],
-        help="Stiefel-Whitney numbers of the compact dual",
-    )
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_sw_numbers)
 
-    p = sub.add_parser(
-        "transfer", parents=[common],
-        help="pull a number table back along a cover, or solve for the base",
-    )
-    p.add_argument("--table", required=True, help="JSON table or @file")
-    p.add_argument("--deg", type=int, help="covering degree for a pullback")
-    p.add_argument("--deg-t", type=int, help="covering degree in the diagram")
-    p.add_argument("--deg-f", type=int, help="tangential-map degree")
-    p.set_defaults(handler=_cmd_transfer)
+def _parse_command(command: str, tokens: list) -> tuple:
+    """The namespace of one subcommand's tokens and the tokens left over,
+    read as argparse reads them: the first "--" makes every later token a
+    positional, and each run of positionals between options fills as many
+    of the remaining positionals as it can."""
+    handler, _, arguments = COMMANDS[command]
+    options = {argument[0]: argument for argument in arguments if argument[0][:2] == "--"}
+    names = [*_HELP, "--pretty", *options]
+    positionals = [argument for argument in arguments if argument[0][:2] != "--"]
+    args = SimpleNamespace(command=command, handler=handler, pretty=False)
+    for name, *_ in arguments:
+        setattr(args, _dest(name), None)
 
-    p = sub.add_parser(
-        "mu", parents=[common],
-        help="least covering-degree bound from two Pontrjagin tables",
-    )
-    p.add_argument("--m", required=True, help="table of the manifold")
-    p.add_argument("--mu-dual", required=True, help="table of the dual")
-    p.set_defaults(handler=_cmd_mu)
+    letters, found = "", {}  # A positional, O option, - the first "--"
+    for i, token in enumerate(tokens):
+        if "-" in letters:
+            letters += "A"
+        elif token == "--":
+            letters += "-"
+        elif (option := _read_option(command, token, names)) is None:
+            letters += "A"
+        else:
+            letters += "O"
+            found[i] = option
 
-    p = sub.add_parser(
-        "wall", parents=[common],
-        help="does the space's compact dual bound orientably?",
-    )
-    p.add_argument("space", nargs="?")
-    p.add_argument("--p", help="Pontrjagin table (JSON or @file)")
-    p.add_argument("--sw", help="Stiefel-Whitney table (JSON or @file)")
-    p.set_defaults(handler=_cmd_wall)
+    def past_separator(k: int) -> int:
+        return k + 1 if letters[k:k + 1] == "-" else k  # there is one at most
 
-    p = sub.add_parser(
-        "gl-order", parents=[common], help="order of GL_n over F_q"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(handler=_cmd_gl_order)
+    def fill_positionals(i: int) -> int:
+        """Each remaining positional in turn takes the next positional token
+        and the "--" around it; an optional one may take none.  The first
+        that finds no token before the next option stops the run."""
+        while positionals:
+            k = past_separator(i)
+            if letters[k:k + 1] == "A":
+                setattr(args, positionals[0][0], _convert(command, positionals[0], tokens[k]))
+                k = past_separator(k + 1)
+            elif positionals[0][2]:
+                break
+            del positionals[0]
+            i = k
+        return i
 
-    p = sub.add_parser(
-        "ds-check", parents=[common],
-        help="divisibility test against two general linear group orders",
-    )
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q1", type=int, required=True)
-    p.add_argument("--q2", type=int, required=True)
-    p.set_defaults(handler=_cmd_ds_check)
+    extras, i = [], 0
+    for at, (name, joined) in found.items():
+        if i < at:
+            i = fill_positionals(i)
+            extras += tokens[i:at]
+        i = at + 1
+        if name is None:
+            extras.append(tokens[at])
+        elif name in _HELP:
+            _help(command, name, joined)
+        elif name == "--pretty":
+            if joined is not None:
+                _usage_error(command, f"argument --pretty: ignored explicit argument {joined!r}")
+            args.pretty = True
+        else:
+            if joined is None:
+                if letters[i:i + 1] != "A":
+                    _usage_error(command, f"argument {name}: expected one argument")
+                joined, i = tokens[i], i + 1
+            setattr(args, _dest(name), _convert(command, options[name], joined))
+    i = fill_positionals(i)
+    missing = [
+        name for name, _, required, _ in arguments
+        if required and getattr(args, _dest(name)) is None
+    ]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return args, extras + tokens[i:]
 
-    return parser
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """Read a command line from COMMANDS: the namespace of its subcommand's
+    handler, its values and "pretty".  A usage error writes the usage and
+    the error to stderr and raises SystemExit(2); -h, --help (or any prefix
+    of it) prints help to stdout and raises SystemExit(0).  What is accepted,
+    and how it is read, follows argparse's rules."""
+    unknown = []  # options before the subcommand, refused once it is read
+    for i, token in enumerate(argv):
+        if token == "--" or (option := _read_option(None, token, _HELP)) is None:
+            if token not in COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {token!r}")
+            args, extras = _parse_command(token, argv[i + 1:])
+            if unknown or extras:
+                _usage_error(None, f"unrecognized arguments: {' '.join(unknown + extras)}")
+            return args
+        if option[0] is None:
+            unknown.append(token)
+        else:
+            _help(None, *option)
+    _usage_error(None, "the following arguments are required: command")
 
 
 def _dumps(payload: dict, pretty: bool) -> str:
@@ -332,7 +469,7 @@ def _error(exc: SymcharError) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         payload, status = args.handler(args), 0
     except SymcharError as exc:

@@ -2,11 +2,9 @@
 
 Every domain error carries a stable machine-readable ``code``; the CLI
 emits it as the ``error`` field of its JSON failure payload and exits 1.
-Usage errors (bad flags, missing arguments) are argparse's business and
+Usage errors (bad flags, missing arguments) are the command line's own and
 exit 2 instead.
 """
-
-from __future__ import annotations
 
 import sys
 
@@ -66,18 +64,27 @@ class TooLargeError(SymcharError):
     code = "too-large"
 
 
+# The digit count the size gates compare against when Python's int-to-text
+# limit is off (0).  At 4300 the costliest result a gate admits, p-class
+# 'QHn(7146)', takes about a second (1.05 s on a 2-vCPU VM, Python 3.11).
+DIGITS_WHEN_UNLIMITED = 4300
+
+
+def _digit_limit() -> int:
+    return sys.get_int_max_str_digits() or DIGITS_WHEN_UNLIMITED
+
+
 def past_digit_limit() -> TooLargeError:
-    """The refusal of a result past Python's int-to-text digit limit."""
-    limit = sys.get_int_max_str_digits()
-    return TooLargeError(f"result has an integer of more than {limit} digits")
+    """The refusal of a result past Python's int-to-text digit limit, or
+    past DIGITS_WHEN_UNLIMITED when that limit is off."""
+    return TooLargeError(f"result has an integer of more than {_digit_limit()} digits")
 
 
 def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:
     """Raise past_digit_limit() when a result's log10 is certain to reach
-    Python's int-to-text limit (if any): count * log10_each + log10_rest.
-    count stays an int: compared with a float it cannot overflow."""
-    limit = sys.get_int_max_str_digits()
-    if limit and count >= (limit - log10_rest) / log10_each:
+    the digit limit: count * log10_each + log10_rest.  count stays an int:
+    compared with a float it cannot overflow."""
+    if count >= (_digit_limit() - log10_rest) / log10_each:
         raise past_digit_limit()
 
 

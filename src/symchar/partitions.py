@@ -18,8 +18,6 @@ p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
 above MAX_WEIGHT, before any work is done.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from typing import Callable, NamedTuple
 

@@ -20,8 +20,6 @@ needs it over two fields of distinct characteristic, which is the
 ``deligne_sullivan_check`` divisibility test.
 """
 
-from __future__ import annotations
-
 from math import isqrt, lcm, log10, prod
 from typing import NamedTuple
 

@@ -308,3 +308,117 @@ def gl_count_enumerated(n: int, p: int) -> int:
         if _invertible_mod(rows, p):
             count += 1
     return count
+
+
+# The command line as argparse read it: cli.parse_args must accept what this
+# parser accepts and read it to the same values.  Its imports are made here,
+# so that the benchmark's workers, which check answers with these oracles,
+# load neither argparse nor the CLI.
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from symchar.cli import (
+        _cmd_classify,
+        _cmd_ds_check,
+        _cmd_dual,
+        _cmd_gl_order,
+        _cmd_mu,
+        _cmd_p_class,
+        _cmd_p_numbers,
+        _cmd_sw_numbers,
+        _cmd_transfer,
+        _cmd_wall,
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="symchar",
+        description=(
+            "Exact characteristic numbers and rank classification for "
+            "compact symmetric-space duals"
+        ),
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--pretty", action="store_true", help="indent the JSON output"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser(
+        "classify", parents=[common],
+        help="rank classification of a locally symmetric space",
+    )
+    p.add_argument("space", help='e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')
+    p.set_defaults(handler=_cmd_classify)
+
+    p = sub.add_parser(
+        "dual", parents=[common], help="compact dual pair of a space"
+    )
+    p.add_argument("space")
+    p.set_defaults(handler=_cmd_dual)
+
+    p = sub.add_parser(
+        "p-class", parents=[common],
+        help="total Pontrjagin class of a rank-one dual",
+    )
+    p.add_argument("space")
+    p.set_defaults(handler=_cmd_p_class)
+
+    p = sub.add_parser(
+        "p-numbers", parents=[common],
+        help="Pontrjagin numbers of the compact dual",
+    )
+    p.add_argument("space")
+    p.set_defaults(handler=_cmd_p_numbers)
+
+    p = sub.add_parser(
+        "sw-numbers", parents=[common],
+        help="Stiefel-Whitney numbers of the compact dual",
+    )
+    p.add_argument("space")
+    p.set_defaults(handler=_cmd_sw_numbers)
+
+    p = sub.add_parser(
+        "transfer", parents=[common],
+        help="pull a number table back along a cover, or solve for the base",
+    )
+    p.add_argument("--table", required=True, help="JSON table or @file")
+    p.add_argument("--deg", type=int, help="covering degree for a pullback")
+    p.add_argument("--deg-t", type=int, help="covering degree in the diagram")
+    p.add_argument("--deg-f", type=int, help="tangential-map degree")
+    p.set_defaults(handler=_cmd_transfer)
+
+    p = sub.add_parser(
+        "mu", parents=[common],
+        help="least covering-degree bound from two Pontrjagin tables",
+    )
+    p.add_argument("--m", required=True, help="table of the manifold")
+    p.add_argument("--mu-dual", required=True, help="table of the dual")
+    p.set_defaults(handler=_cmd_mu)
+
+    p = sub.add_parser(
+        "wall", parents=[common],
+        help="does the space's compact dual bound orientably?",
+    )
+    p.add_argument("space", nargs="?")
+    p.add_argument("--p", help="Pontrjagin table (JSON or @file)")
+    p.add_argument("--sw", help="Stiefel-Whitney table (JSON or @file)")
+    p.set_defaults(handler=_cmd_wall)
+
+    p = sub.add_parser(
+        "gl-order", parents=[common], help="order of GL_n over F_q"
+    )
+    p.add_argument("n", type=int)
+    p.add_argument("q", type=int)
+    p.set_defaults(handler=_cmd_gl_order)
+
+    p = sub.add_parser(
+        "ds-check", parents=[common],
+        help="divisibility test against two general linear group orders",
+    )
+    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--q1", type=int, required=True)
+    p.add_argument("--q2", type=int, required=True)
+    p.set_defaults(handler=_cmd_ds_check)
+
+    return parser

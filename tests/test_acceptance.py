@@ -43,7 +43,7 @@ from symchar.charclass import (
     total_pontrjagin,
     total_stiefel_whitney,
 )
-from symchar.cli import build_parser
+from symchar import cli
 from symchar.errors import UnsupportedClassError
 from symchar.partitions import format_partition, partitions_of, sw_monomials_of
 from symchar.transfer import check_cover_degree, gl_order, mu, solve_manifold_numbers
@@ -250,6 +250,6 @@ def test_acceptance_9_scope_note():
             stiefel_whitney_numbers(quaternionic_projective(2))
         with pytest.raises(UnsupportedClassError):
             total_stiefel_whitney(cayley_plane())
-        args = build_parser().parse_args(["p-numbers", "SU_pq(2,3)"])
+        args = cli.parse_args(["p-numbers", "SU_pq(2,3)"])
         with pytest.raises(UnsupportedClassError):
             args.handler(args)

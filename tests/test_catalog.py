@@ -305,8 +305,9 @@ def test_memoized_results_equal_computed_ones():
 
 
 def test_the_memo_is_keyed_on_the_digit_limit(monkeypatch):
-    # chi = 2^14300 and 2^14299 are computed with no limit and refused by
-    # classify itself at 4300 digits, whether or not the first is stored
+    # chi = 2^14300 and 2^14299 are computed under a 20,000-digit limit and
+    # refused by classify itself at 4300 digits, whether or not the first is
+    # stored
     saved = sys.get_int_max_str_digits()
     try:
         for max_sum in (catalog._MEMO_MAX_PARAM_SUM, 10**6):
@@ -314,7 +315,7 @@ def test_the_memo_is_keyed_on_the_digit_limit(monkeypatch):
             catalog._classify_memo.cache_clear()
             for text in ("SpnR(14300)", "SOstar_2n(14300)"):
                 spec = parse_space(text)
-                sys.set_int_max_str_digits(0)
+                sys.set_int_max_str_digits(20_000)
                 assert classify(spec).euler_char_dual >= 10**4300
                 sys.set_int_max_str_digits(4300)
                 with pytest.raises(TooLargeError):

@@ -95,6 +95,8 @@ def test_cayley_class_frozen():
 
 def test_total_classes_are_refused_only_past_the_digit_limit():
     # a refused class has a coefficient >= 10^4300; both sides are reached.
+    # The reference is computed under a 20,000-digit limit: with the limit
+    # off the gate still compares against errors.DIGITS_WHEN_UNLIMITED.
     # Each class is checked at its largest slots by one binomial: C(n+1, n//2)
     # is a coefficient of CP^n's, and (1 + 4u) p(HP^n) = (1 + u)^(2n+2) gives
     # c_n + 4 c_(n-1) = C(2n+2, n).
@@ -115,7 +117,7 @@ def test_total_classes_are_refused_only_past_the_digit_limit():
         for build, window, identity in sweeps:
             outcomes = set()
             for n in window:
-                sys.set_int_max_str_digits(0)
+                sys.set_int_max_str_digits(20_000)
                 coefficients = total_pontrjagin(build(n)).coefficients
                 assert identity(n, coefficients), n
                 sys.set_int_max_str_digits(4300)

@@ -362,6 +362,35 @@ def test_usage_errors_exit_2():
     assert run_cli("gl-order", "two", "3").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in cli.COMMANDS)]
+)
+def test_help_exits_0_and_names_every_choice(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    if len(argv) == 1:
+        assert all(command in out for command in cli.COMMANDS)
+    else:
+        options = [name for name, *_ in cli.COMMANDS[argv[0]][2] if name[:2] == "--"]
+        assert all(option in out for option in [*options, "--pretty", "--help"])
+
+
+def test_a_literal_double_dash_is_read_as_a_token(run, capsys):
+    # argparse handed these handlers an empty list, which ended in a traceback
+    code, payload = run("transfer", "--table=--", "--deg", "2")
+    assert (code, payload["error"]) == (1, "bad-table")
+    code, payload = run("wall", "--p=--")
+    assert (code, payload["error"]) == (1, "bad-table")
+    for argv in (["gl-order", "--", "1", "--"], ["gl-order", "1", "--", "--"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument q: invalid int value: '--'" in err
+
+
 def test_classification_round_trips_through_json(run_json):
     for space in SPACES:
         first = run_json("classify", space)
@@ -384,8 +413,11 @@ try:
     {}
 except SystemExit:
     pass
-print(*sorted(m for m in sys.modules if m.startswith("symchar") or m == "dataclasses"))
+print(*sorted(m for m in sys.modules if m.startswith("symchar") or m in {}))
 """
+# Modules no call loads: dataclasses, and argparse with the gettext and
+# locale it pulls in; no module imports __future__.
+_NEVER_LOADED = ("dataclasses", "argparse", "gettext", "locale", "__future__")
 
 
 def _main(*argv):
@@ -409,14 +441,14 @@ def _main(*argv):
 )
 def test_a_call_loads_only_the_modules_it_runs(statement, loaded):
     child = subprocess.run(
-        [sys.executable, "-S", "-c", _FOOTPRINT.format(statement)],
+        [sys.executable, "-S", "-c", _FOOTPRINT.format(statement, _NEVER_LOADED)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(README.parent / "src")},
     )
     assert child.returncode == 0, child.stderr
     expected = ["symchar", *(f"symchar.{name}" for name in loaded.split())]
-    assert child.stdout.splitlines()[-1].split() == expected  # and no dataclasses
+    assert child.stdout.splitlines()[-1].split() == expected  # and none of _NEVER_LOADED
 
 
 def test_every_export_resolves_to_its_home_module():
@@ -469,30 +501,43 @@ def test_integers_past_the_digit_limit_are_refused(
     assert (exit_code, payload["error"]) == (1, code)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["p-numbers", "QHn(80)"],
-        ["sw-numbers", "CHn(40)"],
-        ["p-numbers", "Flat(2000)"],
-        ["p-numbers", "SLnR(201)"],
-        ["gl-order", "3000", "2"],
-        ["gl-order", "1" + "0" * 200, "2"],
-        ["ds-check", "--mu", "7", "--k", "2000", "--q1", "2", "--q2", "3"],
-        ["p-class", "QHn(20000)"],
-        ["p-class", "CHn(40000)"],
-        ["gl-order", "1", str(2**89 - 1)],
-        ["classify", "SU_pq(200000,200000)"],
-        ["classify", "SpnR(100000)"],
-        ["classify", "SOstar(%d)" % 10**21],
-    ],
-)
+_OVERSIZED = [
+    ["p-numbers", "QHn(80)"],
+    ["sw-numbers", "CHn(40)"],
+    ["p-numbers", "Flat(2000)"],
+    ["p-numbers", "SLnR(201)"],
+    ["gl-order", "3000", "2"],
+    ["gl-order", "1" + "0" * 200, "2"],
+    ["ds-check", "--mu", "7", "--k", "2000", "--q1", "2", "--q2", "3"],
+    ["p-class", "QHn(20000)"],
+    ["p-class", "CHn(40000)"],
+    ["gl-order", "1", str(2**89 - 1)],
+    ["classify", "SU_pq(200000,200000)"],
+    ["classify", "SpnR(100000)"],
+    ["classify", "SOstar(%d)" % 10**21],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED)
 def test_oversized_requests_are_refused_before_the_work(
     run, default_digit_limit, argv
 ):
     start = time.perf_counter()
     exit_code, payload = run(*argv)
     assert time.perf_counter() - start < 1.0
+    assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED)
+def test_oversized_requests_are_refused_with_the_digit_limit_off(run, argv):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        exit_code, payload = run(*argv)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
     assert (exit_code, payload["error"]) == (1, "too-large")
 
 

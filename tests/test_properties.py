@@ -7,17 +7,18 @@ parameters, with one JSON document, and so does every subcommand on any
 arguments, or it ends in a usage error.
 """
 
+import argparse
 import io
 import json
 import re
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import sw_monomial_by_regex
+from _oracles import build_parser, sw_monomial_by_regex
 from symchar import cli
 from symchar.catalog import _FAMILIES, _NAMES, parse_space
 from symchar.charclass import PONTRJAGIN, SW
@@ -141,7 +142,8 @@ def test_classify_and_dual_are_total(default_digit_limit, command, name, params)
 
 
 def _not_help(token: str) -> bool:
-    """argparse answers -h, --h, --he, ... with help text and exit 0."""
+    """-h, --h, --he, ... print help text and exit 0 (the -h forms with
+    more joined to them are usage errors, or -h repeated)."""
     return not re.match("-h|--h", token)
 
 
@@ -232,3 +234,130 @@ def test_every_subcommand_is_total(default_digit_limit, argv, pretty):
     assert out.getvalue().endswith("}\n")
     payload = json.loads(out.getvalue())  # one document and nothing after it
     assert isinstance(payload, dict) and (code == 1) == ("error" in payload)
+
+
+_ORACLE = build_parser()
+_SUBPARSERS = next(
+    action for action in _ORACLE._actions if isinstance(action, argparse._SubParsersAction)
+).choices
+_OPTION_STRINGS = {
+    option for parser in _SUBPARSERS.values() for option in parser._option_string_actions
+}
+_INT_FIELDS = {
+    action.dest
+    for parser in _SUBPARSERS.values()
+    for action in parser._actions
+    if action.type is int
+}
+_OPTION_PREFIXES = sorted(
+    {option[:i] for option in _OPTION_STRINGS for i in range(2, len(option) + 1)}
+)
+_SPECIAL_TOKENS = [
+    "--", "-", "-3", "-1.5", "-x y", "", "\u0663", "-\u0663", "\u00b2", "7" * 4301, "-x",
+]
+_VALUES = st.one_of(
+    st.sampled_from(_SPECIAL_TOKENS),
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(max_size=8),
+)
+# A joined "--" is left out: argparse releases differ on it (3.11 and 3.12.1
+# hand the handler an empty list, a traceback; 3.13 the text "--").
+# test_cli covers how parse_args reads it.
+_JOINED = st.builds(
+    "{}={}".format,
+    st.sampled_from([p for p in _OPTION_PREFIXES if len(p) > 2]),
+    _VALUES.filter(lambda value: value != "--"),
+)
+_TOKENS = st.one_of(
+    st.sampled_from(sorted(_SUBPARSERS)),
+    st.sampled_from(_OPTION_PREFIXES),
+    _JOINED,
+    _VALUES,
+).filter(_not_help)
+
+
+@st.composite
+def _near_valid(draw):
+    """A subcommand with each of its arguments or none, an option spelled
+    out, shortened or joined to its value, in any order, then maybe one
+    token more."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    chunks = []
+    for action in _SUBPARSERS[command]._actions:
+        if action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            chunks.append([action.option_strings[0]])
+            continue
+        if action.type is int and draw(st.integers(0, 4)):
+            value = str(draw(st.integers(-(10**6), 10**6)))
+        else:
+            value = draw(_VALUES)
+        if not action.option_strings:
+            chunks.append([value])
+            continue
+        option = action.option_strings[0]
+        option = option[: draw(st.integers(3, len(option)))]
+        if value != "--" and draw(st.booleans()):
+            chunks.append([f"{option}={value}"])
+        else:
+            chunks.append([option, value])
+    argv = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    return [command, *argv]
+
+
+_COMMAND_LINES = st.one_of(
+    _near_valid(),
+    st.tuples(st.sampled_from(sorted(_SUBPARSERS)), st.lists(_TOKENS, max_size=7)).map(
+        lambda drawn: [drawn[0], *drawn[1]]
+    ),
+    st.lists(_TOKENS, max_size=4),
+)
+
+
+def _parsed(parse, argv):
+    """The values parse reads from argv, or the code it exits with."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _argparse_reading(argv):
+    """The oracle's values.  An argparse before 3.13 strips a literal "--"
+    that is an argument's only token and hands the handler []: parse_args
+    reads the token instead, a usage error where an int is wanted."""
+    parsed = _parsed(_ORACLE.parse_args, argv)
+    if isinstance(parsed, dict):
+        for field, value in parsed.items():
+            if value == []:
+                if field in _INT_FIELDS:
+                    return 2
+                parsed[field] = "--"
+    return parsed
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(_COMMAND_LINES)
+@example(["transfer", "--tab", "x", "--de=2"])  # ambiguous: --deg, --deg-t, --deg-f
+@example(["transfer", "--tab=x", "--deg", "2", "--deg", "3"])  # the last one wins
+@example(["ds-check", "--q", "2", "--mu", "3", "--k", "1"])  # ambiguous: --q1, --q2
+@example(["mu", "--mu", "x", "--m", "y", "--pre"])  # --mu-dual, --pretty
+@example(["gl-order", "-3", "2"])  # a number, not an option
+@example(["gl-order", "3", "--", "-2"])
+@example(["gl-order", "--", "1", "--"])  # argparse: q = []
+@example(["wall", "--pretty", "--"])
+@example(["wall", "-", "--p=x", "--sw", "-1.5"])
+@example(["classify", "-x y"])  # a space makes it a positional
+@example(["classify", "-x"])
+@example(["gl-order", "7" * 4301, "2"])
+@example(["--pretty", "classify", "X"])
+@example(["-3", "classify", "X"])
+def test_parse_args_reads_what_argparse_read(default_digit_limit, argv):
+    ours, theirs = _parsed(cli.parse_args, argv), _argparse_reading(argv)
+    assert (ours == 2) == (theirs == 2), (ours, theirs)
+    assert ours == theirs
+
