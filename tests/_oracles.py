@@ -190,6 +190,14 @@ def partitions_by_growth(n: int) -> frozenset:
     return frozenset(grown)
 
 
+@cache
+def partitions_decreasing(n: int) -> list:
+    """Partitions of n, lexicographically decreasing: the compositions
+    oracle up to 12, the growth oracle above, sorted."""
+    found = partitions_by_compositions(n) if n <= 12 else partitions_by_growth(n)
+    return sorted(found, reverse=True)
+
+
 def partition_count(n: int) -> int:
     """p(n) by Euler's pentagonal-number recurrence:
     p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""

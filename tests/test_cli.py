@@ -295,6 +295,25 @@ def test_wall_from_space(run_json):
     assert payload["verdict"] == "bounds"  # CP^1 is a 2-sphere
 
 
+# p_1^k[CP^2k] = (2k + 1)^k decides CP^2k without its SW table, which would
+# be over the partitions of 4k; odd CP^n and spheres still need theirs
+@pytest.mark.parametrize(
+    "space, code, answer",
+    [
+        ("CHn(22)", 0, "does_not_bound"),
+        ("CHn(24)", 0, "does_not_bound"),
+        ("CHn(90)", 0, "does_not_bound"),
+        ("QHn(45)", 0, "does_not_bound"),
+        ("CHn(23)", 1, "too-large"),
+        ("RHn(46)", 1, "too-large"),
+        ("CHn(92)", 1, "too-large"),
+    ],
+)
+def test_wall_builds_the_sw_table_only_when_needed(run, space, code, answer):
+    exit_code, payload = run("wall", space)
+    assert (exit_code, payload.get("verdict", payload.get("error"))) == (code, answer)
+
+
 def test_wall_from_tables(run_json):
     assert run_json("wall", "--p", '{"1": 3}')["verdict"] == "does_not_bound"
     assert (
@@ -539,6 +558,56 @@ def test_oversized_requests_are_refused_with_the_digit_limit_off(run, argv):
     finally:
         sys.set_int_max_str_digits(saved)
     assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+# Table input is refused with bad-table, in both limit modes: an integer past
+# the digit limit (4300 with the limit off) before json converts it, and a
+# document past MAX_TABLE_CHARS before the rest of the file is read.
+_OVERSIZED_TABLES = {
+    "300000-digit entry": lambda: '{"4": %s}' % ("7" * 300_000),
+    "4301-digit entry": lambda: '{"4": %s}' % ("7" * 4301),
+    "negative 4301-digit entry": lambda: '{"4": -%s}' % ("7" * 4301),
+    "document past the cap": lambda: '{"4": 1}'.ljust(cli.MAX_TABLE_CHARS + 1),
+}
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize("case", _OVERSIZED_TABLES)
+def test_oversized_table_files_are_refused(run, tmp_path, limit, case):
+    path = tmp_path / "table.json"
+    path.write_text(_OVERSIZED_TABLES[case]())
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        start = time.perf_counter()
+        exit_code, payload = run("transfer", "--table", f"@{path}", "--deg", "3")
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (exit_code, payload["error"]) == (1, "bad-table")
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_tables_up_to_the_size_limits_are_read(run, tmp_path, limit):
+    path = tmp_path / "table.json"
+    path.write_text('{"4": 1}'.ljust(cli.MAX_TABLE_CHARS))
+    longest = int("7" * 4300)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert run("transfer", "--table", f"@{path}", "--deg", "1")[1]["entries"] == {"4": 1}
+        for value in (longest, -longest):
+            exit_code, payload = run("transfer", "--table", '{"4": %d}' % value, "--deg", "1")
+            assert (exit_code, payload["entries"]) == (0, {"4": value})
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_the_largest_tables_fit_under_the_cap(capsys):
+    # the two tables over the partitions of MAX_WEIGHT with the most digits
+    for argv in (["p-numbers", "QHn(45)"], ["p-numbers", "CHn(90)", "--pretty"]):
+        assert cli.main(argv) == 0
+        assert 8_000_000 < len(capsys.readouterr().out) <= cli.MAX_TABLE_CHARS
 
 
 @pytest.mark.parametrize(

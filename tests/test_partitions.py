@@ -1,5 +1,8 @@
 """Partition enumeration and the Stiefel-Whitney monomial index set."""
 
+from itertools import groupby
+from math import prod
+
 import pytest
 
 from _oracles import partition_count, partitions_by_compositions, partitions_by_growth
@@ -11,7 +14,23 @@ from symchar.partitions import (
     parse_partition,
     partitions_of,
     sw_monomials_of,
+    walk_runs,
 )
+
+_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+# walk_runs(n, run, sep, prepend) as the package calls it, with each value
+# a power of the part's own prime so that a value names its partition
+_WALK_MODES = {
+    "append-str": (lambda k, r: (",".join([str(k)] * r), _PRIMES[k] ** r), ",", False),
+    "prepend-str": (lambda k, r: (f"w{k}^{r}", _PRIMES[k] ** r), " ", True),
+    "prepend-tuple": (lambda k, r: (((k, r),), _PRIMES[k] ** r), (), True),
+    "value-0-runs": (
+        lambda k, r: (",".join([str(k)] * r), 0 if (k + r) % 3 == 0 else _PRIMES[k] ** r),
+        ",",
+        False,
+    ),
+}
 
 
 def test_counts_match_composition_oracle():
@@ -27,11 +46,30 @@ def test_growth_oracle_matches_compositions_and_pentagonal_counts():
         assert len(partitions_by_growth(n)) == partition_count(n)
 
 
+@pytest.mark.parametrize("mode", _WALK_MODES)
+def test_walk_matches_the_growth_oracle(mode):
+    # keys, order and values for every n <= 30, n = 0..3 included, where the
+    # finished tails of 2s and 1s are the whole partition
+    run, sep, prepend = _WALK_MODES[mode]
+    for n in range(31):
+        expected = []
+        for partition in sorted(partitions_by_growth(n), reverse=True):
+            runs = [run(k, len(list(group))) for k, group in groupby(partition)]
+            texts = [text for text, _ in runs][:: -1 if prepend else 1]
+            key = texts[0] if texts else sep[:0]
+            for text in texts[1:]:
+                key = key + sep + text
+            expected.append((key, prod(value for _, value in runs)))
+        assert list(walk_runs(n, run, sep, prepend).items()) == expected, n
+
+
 def test_walks_are_capped_at_max_weight():
     # HP^26 (p(26) = 2436) is the largest table a benchmark workload builds
     assert MAX_WEIGHT >= 26
     assert partition_count(MAX_WEIGHT) == 89134
     assert len(partitions_of(MAX_WEIGHT)) == partition_count(MAX_WEIGHT)
+    run, sep, _ = _WALK_MODES["append-str"]
+    assert len(walk_runs(MAX_WEIGHT, run, sep)) == partition_count(MAX_WEIGHT)
     for enumerate_ in (partitions_of, sw_monomials_of):
         with pytest.raises(TooLargeError):
             enumerate_(MAX_WEIGHT + 1)

@@ -99,6 +99,25 @@ def test_load_table_is_total(text):
     _value_or_domain_error(cli._load_table, text)
 
 
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "table.json"
+
+
+@SETTINGS
+@given(TABLES)
+@example('{"4": %s}' % ("7" * 300_000))
+@example('{"2,2": -%s, "4": 1}' % ("7" * 4301))
+def test_table_files_are_total_with_the_digit_limit_off(table_path, text):
+    table_path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _value_or_domain_error(cli._load_table, f"@{table_path}")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_load_table_refuses_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "table.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -9,6 +9,7 @@ import pytest
 
 from _oracles import (
     gl_count_enumerated,
+    partitions_decreasing,
     prime_power_base_by_trial_division,
     smallest_degree_divisors,
     smallest_degree_scan,
@@ -23,7 +24,7 @@ from symchar.errors import (
     SymcharError,
     TooLargeError,
 )
-from symchar.partitions import format_partition, partitions_of
+from symchar.partitions import format_partition
 from symchar.transfer import (
     _MR_MAX_BITS,
     _prime_power_base,
@@ -68,7 +69,7 @@ def test_pullback_composes():
         weight = rng.randint(1, 4)
         entries = {
             format_partition(p): rng.randint(-50, 50)
-            for p in partitions_of(weight)
+            for p in partitions_decreasing(weight)
         }
         table = _p_table(4 * weight, entries)
         d1, d2 = rng.randint(1, 9), rng.randint(1, 9)
@@ -118,7 +119,7 @@ def test_solve_inverts_pullback():
         weight = rng.randint(1, 4)
         entries = {
             format_partition(p): rng.randint(-20, 20)
-            for p in partitions_of(weight)
+            for p in partitions_decreasing(weight)
         }
         table = _p_table(4 * weight, entries)
         degree = rng.randint(1, 9)
@@ -195,7 +196,7 @@ def test_mu_matches_bruteforce_spot_checks():
         weight = rng.randint(1, 4)
         pairs = []
         m_entries, mu_entries = {}, {}
-        for p in partitions_of(weight):
+        for p in partitions_decreasing(weight):
             key = format_partition(p)
             if rng.random() < 0.3:
                 m_entries[key] = mu_entries[key] = 0
