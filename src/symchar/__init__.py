@@ -37,16 +37,13 @@ _EXPORTS = {
     ),
     "errors": ("SymcharError",),
     "partitions": (
-        "SWMonomial",
         "format_partition",
         "parse_partition",
         "partitions_of",
-        "sw_monomials_of",
     ),
     "transfer": (
         "DSReport",
         "MuReport",
-        "check_cover_degree",
         "deligne_sullivan_check",
         "gl_order",
         "mu",

@@ -266,14 +266,8 @@ def _dual_pair(fam: _Family, params: tuple) -> DualPair:
     return DualPair(gu, k, name, dim_gu - dim_k, rank_gu, rank_k)
 
 
-def _resolve(spec: SpaceSpec) -> tuple:
-    """(family record, dual pair) of a spec."""
-    fam = _family_record(spec)
-    return fam, _dual_pair(fam, spec.params)
-
-
 def dual_of(spec: SpaceSpec) -> DualPair:
-    return _resolve(spec)[1]
+    return _dual_pair(_family_record(spec), spec.params)
 
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:
@@ -370,9 +364,10 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     """Pontrjagin numbers of the compact dual: computed for a rank-one
     dual, all zero under a rank gap or on a parallelizable dual.  Decided
     from the family and the ranks: the Euler characteristic is not needed."""
-    fam, pair = _resolve(spec)
+    fam = _family_record(spec)
     if fam.space is not None:
         return charclass.pontrjagin_numbers(fam.space(*spec.params))
+    pair = _dual_pair(fam, spec.params)
     if pair.gu is not None and pair.rank_gu == pair.rank_k:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"

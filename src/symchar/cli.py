@@ -50,12 +50,6 @@ def _table_int(text: str) -> int:
     return int(text)
 
 
-def _int_entry(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadTableError(f"entry {key!r} must be an integer")
-    return value
-
-
 def _load_table(text: str):
     """Parse a table argument into a CharNumberTable: inline JSON or @file,
     bare entries or the full {"dim", "kind", "entries"} document."""
@@ -97,9 +91,10 @@ def _load_table(text: str):
     entries: dict = {}
     for key, value in raw.items():
         canonical, degree = parse_table_key(kind, key)
-        entries_value = _int_entry(key, value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BadTableError(f"entry {key!r} must be an integer")
         if kind == SW:
-            entries_value &= 1
+            value &= 1
         if canonical in entries:
             raise BadTableError(f"duplicate table entry {canonical!r}")
         if dim is None:
@@ -108,7 +103,7 @@ def _load_table(text: str):
             raise BadTableError(
                 f"entry {key!r} has total degree {degree}, expected {dim}"
             )
-        entries[canonical] = entries_value
+        entries[canonical] = value
     return CharNumberTable(kind, dim, entries, reason)
 
 
@@ -238,9 +233,7 @@ def _cmd_ds_check(args) -> dict:
     from symchar import transfer
 
     report = transfer.deligne_sullivan_check(args.mu, args.k, args.q1, args.q2)
-    payload = report.to_json_dict()
-    payload.update({"mu": args.mu, "k": args.k, "q1": args.q1, "q2": args.q2})
-    return payload
+    return {**report.to_json_dict(), "mu": args.mu, "k": args.k, "q1": args.q1, "q2": args.q2}
 
 
 # The command table: subcommand -> (handler, help, arguments).  An argument

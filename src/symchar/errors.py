@@ -7,6 +7,7 @@ exit 2 instead.
 """
 
 import sys
+from math import log10
 
 
 class SymcharError(ValueError):
@@ -57,9 +58,9 @@ class BadTableError(SymcharError):
 
 class TooLargeError(SymcharError):
     """A request refused for its size: a table over too many partitions, a
-    result past Python's int-to-text limit, a probable prime past the range
-    where Miller-Rabin proves primality, or a field size past the bits that
-    Miller-Rabin is run on."""
+    result past Python's int-to-text limit (a mu or transfer one as soon as
+    a value in it passes), a probable prime past the range where Miller-Rabin
+    proves primality, or a field size past the bits that it is run on."""
 
     code = "too-large"
 
@@ -78,6 +79,11 @@ def past_digit_limit() -> TooLargeError:
     """The refusal of a result past Python's int-to-text digit limit, or
     past DIGITS_WHEN_UNLIMITED when that limit is off."""
     return TooLargeError(f"result has an integer of more than {_digit_limit()} digits")
+
+
+def bits_past_digit_limit() -> float:
+    """Only an integer past the digit limit has more bits: 2^(b-1) > 10^limit."""
+    return _digit_limit() / log10(2) + 1
 
 
 def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:

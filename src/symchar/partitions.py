@@ -1,10 +1,12 @@
-"""Integer partitions and the Stiefel-Whitney monomial index set.
+"""Integer partitions and Stiefel-Whitney monomials, the keys of the tables.
 
 Partitions are plain tuples of parts in weakly decreasing order, enumerated
 lexicographically decreasing: partitions_of(4) starts at (4,) and ends at
 (1, 1, 1, 1).  A degree-n SW monomial w_1^r1 ... w_n^rn with sum(i * ri) = n
-corresponds to the partition of n whose parts are the factor indices, so the
-two enumerations are in bijection.
+corresponds to the partition of n whose parts are the factor indices, and
+is a plain tuple ((index, exponent), ...) of indices ascending, as
+parse_monomial returns it.  A table key is text: parse_table_key reads
+either kind back to its canonical spelling and its degree.
 
 Every enumeration in the package is one walk, walk_runs.  It reads a
 partition as runs, part k taken r times with k decreasing, and builds each
@@ -25,8 +27,7 @@ p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
 above MAX_WEIGHT, before any work is done.
 """
 
-from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 # charclass imports this module only inside its table builders, so the
 # import below makes no cycle
@@ -147,31 +148,12 @@ def parse_partition(text: str) -> Partition:
     return parts
 
 
-class SWMonomial(NamedTuple):
-    """A monomial in Stiefel-Whitney classes, e.g. w_1^2 w_3.
-
-    exponents: ((index, exponent), ...) with indices strictly increasing
-    and exponents positive.
-    """
-
-    exponents: tuple[tuple[int, int], ...]
-
-    @property
-    def total_degree(self) -> int:
-        return sum(i * r for i, r in self.exponents)
-
-    def format(self) -> str:
-        factors = []
-        for i, r in self.exponents:
-            factors.append(f"w{i}" if r == 1 else f"w{i}^{r}")
-        return " ".join(factors)
-
-
-def parse_monomial(text: str) -> SWMonomial:
-    """Parse "w1^2 w3" style monomials (factors in any order).  A factor is
-    "w", decimal digits and optionally "^" and decimal digits; the digits
-    are any Unicode decimals, which int() reads."""
-    counts: Counter[int] = Counter()
+def parse_monomial(text: str) -> tuple:
+    """((index, exponent), ...) of a monomial such as "w3 w1^2", indices
+    ascending and repeated factors summed.  A factor is "w", decimal digits
+    and optionally "^" and decimal digits; the digits are any Unicode
+    decimals, which int() reads."""
+    counts: dict = {}
     tokens = text.split()
     if not tokens:
         raise SymcharError("empty Stiefel-Whitney monomial")
@@ -192,8 +174,8 @@ def parse_monomial(text: str) -> SWMonomial:
             ) from None
         if index < 1 or exponent < 1:
             raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
-        counts[index] += exponent
-    return SWMonomial(tuple(sorted(counts.items())))
+        counts[index] = counts.get(index, 0) + exponent
+    return tuple(sorted(counts.items()))
 
 
 def parse_table_key(kind: str, key: str) -> tuple:
@@ -202,13 +184,6 @@ def parse_table_key(kind: str, key: str) -> tuple:
     if kind == PONTRJAGIN:
         partition = parse_partition(key)
         return format_partition(partition), 4 * sum(partition)
-    monomial = parse_monomial(key)
-    return monomial.format(), monomial.total_degree
-
-
-def sw_monomials_of(dim: int) -> list[SWMonomial]:
-    """All SW monomials of total degree dim, in partition enumeration order."""
-    if dim < 1:
-        raise SymcharError("monomial degree must be a positive integer")
-    exponents = walk_runs(dim, lambda k, r: (((k, r),), 1), (), prepend=True)
-    return [SWMonomial(e) for e in exponents]
+    exponents = parse_monomial(key)
+    text = " ".join(f"w{i}" if r == 1 else f"w{i}^{r}" for i, r in exponents)
+    return text, sum(i * r for i, r in exponents)

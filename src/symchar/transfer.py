@@ -32,6 +32,8 @@ from symchar.errors import (
     InconsistentTablesError,
     SymcharError,
     TooLargeError,
+    bits_past_digit_limit,
+    past_digit_limit,
     refuse_past_digit_limit,
 )
 
@@ -39,12 +41,17 @@ from symchar.errors import (
 def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:
     """Table of the degree-``degree`` cover: every entry times the degree.
 
-    SW tables live mod 2, so the result is reduced there.
-    """
+    SW tables live mod 2, so the result is reduced there.  A product past
+    the digit limit is refused with TooLargeError at once."""
     if table.kind == SW:
         entries = {k: (v * degree) & 1 for k, v in table.entries.items()}
     else:
-        entries = {k: v * degree for k, v in table.entries.items()}
+        cap = bits_past_digit_limit()
+        entries = {}
+        for key, value in table.entries.items():
+            entries[key] = value = value * degree
+            if value.bit_length() > cap:
+                raise past_digit_limit()
     return CharNumberTable(table.kind, table.dimension, entries, table.reason)
 
 
@@ -56,7 +63,7 @@ def solve_manifold_numbers(
     deg_f is the tangential-map degree (nonzero), deg_t the covering
     degree carried along the diagram.  Every division must be exact;
     a non-integer entry means no such manifold exists and raises
-    InconsistentDegreesError.
+    InconsistentDegreesError, then a quotient past the digit limit TooLargeError.
     """
     if dual_table.kind != PONTRJAGIN:
         raise SymcharError("degree solving applies to Pontrjagin tables only")
@@ -77,6 +84,9 @@ def solve_manifold_numbers(
                 f"by {deg_f}"
             )
         entries[key] = quotient
+    cap = bits_past_digit_limit()
+    if any(q.bit_length() > cap for q in entries.values()):
+        raise past_digit_limit()
     return CharNumberTable(
         PONTRJAGIN, dual_table.dimension, entries, dual_table.reason
     )
@@ -99,6 +109,7 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
 
     Tables with p_I(M_U) != 0 but p_I(M) = 0 (or the reverse) admit no
     covering/tangential diagram at all and raise InconsistentTablesError.
+    A running lcm past the digit limit raises TooLargeError at once.
     """
     if table_m.kind != PONTRJAGIN or table_mu.kind != PONTRJAGIN:
         raise SymcharError("mu applies to Pontrjagin tables only")
@@ -127,19 +138,13 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
                 "degree allows this"
             )
         contributions[key] = lcm(abs(a), abs(b)) // abs(a)
+    cap = bits_past_digit_limit()
     value = 1
     for c in contributions.values():
         value = lcm(value, c)
+        if value.bit_length() > cap:
+            raise past_digit_limit()
     return MuReport(value, contributions, skipped)
-
-
-def check_cover_degree(mu_value: int, degree: int) -> bool:
-    """Whether a covering degree is consistent with the bound: mu | degree."""
-    if mu_value < 1:
-        raise SymcharError("mu must be a positive integer")
-    if degree < 1:
-        raise SymcharError("covering degree must be a positive integer")
-    return degree % mu_value == 0
 
 
 _TRIAL_BOUND = 100

@@ -145,10 +145,12 @@ def char_number_plain(
     return acc[top] if top < len(acc) else 0
 
 
-def sw_number_plain(total_coeffs, generator_degree: int, dim: int, monomial) -> int:
-    """Same as char_number_plain for an SW monomial, mod 2 at the end."""
+def sw_number_plain(total_coeffs, generator_degree: int, dim: int, runs) -> int:
+    """Same as char_number_plain for an SW monomial given as its runs
+    ((index, exponent), ...), mod 2 at the end.  An object with the runs
+    as .exponents is read too: the benchmark's verifier passes one."""
     acc = [1]
-    for index, exponent in monomial.exponents:
+    for index, exponent in getattr(runs, "exponents", runs):
         slot, rem = divmod(index, generator_degree)
         if rem or slot >= len(total_coeffs):
             comp = [0]
@@ -196,6 +198,17 @@ def partitions_decreasing(n: int) -> list:
     oracle up to 12, the growth oracle above, sorted."""
     found = partitions_by_compositions(n) if n <= 12 else partitions_by_growth(n)
     return sorted(found, reverse=True)
+
+
+def sw_key(partition) -> str:
+    """The SW table key of a partition, such as "w1^2 w3" for (3, 1, 1):
+    each distinct part i, ascending, as w{i}, with ^r when it occurs r > 1
+    times."""
+    factors = []
+    for i in sorted(set(partition)):
+        r = partition.count(i)
+        factors.append(f"w{i}" if r == 1 else f"w{i}^{r}")
+    return " ".join(factors)
 
 
 def partition_count(n: int) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import symchar
-from _oracles import euler_char_by_weyl_quotient
+from _oracles import euler_char_by_weyl_quotient, partitions_decreasing
 from symchar import cli
 from symchar.catalog import (
     SpaceSpec,
@@ -32,6 +32,7 @@ from symchar.catalog import (
 )
 from symchar.charclass import bounds_orientably
 from symchar.errors import SymcharError, UnsupportedClassError
+from symchar.partitions import format_partition
 from test_catalog import _grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -534,6 +535,9 @@ _OVERSIZED = [
     ["classify", "SU_pq(200000,200000)"],
     ["classify", "SpnR(100000)"],
     ["classify", "SOstar(%d)" % 10**21],
+    # 8600-digit products and quotients of 4300-digit entries and degrees
+    ["transfer", "--table", '{"4": %s}' % ("9" * 4300), "--deg", "9" * 4300],
+    ["transfer", "--table", '{"4": %s}' % ("9" * 4300), "--deg-t", "9" * 4300, "--deg-f", "1"],
 ]
 
 
@@ -558,6 +562,43 @@ def test_oversized_requests_are_refused_with_the_digit_limit_off(run, argv):
     finally:
         sys.set_int_max_str_digits(saved)
     assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+@pytest.mark.parametrize("degrees", [["--deg", "9" * 100_000], ["--deg-t", "9" * 100_000, "--deg-f", "3"]])
+def test_transfer_results_past_the_digit_limit_are_refused_with_the_limit_off(run, degrees):
+    # with the limit on, such a degree is a usage error: int() cannot read it
+    table = json.dumps({format_partition(p): int("9" * 4300) for p in partitions_decreasing(5)[:5]})
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        exit_code, payload = run("transfer", "--table", table, *degrees)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_mu_is_refused_once_its_lcm_passes_the_digit_limit(run, limit):
+    # 200 pairwise almost coprime 4300-digit dual entries: their lcm would
+    # have 860 000 digits
+    keys = [format_partition(p) for p in partitions_decreasing(16)[:200]]
+    m_table = json.dumps(dict.fromkeys(keys, 1))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        dual_table = json.dumps({key: 10**4299 + i for i, key in enumerate(keys)})
+        start = time.perf_counter()
+        exit_code, payload = run("mu", "--m", m_table, "--mu-dual", dual_table)
+        assert time.perf_counter() - start < 1.0
+        assert (exit_code, payload["error"]) == (1, "too-large")
+        # a bound of exactly 4300 digits is still answered
+        longest = int("9" * 4300)
+        exit_code, payload = run("mu", "--m", '{"4": 1}', "--mu-dual", '{"4": %d}' % longest)
+        assert (exit_code, payload["mu"]) == (0, longest)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # Table input is refused with bad-table, in both limit modes: an integer past

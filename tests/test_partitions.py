@@ -5,19 +5,32 @@ from math import prod
 
 import pytest
 
-from _oracles import partition_count, partitions_by_compositions, partitions_by_growth
+from _oracles import (
+    partition_count,
+    partitions_by_compositions,
+    partitions_by_growth,
+    partitions_decreasing,
+    sw_key,
+)
+from symchar.charclass import SW, sphere, stiefel_whitney_numbers
 from symchar.errors import SymcharError, TooLargeError
 from symchar.partitions import (
     MAX_WEIGHT,
     format_partition,
     parse_monomial,
     parse_partition,
+    parse_table_key,
     partitions_of,
-    sw_monomials_of,
     walk_runs,
 )
 
 _PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def _sw_keys(n):
+    """The keys of the SW table of S^n: every monomial of degree n."""
+    return list(stiefel_whitney_numbers(sphere(n)).entries)
+
 
 # walk_runs(n, run, sep, prepend) as the package calls it, with each value
 # a power of the part's own prime so that a value names its partition
@@ -70,9 +83,10 @@ def test_walks_are_capped_at_max_weight():
     assert len(partitions_of(MAX_WEIGHT)) == partition_count(MAX_WEIGHT)
     run, sep, _ = _WALK_MODES["append-str"]
     assert len(walk_runs(MAX_WEIGHT, run, sep)) == partition_count(MAX_WEIGHT)
-    for enumerate_ in (partitions_of, sw_monomials_of):
-        with pytest.raises(TooLargeError):
-            enumerate_(MAX_WEIGHT + 1)
+    with pytest.raises(TooLargeError):
+        partitions_of(MAX_WEIGHT + 1)
+    with pytest.raises(TooLargeError):
+        stiefel_whitney_numbers(sphere(MAX_WEIGHT + 1))
 
 
 def test_count_sequence():
@@ -124,18 +138,17 @@ def test_parse_partition_rejects_garbage():
 
 def test_monomials_in_bijection_with_partitions():
     for n in range(1, 10):
-        monomials = sw_monomials_of(n)
-        assert len(monomials) == len(partitions_of(n))
-        assert len(set(monomials)) == len(monomials)
-        assert all(m.total_degree == n for m in monomials)
+        keys = _sw_keys(n)
+        assert len(keys) == len(set(keys)) == partition_count(n)
+        assert set(keys) == {sw_key(p) for p in partitions_decreasing(n)}
 
 
 def test_degree_three_monomials():
-    assert {m.format() for m in sw_monomials_of(3)} == {"w3", "w1 w2", "w1^3"}
+    assert set(_sw_keys(3)) == {"w3", "w1 w2", "w1^3"}
 
 
 def test_degree_four_monomials():
-    assert {m.format() for m in sw_monomials_of(4)} == {
+    assert set(_sw_keys(4)) == {
         "w4",
         "w1 w3",
         "w2^2",
@@ -145,19 +158,15 @@ def test_degree_four_monomials():
 
 
 def test_degree_one_monomial():
-    assert [m.format() for m in sw_monomials_of(1)] == ["w1"]
-
-
-def test_monomial_degree_rejects_non_positive():
-    with pytest.raises(SymcharError):
-        sw_monomials_of(0)
+    assert _sw_keys(1) == ["w1"]
 
 
 def test_monomial_format_parse_round_trip():
     for n in range(1, 10):
-        for m in sw_monomials_of(n):
-            assert parse_monomial(m.format()) == m
-    assert parse_monomial("w3 w1 w1") == parse_monomial("w1^2 w3")
+        for key in _sw_keys(n):
+            assert parse_table_key(SW, key) == (key, n)
+    assert parse_monomial("w3 w1 w1") == parse_monomial("w1^2 w3") == ((1, 2), (3, 1))
+    assert parse_table_key(SW, " w3 w1 w1") == ("w1^2 w3", 5)
 
 
 def test_parse_monomial_rejects_garbage():

@@ -28,7 +28,6 @@ from symchar.partitions import format_partition
 from symchar.transfer import (
     _MR_MAX_BITS,
     _prime_power_base,
-    check_cover_degree,
     deligne_sullivan_check,
     gl_order,
     mu,
@@ -212,16 +211,6 @@ def test_mu_matches_bruteforce_spot_checks():
             bound = lcm(bound, abs(b))
         if bound <= 3000:
             assert report.mu == smallest_degree_scan(pairs)
-
-
-def test_check_cover_degree():
-    assert check_cover_degree(3, 6)
-    assert check_cover_degree(1, 1)
-    assert not check_cover_degree(3, 8)
-    with pytest.raises(SymcharError):
-        check_cover_degree(0, 4)
-    with pytest.raises(SymcharError):
-        check_cover_degree(2, 0)
 
 
 def test_gl_order_examples():
