@@ -23,9 +23,10 @@ from symchar.errors import (
 )
 
 # The largest table symchar writes, p-numbers 'CHn(90)' --pretty, has 9.1 M
-# characters and reads back in 1.0-1.6 s (2-vCPU VM, Python 3.11).  A read
-# costs 12-18 us per key, so the cap bounds it: the slowest document measured
-# under it, 600 000 distinct SW keys of degree 62, took 10.6 s.
+# characters and reads back in 0.38 s (2-vCPU VM, Python 3.11).  A read
+# costs about 3.5 us per key, most of it in parse_table_key, so the cap
+# bounds it: the slowest document measured under it, 599 557 distinct SW
+# keys of degree 62, took 2.7-2.9 s.
 MAX_TABLE_CHARS = 16 * 2**20
 
 
@@ -365,8 +366,15 @@ def _read_option(command: str | None, token: str, names) -> tuple | None:
 
 
 def _convert(command: str, argument: tuple, text: str):
+    """An argument's value.  An int text with more digits than the digit
+    limit (4300 with the int-to-text limit off) is refused before int()
+    converts it, in quadratic time with the limit off; digits are counted
+    as int() counts them, leading zeros but no sign, "_" or space."""
     name, kind, _, _ = argument
+    limit = _digit_limit()
     try:
+        if kind is int and len(text) > limit and sum(map(str.isdecimal, text)) > limit:
+            raise ValueError
         return kind(text)
     except ValueError:  # int(): not a number, or past the int-to-text limit
         _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")

@@ -17,10 +17,13 @@ computable exactly:
 
 The general-linear order counts GL_n(F_q); a classical smoothing argument
 needs it over two fields of distinct characteristic, which is the
-``deligne_sullivan_check`` divisibility test.
+``deligne_sullivan_check`` divisibility test.  Both compute an order as
+q^(n(n-1)/2) * prod_{i=1}^{n} (q^i - 1) and share one memo of them, looked
+up only after every gate on the request has passed.
 """
 
-from math import isqrt, lcm, log10, prod
+from functools import lru_cache
+from math import isqrt, lcm, log10
 from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
@@ -251,12 +254,22 @@ def _prime_power_base(q: int) -> int | None:
 # product is smallest at q = 2 and prod_{i>=1} (1 - 2^-i) = 0.2887...
 _GL_FACTOR_LOG10 = log10(0.288)
 
+# The memo of GL orders: at most this many are kept, least recently used
+# first out.  An order is below q^(n^2) <= 2^(n^2 bit_length(q)), so only
+# one with n^2 bit_length(q) <= _GL_MEMO_MAX_BITS is stored, of at most 4305
+# digits, and a full memo holds at most about 2 MB.  A larger one, which
+# only a raised int-to-text limit lets through, is computed each time.
+GL_MEMO_SIZE = 512
+_GL_MEMO_MAX_BITS = 14_300
+
 
 def gl_order(n: int, q: int) -> int:
-    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i).  q must be a prime power.
+    """|GL_n(F_q)| = q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1).  q must be a
+    prime power.
 
-    An order with more digits than Python's int-to-text limit is refused
-    with TooLargeError before it is computed.
+    The gates run in this order: n >= 1, q a prime power, then an order with
+    more digits than Python's int-to-text limit is refused with
+    TooLargeError.  Only then is the order looked up in the memo.
     """
     if n < 1:
         raise SymcharError("matrix size must be a positive integer")
@@ -267,8 +280,22 @@ def gl_order(n: int, q: int) -> int:
 
 
 def _gl_product(n: int, q: int) -> int:
-    qn = q**n
-    return prod(qn - q**i for i in range(n))
+    """|GL_n(F_q)|, from the memo when it is small enough to be stored."""
+    if n * n * q.bit_length() > _GL_MEMO_MAX_BITS:
+        return _gl_factored(n, q)
+    return _gl_memo(n, q)
+
+
+def _gl_factored(n: int, q: int) -> int:
+    """q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1), each q^i from the one before."""
+    q_i = rest = 1
+    for _ in range(n):
+        q_i *= q
+        rest *= q_i - 1
+    return rest * q ** (n * (n - 1) // 2)
+
+
+_gl_memo = lru_cache(maxsize=GL_MEMO_SIZE)(_gl_factored)
 
 
 class DSReport(NamedTuple):
@@ -286,10 +313,11 @@ class DSReport(NamedTuple):
 def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     """Test mu | |GL_{2k+1}(F_q1)| * |GL_{2k+1}(F_q2)|.
 
-    The two prime powers must have distinct characteristics; equal ones
-    raise EqualCharacteristicError.  A product with more digits than
-    Python's int-to-text limit is refused with TooLargeError before the
-    orders are computed.
+    The gates run in this order: mu >= 1, k >= 1, q1 and q2 prime powers
+    (q1's failure reported first), distinct characteristics (equal ones raise
+    EqualCharacteristicError), then a product with more digits than
+    Python's int-to-text limit is refused with TooLargeError.  Only then
+    are the two orders looked up in gl_order's memo.
     """
     if mu_value < 1:
         raise SymcharError("mu must be a positive integer")

@@ -331,6 +331,12 @@ def gl_count_enumerated(n: int, p: int) -> int:
     return count
 
 
+def gl_order_by_definition(n: int, q: int) -> int:
+    """|GL_n(F_q)| = prod_{i<n} (q^n - q^i): the choices of each row outside
+    the span of the rows before it, with every power of q taken whole."""
+    return prod(q**n - q**i for i in range(n))
+
+
 # The command line as argparse read it: cli.parse_args must accept what this
 # parser accepts and read it to the same values.  Its imports are made here,
 # so that the benchmark's workers, which check answers with these oracles,

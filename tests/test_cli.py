@@ -30,9 +30,10 @@ from symchar.catalog import (
     spec_string,
     stiefel_whitney_table,
 )
-from symchar.charclass import bounds_orientably
-from symchar.errors import SymcharError, UnsupportedClassError
+from symchar.charclass import PONTRJAGIN, CharNumberTable, bounds_orientably
+from symchar.errors import SymcharError, TooLargeError, UnsupportedClassError
 from symchar.partitions import format_partition
+from symchar.transfer import pullback_numbers, solve_manifold_numbers
 from test_catalog import _grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -565,18 +566,81 @@ def test_oversized_requests_are_refused_with_the_digit_limit_off(run, argv):
 
 
 @pytest.mark.parametrize("degrees", [["--deg", "9" * 100_000], ["--deg-t", "9" * 100_000, "--deg-f", "3"]])
-def test_transfer_results_past_the_digit_limit_are_refused_with_the_limit_off(run, degrees):
-    # with the limit on, such a degree is a usage error: int() cannot read it
-    table = json.dumps({format_partition(p): int("9" * 4300) for p in partitions_decreasing(5)[:5]})
+def test_transfer_results_past_the_digit_limit_are_refused_with_the_limit_off(degrees):
+    # the command line reads no such degree (see
+    # test_integer_arguments_past_the_digit_limit_are_usage_errors), but the
+    # library takes any int and refuses the result before it is written
+    table = CharNumberTable(
+        PONTRJAGIN, 20, {format_partition(p): int("9" * 4300) for p in partitions_decreasing(5)[:5]}
+    )
+    call = pullback_numbers if len(degrees) == 2 else solve_manifold_numbers
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        values = [int(text) for text in degrees[1::2]]
         start = time.perf_counter()
-        exit_code, payload = run("transfer", "--table", table, *degrees)
+        with pytest.raises(TooLargeError):
+            call(table, *values)
         assert time.perf_counter() - start < 1.0
     finally:
         sys.set_int_max_str_digits(saved)
-    assert (exit_code, payload["error"]) == (1, "too-large")
+
+
+# An int argument with more digits than the digit limit, or than 4300 with
+# the limit off, is a usage error before int() converts it.  Without this
+# rule, with the limit off, the transfer below ran for 1.5 s and printed
+# 759 KB, and ds-check echoed its mu back.
+_LONG = "9" * 100_000
+_LONG_INTEGER_ARGUMENTS = {
+    "gl-order n": ["gl-order", _LONG, "2"],
+    "gl-order q": ["gl-order", "2", _LONG],
+    "ds-check --mu": ["ds-check", "--mu", _LONG, "--k", "1", "--q1", "2", "--q2", "3"],
+    "ds-check --k": ["ds-check", "--mu", "7", "--k", _LONG, "--q1", "2", "--q2", "3"],
+    "ds-check --q2": ["ds-check", "--mu", "7", "--k", "1", "--q1", "2", "--q2", _LONG],
+    "transfer --deg": ["transfer", "--table", "@TABLE", "--deg", _LONG],
+    "transfer --deg-t --deg-f": ["transfer", "--table", "@TABLE", "--deg-t", _LONG, "--deg-f", _LONG],
+    "4301 digits, one a leading 0": ["gl-order", "2", "0" + "9" * 4300],
+    "4301 digits, signed": ["transfer", "--table", "@TABLE", "--deg=-" + "9" * 4301],
+}
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize("case", _LONG_INTEGER_ARGUMENTS)
+def test_integer_arguments_past_the_digit_limit_are_usage_errors(capsys, tmp_path, limit, case):
+    path = tmp_path / "table.json"  # 176 entries of 4300 nines
+    entries = ('"%s": %s' % (format_partition(p), "9" * 4300) for p in partitions_decreasing(15))
+    path.write_text("{%s}" % ", ".join(entries))
+    argv = [f"@{path}" if token == "@TABLE" else token for token in _LONG_INTEGER_ARGUMENTS[case]]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "invalid int value" in err
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_integer_arguments_up_to_the_digit_limit_are_read(run, limit):
+    # digits are counted as int() counts them: leading zeros count, a sign,
+    # "_" and surrounding space do not
+    longest = int("9" * 4300)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for deg in ("9" * 4300, "_".join("9" * 4300), " %s " % ("9" * 4300), "000" + "9" * 4297):
+            exit_code, payload = run("transfer", "--table", '{"4": 1}', "--deg", deg)
+            assert (exit_code, payload["entries"]) == (0, {"4": int(deg)})
+        exit_code, payload = run("transfer", "--table", '{"4": 1}', "--deg-t=-" + "9" * 4300, "--deg-f", "1")
+        assert (exit_code, payload["entries"]) == (0, {"4": -longest})
+        assert run("gl-order", "2", "1_0_1")[1] == {"n": 2, "q": 101, "order": 103020000}
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("limit", [4300, 0])

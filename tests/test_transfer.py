@@ -3,17 +3,19 @@
 import random
 import sys
 import time
-from math import isqrt, lcm, log10, prod
+from math import isqrt, lcm, log10
 
 import pytest
 
 from _oracles import (
     gl_count_enumerated,
+    gl_order_by_definition,
     partitions_decreasing,
     prime_power_base_by_trial_division,
     smallest_degree_divisors,
     smallest_degree_scan,
 )
+from symchar import transfer
 from symchar.charclass import CharNumberTable, PONTRJAGIN, SW
 from symchar.errors import (
     BadPrimePowerError,
@@ -26,6 +28,7 @@ from symchar.errors import (
 )
 from symchar.partitions import format_partition
 from symchar.transfer import (
+    GL_MEMO_SIZE,
     _MR_MAX_BITS,
     _prime_power_base,
     deligne_sullivan_check,
@@ -352,10 +355,6 @@ def test_gl_order_divisibility_property():
             assert order % (q ** (n * (n - 1) // 2)) == 0
 
 
-def _gl_exact(n, q):
-    return prod(q**n - q**i for i in range(n))
-
-
 def test_gl_orders_are_refused_only_past_the_digit_limit():
     # a refused order must have been past the limit; both sides are reached
     def ds_product(n):
@@ -372,7 +371,9 @@ def test_gl_orders_are_refused_only_past_the_digit_limit():
             for n in range(edge - 4, edge + 5):
                 if len(qs) == 2 and n % 2 == 0:
                     continue  # ds-check orders are of GL_(2k+1)
-                exact = prod(_gl_exact(n, q) for q in qs)
+                exact = 1
+                for q in qs:
+                    exact *= gl_order_by_definition(n, q)
                 try:
                     assert call(n) == exact
                     outcomes.add("computed")
@@ -380,6 +381,71 @@ def test_gl_orders_are_refused_only_past_the_digit_limit():
                     assert exact >= 10**4300, (n, qs)
                     outcomes.add("refused")
             assert outcomes == {"computed", "refused"}, qs
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_gl_order_matches_the_definition():
+    # every order the default limit admits, against prod_{i<n} (q^n - q^i)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27, 101, 1024):
+            answered = 0
+            for n in range(1, 65):
+                exact = gl_order_by_definition(n, q)
+                try:
+                    assert gl_order(n, q) == exact, (n, q)
+                    answered += 1
+                except TooLargeError:
+                    assert exact >= 10**4300, (n, q)
+            assert answered >= 7, q
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_a_repeated_ds_check_reads_its_orders_from_the_memo():
+    transfer._gl_memo.cache_clear()
+    first = deligne_sullivan_check(7, 19, 9, 16)
+    assert transfer._gl_memo.cache_info()[:2] == (0, 2)  # hits, misses
+    again = deligne_sullivan_check(5, 19, 9, 16)
+    assert transfer._gl_memo.cache_info()[:2] == (2, 2)
+    assert again.order_1 == first.order_1 == gl_order_by_definition(39, 9)
+    assert again.order_2 == first.order_2 == gl_order_by_definition(39, 16)
+    assert gl_order(39, 16) == first.order_2
+    assert transfer._gl_memo.cache_info()[:2] == (3, 2)
+
+
+def test_the_gl_memo_keeps_at_most_its_size():
+    transfer._gl_memo.cache_clear()
+    fields = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+    pairs = [(n, q) for q in fields for n in range(1, 41)]
+    assert len(pairs) > GL_MEMO_SIZE
+    for n, q in pairs:
+        assert gl_order(n, q) == gl_order_by_definition(n, q)
+    info = transfer._gl_memo.cache_info()
+    assert (info.misses, info.currsize) == (len(pairs), GL_MEMO_SIZE)
+
+
+def test_the_gl_memo_stores_only_small_orders_and_the_gate_comes_first():
+    # an order is stored when n^2 bit_length(q) <= 14 300: (1, 2^14299) is,
+    # with 4305 digits, while (1, 2^14300) and (120, 2), of 14 400 bits, are
+    # not.  All three are past the default limit and refused there, the
+    # stored one too.
+    transfer._gl_memo.cache_clear()
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(20000)
+        for n, q in [(120, 2), (1, 2**14300)]:
+            assert gl_order(n, q) == gl_order_by_definition(n, q) >= 10**4300
+            assert transfer._gl_memo.cache_info().currsize == 0
+        assert gl_order(1, 2**14299) == 2**14299 - 1 >= 10**4300
+        assert transfer._gl_memo.cache_info().currsize == 1
+        sys.set_int_max_str_digits(4300)
+        for n, q in [(120, 2), (1, 2**14300), (1, 2**14299)]:
+            with pytest.raises(TooLargeError):
+                gl_order(n, q)
+        assert transfer._gl_memo.cache_info().hits == 0
     finally:
         sys.set_int_max_str_digits(saved)
 
