@@ -22,13 +22,14 @@ CayP^2) whose numbers charclass computes, and pontrjagin_table gives the
 all-zero table under a rank gap or on a parallelizable dual.
 """
 
-import sys
 from functools import lru_cache
 from math import comb, log10
 from typing import Callable, NamedTuple
 
 from symchar import charclass
 from symchar.errors import (
+    MAX_DIGITS,
+    TEN_TO_MAX_DIGITS,
     MalformedSpecError,
     SymcharError,
     UnknownFamilyError,
@@ -67,12 +68,14 @@ def _group_sums(factors: list) -> tuple:
 
 def group_text(factors: list) -> str:
     """A group as text, "1" for the trivial group.  A parameter derived from
-    the spec's (p+q, 2n, n+1) can pass Python's int-to-text limit where the
-    spec's own do not; that is refused with TooLargeError."""
-    try:
-        texts = [_FACTOR_KINDS[kind][2].format(*params) for kind, *params in factors]
-    except ValueError:
-        raise past_digit_limit() from None
+    the spec's (p+q, 2n, n+1) can pass MAX_DIGITS digits where the spec's
+    own do not; that is refused with TooLargeError."""
+    texts = []
+    for kind, *params in factors:
+        for p in params:
+            if p >= TEN_TO_MAX_DIGITS:
+                raise past_digit_limit()
+        texts.append(_FACTOR_KINDS[kind][2].format(*params))
     return "x".join(texts) or "1"
 
 
@@ -208,6 +211,10 @@ def _family_record(spec: SpaceSpec) -> _Family:
             raise MalformedSpecError(
                 f"{fam.name} parameters must be integers >= {fam.min_params}"
             )
+        if value >= TEN_TO_MAX_DIGITS:
+            raise MalformedSpecError(
+                f"{fam.name} parameters must have at most {MAX_DIGITS} digits"
+            )
     return fam
 
 
@@ -274,7 +281,7 @@ def _two_power_binomial(m: int, k: int, e: int) -> int:
     """2^e C(m, k): the Euler characteristic |W(G_U)|/|W(K)| of an
     equal-rank dual.  Refused with TooLargeError before it is computed when
     2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is certain to pass
-    Python's int-to-text limit."""
+    MAX_DIGITS digits."""
     refuse_past_digit_limit(e, log10(2), 0)
     k = min(k, m - k)
     if k:
@@ -307,24 +314,6 @@ CLASSIFY_MEMO_SIZE = 1024
 _MEMO_MAX_PARAM_SUM = 2048
 
 
-def classify(spec: SpaceSpec) -> Classification:
-    """The dual, the ranks, the verdict and the Euler characteristic of a
-    space.  The spec is validated first; a valid spec's result is then
-    memoized per (family, parameters, int-to-text digit limit), since the
-    limit decides what is refused.  Results are immutable tuples and a
-    repeated spec gets the same object."""
-    _family_record(spec)
-    params = tuple(spec.params)
-    if sum(params) > _MEMO_MAX_PARAM_SUM:
-        return _classification(spec.family, params)
-    return _classify_memo(spec.family, params, sys.get_int_max_str_digits())
-
-
-@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
-def _classify_memo(family: str, params: tuple, digit_limit: int) -> Classification:
-    return _classification(family, params)
-
-
 def _classification(family: str, params: tuple) -> Classification:
     """classify of a validated spec, computed."""
     fam = _FAMILIES[family]
@@ -348,6 +337,21 @@ def _classification(family: str, params: tuple) -> Classification:
         family, params, pair.name, pair.dim,
         pair.rank_gu, pair.rank_k, toral, verdict, euler, euler > 0,
     )
+
+
+_classify_memo = lru_cache(maxsize=CLASSIFY_MEMO_SIZE)(_classification)
+
+
+def classify(spec: SpaceSpec) -> Classification:
+    """The dual, the ranks, the verdict and the Euler characteristic of a
+    space.  The spec is validated first; a valid spec's result is then
+    memoized per (family, parameters).  Results are immutable tuples and a
+    repeated spec gets the same object."""
+    _family_record(spec)
+    params = tuple(spec.params)
+    if sum(params) > _MEMO_MAX_PARAM_SUM:
+        return _classification(spec.family, params)
+    return _classify_memo(spec.family, params)
 
 
 def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:

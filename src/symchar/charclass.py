@@ -140,8 +140,8 @@ def _refuse_past_digit_limit(m: int, divisor: int) -> None:
 
 def total_pontrjagin(space: DualSpace) -> TotalClass:
     """Total Pontrjagin class in closed form.  A CP^n or HP^n class whose
-    largest coefficient certainly has more digits than Python's int-to-text
-    limit is refused with TooLargeError before it is computed."""
+    largest coefficient certainly has more than MAX_DIGITS digits is refused
+    with TooLargeError before it is computed."""
     degree, top = space._shape()
     n = space.n
     if space.kind == SPHERE:

@@ -5,6 +5,10 @@ A usage error (an unknown subcommand or option, a missing or malformed
 argument) exits 2 with the usage and the error on stderr and nothing on
 stdout; -h or --help prints help and exits 0.
 
+main runs each call with Python's int-to-text limit at errors.MAX_DIGITS,
+the ceiling of the size gates, and then restores the caller's: every
+int-text conversion of a call refuses where the gates do, in any environment.
+
 Each handler imports the library modules it calls, so a call loads only
 what its subcommand runs: a usage error loads none of them.
 """
@@ -15,10 +19,10 @@ import sys
 from types import SimpleNamespace
 
 from symchar.errors import (
+    MAX_DIGITS,
     BadTableError,
     SymcharError,
     UnsupportedClassError,
-    _digit_limit,
     past_digit_limit,
 )
 
@@ -43,11 +47,10 @@ def _read_table_text(text: str) -> str:
 
 
 def _table_int(text: str) -> int:
-    """A table integer from its JSON text, refused past the digit limit
-    before it is converted: with the int-to-text limit off, json would
-    convert it in quadratic time."""
-    if len(text) - text.startswith("-") > _digit_limit():
-        raise BadTableError(f"table has an integer of more than {_digit_limit()} digits")
+    """A table integer from its JSON text, refused past MAX_DIGITS digits
+    with bad-table, where json would raise a plain ValueError."""
+    if len(text) - text.startswith("-") > MAX_DIGITS:
+        raise BadTableError(f"table has an integer of more than {MAX_DIGITS} digits")
     return int(text)
 
 
@@ -174,8 +177,6 @@ def _cmd_transfer(args) -> dict:
     if args.deg is not None:
         if args.deg_t is not None or args.deg_f is not None:
             raise SymcharError("pass either --deg or --deg-t/--deg-f, not both")
-        if args.deg < 1:
-            raise SymcharError("covering degree must be a positive integer")
         return transfer.pullback_numbers(table, args.deg).to_json_dict()
     if args.deg_t is None or args.deg_f is None:
         raise SymcharError(
@@ -366,17 +367,12 @@ def _read_option(command: str | None, token: str, names) -> tuple | None:
 
 
 def _convert(command: str, argument: tuple, text: str):
-    """An argument's value.  An int text with more digits than the digit
-    limit (4300 with the int-to-text limit off) is refused before int()
-    converts it, in quadratic time with the limit off; digits are counted
-    as int() counts them, leading zeros but no sign, "_" or space."""
+    """An argument's value.  Under main's limit int() refuses a text of
+    more than MAX_DIGITS digits, leading zeros counted, before converting it."""
     name, kind, _, _ = argument
-    limit = _digit_limit()
     try:
-        if kind is int and len(text) > limit and sum(map(str.isdecimal, text)) > limit:
-            raise ValueError
         return kind(text)
-    except ValueError:  # int(): not a number, or past the int-to-text limit
+    except ValueError:  # int(): not a number, or past MAX_DIGITS digits
         _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
 
@@ -486,17 +482,24 @@ def _error(exc: SymcharError) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    # the limit belongs to the interpreter, not the thread: calls from
+    # several threads at once can restore each other's value
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        payload, status = args.handler(args), 0
-    except SymcharError as exc:
-        payload, status = _error(exc), 1
-    try:
-        text = _dumps(payload, args.pretty)
-    except ValueError:  # an integer longer than Python writes as text
-        text, status = _dumps(_error(past_digit_limit()), args.pretty), 1
-    print(text)
-    return status
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        try:
+            payload, status = args.handler(args), 0
+        except SymcharError as exc:
+            payload, status = _error(exc), 1
+        try:
+            text = _dumps(payload, args.pretty)
+        except ValueError:  # an integer of more than MAX_DIGITS digits
+            text, status = _dumps(_error(past_digit_limit()), args.pretty), 1
+        print(text)
+        return status
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

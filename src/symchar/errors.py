@@ -4,9 +4,12 @@ Every domain error carries a stable machine-readable ``code``; the CLI
 emits it as the ``error`` field of its JSON failure payload and exits 1.
 Usage errors (bad flags, missing arguments) are the command line's own and
 exit 2 instead.
+
+Every size gate refuses a result of more than MAX_DIGITS digits with
+TooLargeError, whatever Python's int-to-text limit is: raising that limit
+admits no larger result.  The CLI runs each call at a limit of MAX_DIGITS.
 """
 
-import sys
 from math import log10
 
 
@@ -58,39 +61,33 @@ class BadTableError(SymcharError):
 
 class TooLargeError(SymcharError):
     """A request refused for its size: a table over too many partitions, a
-    result past Python's int-to-text limit (a mu or transfer one as soon as
-    a value in it passes), a probable prime past the range where Miller-Rabin
+    result past MAX_DIGITS digits (a mu or transfer one as soon as a value
+    in it passes), a probable prime past the range where Miller-Rabin
     proves primality, or a field size past the bits that it is run on."""
 
     code = "too-large"
 
 
-# The digit count the size gates compare against when Python's int-to-text
-# limit is off (0).  At 4300 the costliest result a gate admits, p-class
+# The digit ceiling of every size gate.  At 4300, Python's default
+# int-to-text limit, the costliest result a gate admits, p-class
 # 'QHn(7146)', takes about a second (1.05 s on a 2-vCPU VM, Python 3.11).
-DIGITS_WHEN_UNLIMITED = 4300
-
-
-def _digit_limit() -> int:
-    return sys.get_int_max_str_digits() or DIGITS_WHEN_UNLIMITED
+MAX_DIGITS = 4300
+# The least integer of more than MAX_DIGITS digits.
+TEN_TO_MAX_DIGITS = 10**MAX_DIGITS
+# Only an integer past MAX_DIGITS digits has more bits: 2^(b-1) > 10^MAX_DIGITS.
+MAX_BITS = MAX_DIGITS / log10(2) + 1
 
 
 def past_digit_limit() -> TooLargeError:
-    """The refusal of a result past Python's int-to-text digit limit, or
-    past DIGITS_WHEN_UNLIMITED when that limit is off."""
-    return TooLargeError(f"result has an integer of more than {_digit_limit()} digits")
-
-
-def bits_past_digit_limit() -> float:
-    """Only an integer past the digit limit has more bits: 2^(b-1) > 10^limit."""
-    return _digit_limit() / log10(2) + 1
+    """The refusal of a result past MAX_DIGITS digits."""
+    return TooLargeError(f"result has an integer of more than {MAX_DIGITS} digits")
 
 
 def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:
     """Raise past_digit_limit() when a result's log10 is certain to reach
-    the digit limit: count * log10_each + log10_rest.  count stays an int:
+    MAX_DIGITS: count * log10_each + log10_rest.  count stays an int:
     compared with a float it cannot overflow."""
-    if count >= (_digit_limit() - log10_rest) / log10_each:
+    if count >= (MAX_DIGITS - log10_rest) / log10_each:
         raise past_digit_limit()
 
 

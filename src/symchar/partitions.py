@@ -32,7 +32,7 @@ from typing import Callable
 # charclass imports this module only inside its table builders, so the
 # import below makes no cycle
 from symchar.charclass import PONTRJAGIN
-from symchar.errors import SymcharError, TooLargeError
+from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError
 
 Partition = tuple[int, ...]
 
@@ -47,8 +47,10 @@ def check_weight(n: int) -> None:
     if n < 0:
         raise SymcharError("partitions are defined for non-negative integers")
     if n > MAX_WEIGHT:
+        # n may have more digits than the CLI writes as text
+        named = n if n < TEN_TO_MAX_DIGITS else f"a number of more than {MAX_DIGITS} digits"
         raise TooLargeError(
-            f"a table over the partitions of {n} is refused: tables are built "
+            f"a table over the partitions of {named} is refused: tables are built "
             f"over the partitions of at most {MAX_WEIGHT}"
         )
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
+    MAX_BITS,
     BadPrimePowerError,
     DimensionMismatchError,
     EqualCharacteristicError,
@@ -35,7 +36,6 @@ from symchar.errors import (
     InconsistentTablesError,
     SymcharError,
     TooLargeError,
-    bits_past_digit_limit,
     past_digit_limit,
     refuse_past_digit_limit,
 )
@@ -44,16 +44,18 @@ from symchar.errors import (
 def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:
     """Table of the degree-``degree`` cover: every entry times the degree.
 
+    The degree of a covering is a positive integer; any other is refused.
     SW tables live mod 2, so the result is reduced there.  A product past
-    the digit limit is refused with TooLargeError at once."""
+    MAX_DIGITS digits is refused with TooLargeError at once."""
+    if degree < 1:
+        raise SymcharError("covering degree must be a positive integer")
     if table.kind == SW:
         entries = {k: (v * degree) & 1 for k, v in table.entries.items()}
     else:
-        cap = bits_past_digit_limit()
         entries = {}
         for key, value in table.entries.items():
             entries[key] = value = value * degree
-            if value.bit_length() > cap:
+            if value.bit_length() > MAX_BITS:
                 raise past_digit_limit()
     return CharNumberTable(table.kind, table.dimension, entries, table.reason)
 
@@ -66,7 +68,8 @@ def solve_manifold_numbers(
     deg_f is the tangential-map degree (nonzero), deg_t the covering
     degree carried along the diagram.  Every division must be exact;
     a non-integer entry means no such manifold exists and raises
-    InconsistentDegreesError, then a quotient past the digit limit TooLargeError.
+    InconsistentDegreesError, then a quotient past MAX_DIGITS digits
+    TooLargeError.
     """
     if dual_table.kind != PONTRJAGIN:
         raise SymcharError("degree solving applies to Pontrjagin tables only")
@@ -87,8 +90,7 @@ def solve_manifold_numbers(
                 f"by {deg_f}"
             )
         entries[key] = quotient
-    cap = bits_past_digit_limit()
-    if any(q.bit_length() > cap for q in entries.values()):
+    if any(q.bit_length() > MAX_BITS for q in entries.values()):
         raise past_digit_limit()
     return CharNumberTable(
         PONTRJAGIN, dual_table.dimension, entries, dual_table.reason
@@ -112,7 +114,7 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
 
     Tables with p_I(M_U) != 0 but p_I(M) = 0 (or the reverse) admit no
     covering/tangential diagram at all and raise InconsistentTablesError.
-    A running lcm past the digit limit raises TooLargeError at once.
+    A running lcm past MAX_DIGITS digits raises TooLargeError at once.
     """
     if table_m.kind != PONTRJAGIN or table_mu.kind != PONTRJAGIN:
         raise SymcharError("mu applies to Pontrjagin tables only")
@@ -141,11 +143,10 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
                 "degree allows this"
             )
         contributions[key] = lcm(abs(a), abs(b)) // abs(a)
-    cap = bits_past_digit_limit()
     value = 1
     for c in contributions.values():
         value = lcm(value, c)
-        if value.bit_length() > cap:
+        if value.bit_length() > MAX_BITS:
             raise past_digit_limit()
     return MuReport(value, contributions, skipped)
 
@@ -255,20 +256,17 @@ def _prime_power_base(q: int) -> int | None:
 _GL_FACTOR_LOG10 = log10(0.288)
 
 # The memo of GL orders: at most this many are kept, least recently used
-# first out.  An order is below q^(n^2) <= 2^(n^2 bit_length(q)), so only
-# one with n^2 bit_length(q) <= _GL_MEMO_MAX_BITS is stored, of at most 4305
-# digits, and a full memo holds at most about 2 MB.  A larger one, which
-# only a raised int-to-text limit lets through, is computed each time.
+# first out.  The gate admits no order of more than 4301 digits, so a full
+# memo holds at most about 2 MB.
 GL_MEMO_SIZE = 512
-_GL_MEMO_MAX_BITS = 14_300
 
 
 def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1).  q must be a
     prime power.
 
-    The gates run in this order: n >= 1, q a prime power, then an order with
-    more digits than Python's int-to-text limit is refused with
+    The gates run in this order: n >= 1, q a prime power, then an order
+    certain to have more than MAX_DIGITS digits is refused with
     TooLargeError.  Only then is the order looked up in the memo.
     """
     if n < 1:
@@ -276,13 +274,6 @@ def gl_order(n: int, q: int) -> int:
     if _prime_power_base(q) is None:
         raise BadPrimePowerError(f"{q} is not a prime power")
     refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
-    return _gl_product(n, q)
-
-
-def _gl_product(n: int, q: int) -> int:
-    """|GL_n(F_q)|, from the memo when it is small enough to be stored."""
-    if n * n * q.bit_length() > _GL_MEMO_MAX_BITS:
-        return _gl_factored(n, q)
     return _gl_memo(n, q)
 
 
@@ -315,9 +306,9 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
 
     The gates run in this order: mu >= 1, k >= 1, q1 and q2 prime powers
     (q1's failure reported first), distinct characteristics (equal ones raise
-    EqualCharacteristicError), then a product with more digits than
-    Python's int-to-text limit is refused with TooLargeError.  Only then
-    are the two orders looked up in gl_order's memo.
+    EqualCharacteristicError), then a product certain to have more than
+    MAX_DIGITS digits is refused with TooLargeError.  Only then are the two
+    orders looked up in gl_order's memo.
     """
     if mu_value < 1:
         raise SymcharError("mu must be a positive integer")
@@ -336,7 +327,7 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
         )
     n = 2 * k + 1
     refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
-    order_1 = _gl_product(n, q1)
-    order_2 = _gl_product(n, q2)
+    order_1 = _gl_memo(n, q1)
+    order_2 = _gl_memo(n, q2)
     product = order_1 * order_2
     return DSReport(product % mu_value == 0, order_1, order_2, product)

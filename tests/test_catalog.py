@@ -20,10 +20,12 @@ from symchar.catalog import (
     classify,
     dual_of,
     parse_space,
+    pontrjagin_table,
     spec_string,
 )
 from symchar.errors import (
     MalformedSpecError,
+    SymcharError,
     TooLargeError,
     UnknownFamilyError,
     UnsupportedFamilyError,
@@ -285,6 +287,30 @@ def test_parse_rejects_malformed_specs():
             parse_space(bad)
 
 
+@pytest.mark.parametrize("limit", [4300, 0, 20_000])
+def test_library_spec_parameters_have_at_most_4300_digits(limit):
+    # as parse_space reads them: 10^4300 - 1 passes the spec check, and the
+    # call answers or refuses with a domain error; 10^4300 is a malformed
+    # spec in every family, at every int-to-text limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for fam in _FAMILIES.values():
+            if not fam.arity:
+                continue
+            longest = SpaceSpec(fam.name, (10**4300 - 1, *fam.min_params[1:]))
+            past = SpaceSpec(fam.name, (10**4300, *fam.min_params[1:]))
+            for call in (classify, dual_of, pontrjagin_table):
+                try:
+                    call(longest)
+                except SymcharError as exc:
+                    assert not isinstance(exc, MalformedSpecError), (fam.name, call)
+                with pytest.raises(MalformedSpecError, match="at most 4300 digits"):
+                    call(past)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_spec_string_round_trip():
     for spec in _grid():
         assert parse_space(spec_string(spec)) == spec
@@ -304,24 +330,27 @@ def test_memoized_results_equal_computed_ones():
     assert classify(SpaceSpec("SU_pq", [2, 3])) == classify(SpaceSpec("SU_pq", (2, 3)))
 
 
-def test_the_memo_is_keyed_on_the_digit_limit(monkeypatch):
-    # chi = 2^14300 and 2^14299 are computed under a 20,000-digit limit and
-    # refused by classify itself at 4300 digits, whether or not the first is
-    # stored
+def test_the_memo_is_not_keyed_on_the_digit_limit(monkeypatch):
+    # chi = 2^14300 and 2^14299 pass 4300 digits: classify refuses both at
+    # every int-to-text limit and stores nothing, even when the memo takes
+    # specs of that size.  A stored result is shared across limits.
+    specs = [parse_space(text) for text in ("SpnR(14300)", "SOstar_2n(14300)")]
+    for spec in specs:
+        assert euler_char_by_weyl_quotient(spec.family, spec.params) >= 10**4300
+    small = SpaceSpec("SU_pq", (2, 3))
     saved = sys.get_int_max_str_digits()
     try:
         for max_sum in (catalog._MEMO_MAX_PARAM_SUM, 10**6):
             monkeypatch.setattr(catalog, "_MEMO_MAX_PARAM_SUM", max_sum)
             catalog._classify_memo.cache_clear()
-            for text in ("SpnR(14300)", "SOstar_2n(14300)"):
-                spec = parse_space(text)
-                sys.set_int_max_str_digits(20_000)
-                assert classify(spec).euler_char_dual >= 10**4300
-                sys.set_int_max_str_digits(4300)
-                with pytest.raises(TooLargeError):
-                    classify(spec)
-            stored = catalog._classify_memo.cache_info().currsize
-            assert stored == (2 if max_sum > 14300 else 0)
+            first = classify(small)
+            for limit in (4300, 0, 20_000):
+                sys.set_int_max_str_digits(limit)
+                for spec in specs:
+                    with pytest.raises(TooLargeError):
+                        classify(spec)
+                assert catalog._classify_memo.cache_info().currsize == 1
+                assert classify(small) is first
     finally:
         sys.set_int_max_str_digits(saved)
 

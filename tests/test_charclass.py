@@ -92,39 +92,48 @@ def test_cayley_class_frozen():
 
 
 def test_total_classes_are_refused_only_past_the_digit_limit():
-    # a refused class has a coefficient >= 10^4300; both sides are reached.
-    # The reference is computed under a 20,000-digit limit: with the limit
-    # off the gate still compares against errors.DIGITS_WHEN_UNLIMITED.
-    # Each class is checked at its largest slots by one binomial: C(n+1, n//2)
-    # is a coefficient of CP^n's, and (1 + 4u) p(HP^n) = (1 + u)^(2n+2) gives
-    # c_n + 4 c_(n-1) = C(2n+2, n).
+    # A class is computed, the same at every int-to-text limit, when every
+    # coefficient has at most 4300 digits, and refused otherwise; both sides
+    # are reached.  The coefficients that decide come from binomials:
+    # C(n+1, n//2) is the largest coefficient of CP^n's class, and
+    # (1 + 4u) p(HP^n) = (1 + u)^(2n+2) gives c_n + 4 c_(n-1) = C(2n+2, n),
+    # so max(|c_n|, |c_(n-1)|) >= C(2n+2, n) / 5.  The windows step over
+    # HP^7146 and CP^14291: a coefficient of each has 4301 digits, but the
+    # gate's lower bound does not reach 10^4300, so both are computed.
     sweeps = [
         (
             quaternionic_projective,
             range(7130, 7160, 3),
+            lambda n: comb(2 * n + 2, n) // 5,
             lambda n, c: c[n] + 4 * c[n - 1] == comb(2 * n + 2, n),
         ),
         (
             complex_projective,
             range(14270, 14320, 5),
-            lambda n, c: c[n // 2 * 2] == comb(n + 1, n // 2),
+            lambda n: comb(n + 1, n // 2),
+            lambda n, c: max(c) == c[n // 2 * 2] == comb(n + 1, n // 2),
         ),
     ]
     saved = sys.get_int_max_str_digits()
     try:
-        for build, window, identity in sweeps:
+        for build, window, largest, identity in sweeps:
             outcomes = set()
             for n in window:
-                sys.set_int_max_str_digits(20_000)
-                coefficients = total_pontrjagin(build(n)).coefficients
-                assert identity(n, coefficients), n
-                sys.set_int_max_str_digits(4300)
-                try:
-                    assert total_pontrjagin(build(n)).coefficients == coefficients
-                    outcomes.add("computed")
-                except TooLargeError:
-                    assert max(map(abs, coefficients)) >= 10**4300, n
+                results = []
+                for limit in (4300, 0, 20_000):
+                    sys.set_int_max_str_digits(limit)
+                    try:
+                        results.append(total_pontrjagin(build(n)).coefficients)
+                    except TooLargeError:
+                        results.append("refused")
+                assert results.count(results[0]) == 3, n
+                if results[0] == "refused":
+                    assert largest(n) >= 10**4300, n
                     outcomes.add("refused")
+                else:
+                    assert identity(n, results[0]), n
+                    assert max(map(abs, results[0])) < 10**4300, n
+                    outcomes.add("computed")
             assert outcomes == {"computed", "refused"}, build
     finally:
         sys.set_int_max_str_digits(saved)

@@ -539,6 +539,12 @@ _OVERSIZED = [
     # 8600-digit products and quotients of 4300-digit entries and degrees
     ["transfer", "--table", '{"4": %s}' % ("9" * 4300), "--deg", "9" * 4300],
     ["transfer", "--table", '{"4": %s}' % ("9" * 4300), "--deg-t", "9" * 4300, "--deg-f", "1"],
+    # tables over the partitions of a dimension of 4301 digits (CP^n), and of
+    # a quarter of one with about 4400 digits and dim = 0 mod 4 (SU(n)/SO(n))
+    ["sw-numbers", "CHn(%s)" % ("9" * 4300)],
+    ["wall", "CHn(%s)" % ("9" * 4300)],
+    ["p-numbers", "SLnR(%d)" % (10**2200 + 1)],
+    ["wall", "SLnR(%d)" % (10**2200 + 1)],
 ]
 
 
@@ -586,10 +592,10 @@ def test_transfer_results_past_the_digit_limit_are_refused_with_the_limit_off(de
         sys.set_int_max_str_digits(saved)
 
 
-# An int argument with more digits than the digit limit, or than 4300 with
-# the limit off, is a usage error before int() converts it.  Without this
-# rule, with the limit off, the transfer below ran for 1.5 s and printed
-# 759 KB, and ds-check echoed its mu back.
+# An int argument of more than 4300 digits is a usage error before int()
+# converts it, at every int-to-text limit.  Without this rule, with the
+# limit off, the transfer below ran for 1.5 s and printed 759 KB, and
+# ds-check echoed its mu back.
 _LONG = "9" * 100_000
 _LONG_INTEGER_ARGUMENTS = {
     "gl-order n": ["gl-order", _LONG, "2"],
@@ -665,9 +671,9 @@ def test_mu_is_refused_once_its_lcm_passes_the_digit_limit(run, limit):
         sys.set_int_max_str_digits(saved)
 
 
-# Table input is refused with bad-table, in both limit modes: an integer past
-# the digit limit (4300 with the limit off) before json converts it, and a
-# document past MAX_TABLE_CHARS before the rest of the file is read.
+# Table input is refused with bad-table, in both limit modes: an integer of
+# more than 4300 digits before json converts it, and a document past
+# MAX_TABLE_CHARS before the rest of the file is read.
 _OVERSIZED_TABLES = {
     "300000-digit entry": lambda: '{"4": %s}' % ("7" * 300_000),
     "4301-digit entry": lambda: '{"4": %s}' % ("7" * 4301),
@@ -755,6 +761,50 @@ def test_euler_characteristics_at_the_digit_limit(run, default_digit_limit):
                 assert payload["euler_char_dual"] == expected, params
             outcomes.add(exit_code)
         assert outcomes == {0, 1}, family
+
+
+def _limit_corpus(table: str) -> list:
+    """Calls whose output the int-to-text limit must not change: the README
+    examples, the oversized requests, the over-long integer arguments (usage
+    errors), a space with a 100 000-digit parameter and one whose Euler
+    characteristic has 4815 digits, and help."""
+    spaces = ["TypeIV(%s)" % _LONG, "SU_pq(8000,8000)"]
+    return [
+        *_readme_commands(),
+        *_OVERSIZED,
+        *([table if token == "@TABLE" else token for token in argv]
+          for argv in _LONG_INTEGER_ARGUMENTS.values()),
+        *([command, space] for command in ("classify", "dual", "p-numbers", "wall")
+          for space in spaces),
+        ["--help"],
+        ["transfer", "-h"],
+    ]
+
+
+def test_the_int_to_text_limit_is_not_an_input(capsys, tmp_path):
+    # main runs at a limit of 4300 digits and gives the caller's limit back,
+    # after a usage error or help too
+    path = tmp_path / "table.json"
+    path.write_text('{"4": 39, "2,2": 36}')
+    corpus = _limit_corpus(f"@{path}")
+    outputs = {}
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 0, 640, 20_000):
+            sys.set_int_max_str_digits(limit)
+            outputs[limit] = []
+            for argv in corpus:
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                assert sys.get_int_max_str_digits() == limit, argv[:1]
+                outputs[limit].append((code, *capsys.readouterr()))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    for limit in (0, 640, 20_000):
+        for argv, expected, got in zip(corpus, outputs[4300], outputs[limit]):
+            assert got == expected, (limit, [token[:40] for token in argv])
 
 
 def _encoded(call, *args) -> str:

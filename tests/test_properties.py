@@ -134,7 +134,11 @@ def default_digit_limit():
 
 
 PARAMETERS = st.lists(
-    st.one_of(st.integers(-2, 10**60), st.integers(10**3999, 10**4000 - 1)),
+    st.one_of(
+        st.integers(-2, 10**60),
+        st.integers(10**3999, 10**4000 - 1),
+        st.integers(10**4299, 10**4300 - 1),
+    ),
     max_size=2,
 )
 

@@ -65,6 +65,15 @@ def test_pullback_sw_reduces_mod_2():
     assert odd.entries == table.entries
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+def test_pullback_refuses_a_degree_below_one(degree):
+    # a covering has a positive degree: 0 would give the all-zero table, -2
+    # the negated and doubled one
+    for table in (_p_table(16, dict(_CAYLEY)), CharNumberTable(SW, 4, {"w4": 1})):
+        with pytest.raises(SymcharError, match="covering degree must be a positive integer"):
+            pullback_numbers(table, degree)
+
+
 def test_pullback_composes():
     rng = random.Random(2201)
     for _ in range(200):
@@ -428,24 +437,27 @@ def test_the_gl_memo_keeps_at_most_its_size():
 
 
 def test_the_gl_memo_stores_only_small_orders_and_the_gate_comes_first():
-    # an order is stored when n^2 bit_length(q) <= 14 300: (1, 2^14299) is,
-    # with 4305 digits, while (1, 2^14300) and (120, 2), of 14 400 bits, are
-    # not.  All three are past the default limit and refused there, the
-    # stored one too.
+    # At every int-to-text limit the gate runs before the memo and admits no
+    # order past 4301 digits: (120, 2) and (1, 2^14300), of 14 400 and 14 300
+    # bits, and (1, 2^14299), of 4305 digits, are refused and never stored,
+    # while (1, 2^14283), whose order has 4300 digits, is answered and stored.
     transfer._gl_memo.cache_clear()
+    q = 2**14283
     saved = sys.get_int_max_str_digits()
     try:
-        sys.set_int_max_str_digits(20000)
-        for n, q in [(120, 2), (1, 2**14300)]:
-            assert gl_order(n, q) == gl_order_by_definition(n, q) >= 10**4300
+        for limit in (4300, 0, 20_000):
+            sys.set_int_max_str_digits(limit)
+            for n, big_q in [(120, 2), (1, 2**14300), (1, 2**14299)]:
+                with pytest.raises(TooLargeError):
+                    gl_order(n, big_q)
             assert transfer._gl_memo.cache_info().currsize == 0
-        assert gl_order(1, 2**14299) == 2**14299 - 1 >= 10**4300
+        for limit in (4300, 0, 20_000):
+            sys.set_int_max_str_digits(limit)
+            order = gl_order(1, q)
+            assert order == gl_order_by_definition(1, q)
+            assert 10**4299 <= order < 10**4300
+        assert transfer._gl_memo.cache_info()[:2] == (2, 1)  # hits, misses
         assert transfer._gl_memo.cache_info().currsize == 1
-        sys.set_int_max_str_digits(4300)
-        for n, q in [(120, 2), (1, 2**14300), (1, 2**14299)]:
-            with pytest.raises(TooLargeError):
-                gl_order(n, q)
-        assert transfer._gl_memo.cache_info().hits == 0
     finally:
         sys.set_int_max_str_digits(saved)
 
