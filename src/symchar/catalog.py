@@ -35,7 +35,7 @@ from symchar.errors import (
     UnknownFamilyError,
     UnsupportedClassError,
     UnsupportedFamilyError,
-    past_digit_limit,
+    check_digits,
     refuse_past_digit_limit,
 )
 
@@ -73,8 +73,7 @@ def group_text(factors: list) -> str:
     texts = []
     for kind, *params in factors:
         for p in params:
-            if p >= TEN_TO_MAX_DIGITS:
-                raise past_digit_limit()
+            check_digits(p)
         texts.append(_FACTOR_KINDS[kind][2].format(*params))
     return "x".join(texts) or "1"
 
@@ -274,19 +273,21 @@ def _dual_pair(fam: _Family, params: tuple) -> DualPair:
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
-    return _dual_pair(_family_record(spec), spec.params)
+    pair = _dual_pair(_family_record(spec), spec.params)
+    check_digits(pair.dim)
+    return pair
 
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:
     """2^e C(m, k): the Euler characteristic |W(G_U)|/|W(K)| of an
     equal-rank dual.  Refused with TooLargeError before it is computed when
     2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is certain to pass
-    MAX_DIGITS digits."""
+    MAX_DIGITS digits, and as soon as it is computed when it does."""
     refuse_past_digit_limit(e, log10(2), 0)
     k = min(k, m - k)
     if k:
         refuse_past_digit_limit(k, log10(m) - log10(k), 0)
-    return comb(m, k) << e
+    return check_digits(comb(m, k) << e)
 
 
 class Classification(NamedTuple):
@@ -318,6 +319,7 @@ def _classification(family: str, params: tuple) -> Classification:
     """classify of a validated spec, computed."""
     fam = _FAMILIES[family]
     pair = _dual_pair(fam, params)
+    check_digits(pair.dim)
     if pair.gu is None:
         return Classification(
             family, params, pair.name, pair.dim,
@@ -377,7 +379,9 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
     # every number vanishes: the table of the total class 1, as on S^dim
-    return charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
+    table = charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
+    check_digits(table.dimension)
+    return table
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

@@ -10,6 +10,9 @@ Z[u]/(u^(T+1)):
 
 In closed form, a^(2j) has coefficient C(n+1, j) in CP^n's class and
 HP^n's has c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1): O(n) integer steps each.
+The largest coefficient grows with n and first passes MAX_DIGITS digits at
+CP^14291 and HP^7146, so one comparison of n with _LARGEST_N is both the
+cost bound and the exact digit ceiling.
 The CayP^2 coefficients are rigid: the only ambiguity is the sign of the
 degree-8 term, and 6 is the standard positive choice (consistent with
 p_2^2 = 36, p_4 = 39).  Stiefel-Whitney classes are computed for spheres
@@ -39,14 +42,14 @@ partitions, so they import it: classify, dual and p-class never load it.
 """
 
 from itertools import accumulate
-from math import log10
 from typing import NamedTuple
 
 from symchar.errors import (
     DimensionMismatchError,
     SymcharError,
+    TooLargeError,
     UnsupportedClassError,
-    refuse_past_digit_limit,
+    past_digit_limit,
 )
 
 SPHERE = "sphere"
@@ -132,28 +135,23 @@ def _binomials(m: int, count: int) -> list:
     return row
 
 
-def _refuse_past_digit_limit(m: int, divisor: int) -> None:
-    """Refuse before computing a class with a coefficient of at least
-    C(2m, m) / divisor >= 4^m / (2 sqrt(m) divisor)."""
-    refuse_past_digit_limit(m, log10(4), -log10(2 * divisor) - log10(m) / 2)
+_LARGEST_N = {COMPLEX_PROJECTIVE: 14_290, QUATERNIONIC_PROJECTIVE: 7_145}
 
 
 def total_pontrjagin(space: DualSpace) -> TotalClass:
-    """Total Pontrjagin class in closed form.  A CP^n or HP^n class whose
-    largest coefficient certainly has more than MAX_DIGITS digits is refused
-    with TooLargeError before it is computed."""
+    """Total Pontrjagin class in closed form.  A CP^n or HP^n class with a
+    coefficient of more than MAX_DIGITS digits is refused with TooLargeError
+    before it is computed."""
     degree, top = space._shape()
     n = space.n
+    if n > _LARGEST_N.get(space.kind, n):
+        raise past_digit_limit()
     if space.kind == SPHERE:
         coefficients = (1, 0)
     elif space.kind == COMPLEX_PROJECTIVE:
-        # largest coefficient C(n+1, n//2) >= C(2m, m) / 2 with m = n//2 + 1
-        _refuse_past_digit_limit(n // 2 + 1, 2)
         row = _binomials(n + 1, n // 2 + 1)
         coefficients = tuple(0 if j % 2 else row[j // 2] for j in range(top + 1))
     elif space.kind == QUATERNIONIC_PROJECTIVE:
-        # c_n + 4 c_(n-1) = C(2n+2, n) >= C(2m, m) / 2 (m = n + 1): |c| >= that / 5
-        _refuse_past_digit_limit(n + 1, 10)
         row = _binomials(2 * n + 2, n + 1)
         coefficients = tuple(accumulate(row, lambda c, binomial: binomial - 4 * c))
     else:
@@ -169,8 +167,11 @@ def _require_sw(space: DualSpace) -> None:
 
 
 def total_stiefel_whitney(space: DualSpace) -> TotalClass:
-    """Total SW class mod 2; defined here for spheres and CP^n only."""
+    """Total SW class mod 2; defined here for spheres, and for CP^n up to
+    the largest n of its Pontrjagin class."""
     _require_sw(space)
+    if space.n > _LARGEST_N.get(space.kind, space.n):
+        raise TooLargeError(f"classes of CP^n are computed for n <= {_LARGEST_N[space.kind]}")
     degree, top = space._shape()
     bits = 0 if space.kind == SPHERE else space.n + 1  # bits 0 give w(S^n) = 1
     return TotalClass(degree, top, tuple(int(j & bits == j) for j in range(top + 1)))

@@ -46,14 +46,6 @@ def _read_table_text(text: str) -> str:
     return text
 
 
-def _table_int(text: str) -> int:
-    """A table integer from its JSON text, refused past MAX_DIGITS digits
-    with bad-table, where json would raise a plain ValueError."""
-    if len(text) - text.startswith("-") > MAX_DIGITS:
-        raise BadTableError(f"table has an integer of more than {MAX_DIGITS} digits")
-    return int(text)
-
-
 def _load_table(text: str):
     """Parse a table argument into a CharNumberTable: inline JSON or @file,
     bare entries or the full {"dim", "kind", "entries"} document."""
@@ -62,9 +54,11 @@ def _load_table(text: str):
 
     text = _read_table_text(text)
     try:
-        data = json.loads(text, parse_int=_table_int)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadTableError(f"table is not valid JSON: {exc}") from None
+    except ValueError:  # under main's limit, int() of more than MAX_DIGITS digits
+        raise BadTableError(f"table has an integer of more than {MAX_DIGITS} digits") from None
     except RecursionError:
         raise BadTableError("table is nested too deeply") from None
     if not isinstance(data, dict):

@@ -5,12 +5,11 @@ emits it as the ``error`` field of its JSON failure payload and exits 1.
 Usage errors (bad flags, missing arguments) are the command line's own and
 exit 2 instead.
 
-Every size gate refuses a result of more than MAX_DIGITS digits with
-TooLargeError, whatever Python's int-to-text limit is: raising that limit
-admits no larger result.  The CLI runs each call at a limit of MAX_DIGITS.
+No result has more than MAX_DIGITS digits, whatever Python's int-to-text
+limit is: check_digits refuses a longer integer once it is computed, and
+refuse_past_digit_limit from an estimate before work that could be
+unbounded.  The CLI runs each call at a limit of MAX_DIGITS.
 """
-
-from math import log10
 
 
 class SymcharError(ValueError):
@@ -61,8 +60,8 @@ class BadTableError(SymcharError):
 
 class TooLargeError(SymcharError):
     """A request refused for its size: a table over too many partitions, a
-    result past MAX_DIGITS digits (a mu or transfer one as soon as a value
-    in it passes), a probable prime past the range where Miller-Rabin
+    result past MAX_DIGITS digits (before the work or as soon as it is
+    computed), a probable prime past the range where Miller-Rabin
     proves primality, or a field size past the bits that it is run on."""
 
     code = "too-large"
@@ -70,17 +69,24 @@ class TooLargeError(SymcharError):
 
 # The digit ceiling of every size gate.  At 4300, Python's default
 # int-to-text limit, the costliest result a gate admits, p-class
-# 'QHn(7146)', takes about a second (1.05 s on a 2-vCPU VM, Python 3.11).
+# 'QHn(7145)', takes 0.73-0.77 s in process (2-vCPU VM, Python 3.11.7).
 MAX_DIGITS = 4300
 # The least integer of more than MAX_DIGITS digits.
 TEN_TO_MAX_DIGITS = 10**MAX_DIGITS
-# Only an integer past MAX_DIGITS digits has more bits: 2^(b-1) > 10^MAX_DIGITS.
-MAX_BITS = MAX_DIGITS / log10(2) + 1
+# Every integer of at most this many bits is below 2^_SAFE_BITS < 10^MAX_DIGITS.
+_SAFE_BITS = TEN_TO_MAX_DIGITS.bit_length() - 1
 
 
 def past_digit_limit() -> TooLargeError:
     """The refusal of a result past MAX_DIGITS digits."""
     return TooLargeError(f"result has an integer of more than {MAX_DIGITS} digits")
+
+
+def check_digits(value: int) -> int:
+    """value, or past_digit_limit() raised if it has more than MAX_DIGITS digits."""
+    if value.bit_length() > _SAFE_BITS and abs(value) >= TEN_TO_MAX_DIGITS:
+        raise past_digit_limit()
+    return value
 
 
 def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:

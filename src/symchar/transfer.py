@@ -23,12 +23,11 @@ up only after every gate on the request has passed.
 """
 
 from functools import lru_cache
-from math import isqrt, lcm, log10
+from math import isqrt, lcm, log, log10
 from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
-    MAX_BITS,
     BadPrimePowerError,
     DimensionMismatchError,
     EqualCharacteristicError,
@@ -36,7 +35,7 @@ from symchar.errors import (
     InconsistentTablesError,
     SymcharError,
     TooLargeError,
-    past_digit_limit,
+    check_digits,
     refuse_past_digit_limit,
 )
 
@@ -54,9 +53,7 @@ def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:
     else:
         entries = {}
         for key, value in table.entries.items():
-            entries[key] = value = value * degree
-            if value.bit_length() > MAX_BITS:
-                raise past_digit_limit()
+            entries[key] = check_digits(value * degree)
     return CharNumberTable(table.kind, table.dimension, entries, table.reason)
 
 
@@ -90,8 +87,8 @@ def solve_manifold_numbers(
                 f"by {deg_f}"
             )
         entries[key] = quotient
-    if any(q.bit_length() > MAX_BITS for q in entries.values()):
-        raise past_digit_limit()
+    for quotient in entries.values():
+        check_digits(quotient)
     return CharNumberTable(
         PONTRJAGIN, dual_table.dimension, entries, dual_table.reason
     )
@@ -145,9 +142,7 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
         contributions[key] = lcm(abs(a), abs(b)) // abs(a)
     value = 1
     for c in contributions.values():
-        value = lcm(value, c)
-        if value.bit_length() > MAX_BITS:
-            raise past_digit_limit()
+        value = check_digits(lcm(value, c))
     return MuReport(value, contributions, skipped)
 
 
@@ -221,10 +216,8 @@ def _prime_power_base(q: int) -> int | None:
     if q < 2:
         return None
     for p in range(2, min(isqrt(q), _TRIAL_BOUND) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return p if q == 1 else None
+        if q % p == 0:  # a power of p iff p^e == q for e = log_p(q), rounded
+            return p if p ** round(log(q, p)) == q else None
     if q <= _TRIAL_BOUND**2:
         return q
     if q.bit_length() > _ROOT_MAX_BITS:
@@ -256,7 +249,7 @@ def _prime_power_base(q: int) -> int | None:
 _GL_FACTOR_LOG10 = log10(0.288)
 
 # The memo of GL orders: at most this many are kept, least recently used
-# first out.  The gate admits no order of more than 4301 digits, so a full
+# first out.  No order of more than MAX_DIGITS digits is stored, so a full
 # memo holds at most about 2 MB.
 GL_MEMO_SIZE = 512
 
@@ -278,12 +271,12 @@ def gl_order(n: int, q: int) -> int:
 
 
 def _gl_factored(n: int, q: int) -> int:
-    """q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1), each q^i from the one before."""
+    """q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1), refused past MAX_DIGITS digits."""
     q_i = rest = 1
     for _ in range(n):
         q_i *= q
         rest *= q_i - 1
-    return rest * q ** (n * (n - 1) // 2)
+    return check_digits(rest * q ** (n * (n - 1) // 2))
 
 
 _gl_memo = lru_cache(maxsize=GL_MEMO_SIZE)(_gl_factored)
@@ -308,7 +301,8 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     (q1's failure reported first), distinct characteristics (equal ones raise
     EqualCharacteristicError), then a product certain to have more than
     MAX_DIGITS digits is refused with TooLargeError.  Only then are the two
-    orders looked up in gl_order's memo.
+    orders looked up in gl_order's memo; the orders and their product are
+    checked exactly.
     """
     if mu_value < 1:
         raise SymcharError("mu must be a positive integer")
@@ -329,5 +323,5 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
     order_1 = _gl_memo(n, q1)
     order_2 = _gl_memo(n, q2)
-    product = order_1 * order_2
+    product = check_digits(order_1 * order_2)
     return DSReport(product % mu_value == 0, order_1, order_2, product)

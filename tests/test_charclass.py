@@ -33,6 +33,7 @@ from symchar.charclass import (
     stiefel_whitney_numbers,
     total_pontrjagin,
     total_stiefel_whitney,
+    _LARGEST_N,
 )
 from symchar.errors import (
     DimensionMismatchError,
@@ -91,25 +92,40 @@ def test_cayley_class_frozen():
     assert total.coefficients[1] > 0  # sign convention on the degree-8 term
 
 
+def _hp_series(n: int, length: int) -> list:
+    """c_0 .. c_(length-1) of (1 + u)^(2n+2) / (1 + 4u), the HP^n class
+    for length n + 1: c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1)."""
+    series = [1]
+    for k in range(1, length):
+        series.append(comb(2 * n + 2, k) - 4 * series[-1])
+    return series
+
+
 def test_total_classes_are_refused_only_past_the_digit_limit():
     # A class is computed, the same at every int-to-text limit, when every
-    # coefficient has at most 4300 digits, and refused otherwise; both sides
-    # are reached.  The coefficients that decide come from binomials:
-    # C(n+1, n//2) is the largest coefficient of CP^n's class, and
-    # (1 + 4u) p(HP^n) = (1 + u)^(2n+2) gives c_n + 4 c_(n-1) = C(2n+2, n),
-    # so max(|c_n|, |c_(n-1)|) >= C(2n+2, n) / 5.  The windows step over
-    # HP^7146 and CP^14291: a coefficient of each has 4301 digits, but the
-    # gate's lower bound does not reach 10^4300, so both are computed.
+    # coefficient has at most 4300 digits, and refused otherwise: at every n
+    # of each window, whose ends lie on both sides of _LARGEST_N.  The exact
+    # coefficients that decide come from binomials.  C(n+1, n//2) is the
+    # largest of CP^n's.  HP^n's series is computed once, for the window's
+    # first n, and carried to each next n by (1 + u)^2:
+    # c'_k = c_k + 2 c_(k-1) + c_(k-2).
+    hp_window, cp_window = range(7140, 7153), range(14284, 14299)
+    hp = _hp_series(hp_window[0], hp_window[-1] + 1)
+    hp_exact = {}
+    for n in hp_window:
+        hp_exact[n] = hp[: n + 1]
+        hp = [c + 2 * b + a for a, b, c in zip([0, 0] + hp, [0] + hp, hp)]
     sweeps = [
         (
             quaternionic_projective,
-            range(7130, 7160, 3),
-            lambda n: comb(2 * n + 2, n) // 5,
-            lambda n, c: c[n] + 4 * c[n - 1] == comb(2 * n + 2, n),
+            hp_window,
+            lambda n: max(map(abs, hp_exact[n])),
+            lambda n, c: c[n] + 4 * c[n - 1] == comb(2 * n + 2, n)
+            and list(c) == hp_exact[n],
         ),
         (
             complex_projective,
-            range(14270, 14320, 5),
+            cp_window,
             lambda n: comb(n + 1, n // 2),
             lambda n, c: max(c) == c[n // 2 * 2] == comb(n + 1, n // 2),
         ),
@@ -117,7 +133,8 @@ def test_total_classes_are_refused_only_past_the_digit_limit():
     saved = sys.get_int_max_str_digits()
     try:
         for build, window, largest, identity in sweeps:
-            outcomes = set()
+            last = _LARGEST_N[build(1).kind]
+            assert window[0] < last < window[-1]
             for n in window:
                 results = []
                 for limit in (4300, 0, 20_000):
@@ -127,14 +144,12 @@ def test_total_classes_are_refused_only_past_the_digit_limit():
                     except TooLargeError:
                         results.append("refused")
                 assert results.count(results[0]) == 3, n
-                if results[0] == "refused":
+                if n > last:
+                    assert results[0] == "refused", n
                     assert largest(n) >= 10**4300, n
-                    outcomes.add("refused")
                 else:
                     assert identity(n, results[0]), n
                     assert max(map(abs, results[0])) < 10**4300, n
-                    outcomes.add("computed")
-            assert outcomes == {"computed", "refused"}, build
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -210,6 +225,13 @@ def test_sw_class_cp_binomial_mod_2():
         total = total_stiefel_whitney(complex_projective(n))
         for j in range(n + 1):
             assert total.coefficients[j] == comb(n + 1, j) % 2
+
+
+def test_sw_classes_of_cp_stop_where_its_pontrjagin_classes_stop():
+    assert len(total_stiefel_whitney(complex_projective(14290)).coefficients) == 14291
+    for n in (14291, 10**7):
+        with pytest.raises(TooLargeError):
+            total_stiefel_whitney(complex_projective(n))
 
 
 def test_sw_numbers_cp2():
