@@ -217,8 +217,8 @@ def _family_record(spec: SpaceSpec) -> _Family:
     return fam
 
 
-def parse_space(text: str) -> SpaceSpec:
-    """Parse "SU_pq(2,3)", "SLnR(4)", "CayH" into a validated SpaceSpec."""
+def _parse_space(text: str) -> SpaceSpec:
+    """parse_space of any text, computed."""
     s = text.strip()
     name, sep, rest = s.partition("(")
     name = name.strip()
@@ -229,7 +229,8 @@ def parse_space(text: str) -> SpaceSpec:
         if not body:
             raise MalformedSpecError(f"empty parameter list in {text!r}")
         try:
-            params = tuple(int(tok.strip()) for tok in body.split(","))
+            # int() alone does not strip U+001C..U+001F, so strip each token
+            params = tuple(map(int, map(str.strip, body.split(","))))
         except ValueError:
             raise MalformedSpecError(
                 f"parameters must be integers in {text!r}"
@@ -249,6 +250,26 @@ def parse_space(text: str) -> SpaceSpec:
     spec = SpaceSpec(canonical, params)
     _family_record(spec)  # arity and range checks
     return spec
+
+
+# The size of each of the two memos, parse_space's and classify's: at most
+# this many entries are kept, least recently used first out.
+CLASSIFY_MEMO_SIZE = 1024
+# parse_space's memo takes a plain str of at most this many characters,
+# which bounds a full memo's memory.
+_PARSE_MEMO_MAX_CHARS = 64
+_parse_memo = lru_cache(maxsize=CLASSIFY_MEMO_SIZE)(_parse_space)
+
+
+def parse_space(text: str) -> SpaceSpec:
+    """Parse "SU_pq(2,3)", "SLnR(4)", "CayH" into a validated SpaceSpec.
+    A text of at most _PARSE_MEMO_MAX_CHARS characters is memoized, so a
+    repeated text gets the same SpaceSpec object; errors are not stored.
+    Any other input (a longer text, a str subclass, bytes) is parsed each
+    time, with the same errors."""
+    if type(text) is str and len(text) <= _PARSE_MEMO_MAX_CHARS:
+        return _parse_memo(text)
+    return _parse_space(text)
 
 
 def spec_string(spec: SpaceSpec) -> str:
@@ -303,15 +324,16 @@ class Classification(NamedTuple):
     minvol_positive: bool
 
     def to_json_dict(self) -> dict:
-        return {**self._asdict(), "params": list(self.params)}
+        payload = dict(zip(self._fields, self))
+        payload["params"] = list(self.params)
+        return payload
 
 
-# classify's memo: at most this many results are kept, least recently used
-# first out.  Only a spec whose parameters sum to at most
-# _MEMO_MAX_PARAM_SUM is stored: its Euler characteristic is below
-# 2^(sum + 2) for every family (C(m, k) <= 2^m), which bounds the integers
-# and texts an entry holds, and so the memory of a full memo.
-CLASSIFY_MEMO_SIZE = 1024
+# classify's memo holds CLASSIFY_MEMO_SIZE results.  Only a spec whose
+# parameters sum to at most _MEMO_MAX_PARAM_SUM is stored: its Euler
+# characteristic is below 2^(sum + 2) for every family (C(m, k) <= 2^m),
+# which bounds the integers and texts an entry holds, and so the memory of
+# a full memo.
 _MEMO_MAX_PARAM_SUM = 2048
 
 
@@ -379,9 +401,7 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
     # every number vanishes: the table of the total class 1, as on S^dim
-    table = charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
-    check_digits(table.dimension)
-    return table
+    return charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

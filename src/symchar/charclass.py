@@ -37,7 +37,10 @@ c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
 extends its parent prefix by one run, or by a finished tail of 2s and 1s
 that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
-before the total class is computed.  Only the two table builders use
+before the total class is computed.  Where 4 does not divide the
+dimension (odd CP^n, S^n for n not a multiple of 4) the Pontrjagin table
+is empty, and its dimension, which no weight gate bounds, is refused past
+MAX_DIGITS digits.  Only the two table builders use
 partitions, so they import it: classify, dual and p-class never load it.
 """
 
@@ -49,6 +52,7 @@ from symchar.errors import (
     SymcharError,
     TooLargeError,
     UnsupportedClassError,
+    check_digits,
     past_digit_limit,
 )
 
@@ -217,7 +221,7 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
     dim = space.real_dimension
     if dim % 4:
         return CharNumberTable(
-            PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4"
+            PONTRJAGIN, check_digits(dim), {}, reason="dimension-not-multiple-of-4"
         )
     check_weight(dim // 4)  # before the class, which costs O(n) products
     p = _coefficients_by_degree(total_pontrjagin(space), dim)

@@ -124,6 +124,40 @@ def total_stiefel_whitney_plain(kind: str, n: int) -> tuple:
     raise ValueError(kind)
 
 
+def _gf2_mul(a: list, b: list, top: int) -> list:
+    """a * b over GF(2), cut at u^top."""
+    out = [0] * (top + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: top + 1 - i]):
+                out[i + j] ^= bj
+    return out
+
+
+def total_stiefel_whitney_wu(degree: int, top: int) -> tuple:
+    """Total SW class mod 2 of a manifold with cohomology Z/2[u]/(u^(T+1)),
+    T = top and u in the given degree, by Wu's formula w = Sq(v)
+    (Milnor-Stasheff section 11), computed on the truncated ring.
+
+    Sq is the total square, a ring map with Sq(u) = u + u^2: Sq^i u for
+    0 < i < degree lands where the ring is zero, and Sq^degree u = u^2.  So
+    Sq(u^m) = Sq(u^(m-1)) Sq(u) by Cartan.  The Wu class v is fixed by
+    <Sq x, [M]> = <v x, [M]> for every x: with x = u^m, v_(T-m) is the u^T
+    coefficient of Sq(u^m).  A ring with u^2 != 0 needs degree 1, 2, 4 or 8
+    (Adams, Hopf invariant one)."""
+    if degree < 1 or (top > 1 and degree not in (1, 2, 4, 8)):
+        raise ValueError(f"no Z/2[u]/(u^{top + 1}) with u in degree {degree}")
+    squares = [[1] + [0] * top]  # Sq(u^m), m = 0 .. top
+    for _ in range(top):
+        squares.append(_gf2_mul(squares[-1], [0, 1, 1], top))
+    v = [squares[top - j][top] for j in range(top + 1)]
+    w = [0] * (top + 1)
+    for j, vj in enumerate(v):
+        if vj:
+            w = [a ^ b for a, b in zip(w, squares[j])]
+    return tuple(w)
+
+
 def char_number_plain(
     total_coeffs, generator_degree: int, dim: int, partition
 ) -> int:

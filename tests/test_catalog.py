@@ -5,6 +5,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import euler_char_by_weyl_quotient, group_weyl_order, weyl_order
 from symchar import catalog
@@ -357,9 +359,11 @@ def test_the_memo_is_not_keyed_on_the_digit_limit(monkeypatch):
 
 def test_the_memo_stays_bounded():
     catalog._classify_memo.cache_clear()
-    for n in range(1, CLASSIFY_MEMO_SIZE + 100):
-        classify(SpaceSpec("Flat_n", (n,)))
+    catalog._parse_memo.cache_clear()
+    for n in range(1, CLASSIFY_MEMO_SIZE + 101):
+        classify(parse_space(f"Flat({n})"))
     assert catalog._classify_memo.cache_info().currsize == CLASSIFY_MEMO_SIZE
+    assert catalog._parse_memo.cache_info().currsize == CLASSIFY_MEMO_SIZE
 
 
 def test_a_spec_past_the_size_rule_is_not_stored():
@@ -370,3 +374,109 @@ def test_a_spec_past_the_size_rule_is_not_stored():
     past = classify(SpaceSpec("SU_pq", (top, 1)))
     assert catalog._classify_memo.cache_info().currsize == 1
     assert past == catalog._classification("SU_pq", (top, 1))
+
+
+def test_a_repeated_text_gets_the_same_spec():
+    catalog._parse_memo.cache_clear()
+    first = parse_space("SU_pq(2,3)")
+    assert parse_space("SU_pq(2,3)") is first
+    assert catalog._parse_memo.cache_info().hits == 1
+    # another text of the same spec is an entry of its own
+    assert parse_space("SUpq( 2, 3 )") == first
+    assert catalog._parse_memo.cache_info().currsize == 2
+
+
+def test_a_malformed_text_is_refused_each_time_and_not_stored():
+    catalog._parse_memo.cache_clear()
+    texts = ("SU_pq(2,", "SU_pq(2,x)", "SU_pq(0,1)", "SU_pq(2)", "E8", "Nope(1)", "")
+    for text in texts:
+        errors = set()
+        for _ in range(3):
+            with pytest.raises(SymcharError) as info:
+                parse_space(text)
+            errors.add((type(info.value), str(info.value)))
+        assert len(errors) == 1, text
+    assert catalog._parse_memo.cache_info().currsize == 0
+
+
+def test_a_text_past_the_memo_length_is_parsed_and_not_stored():
+    catalog._parse_memo.cache_clear()
+    longest = "SU_pq(2,3)".ljust(catalog._PARSE_MEMO_MAX_CHARS)
+    past = longest + " "
+    assert len(past) == 65
+    assert parse_space(past) == SpaceSpec("SU_pq", (2, 3))
+    assert catalog._parse_memo.cache_info().currsize == 0
+    assert parse_space(longest) == SpaceSpec("SU_pq", (2, 3))
+    assert catalog._parse_memo.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (b"SU_pq(2,3)", TypeError, "a bytes-like object is required, not 'str'"),
+        (b"CayH", TypeError, "a bytes-like object is required, not 'str'"),
+        (None, AttributeError, "'NoneType' object has no attribute 'strip'"),
+    ],
+)
+def test_a_text_that_is_not_a_str_raises_as_without_the_memo(text, error, message):
+    catalog._parse_memo.cache_clear()
+    with pytest.raises(error) as info:
+        parse_space(text)
+    assert type(info.value) is error and str(info.value) == message
+    assert catalog._parse_memo.cache_info().currsize == 0
+
+
+def test_parameters_are_stripped_as_by_str_strip():
+    # int() alone strips U+3000 and U+0085 but not U+001C..U+001F
+    for space in "\x1c\x1d\x1e\x1f\u3000\x85":
+        text = f"SU_pq({space}2{space},{space}3{space})"
+        assert parse_space(text) == SpaceSpec("SU_pq", (2, 3)), repr(space)
+
+
+# Spec texts from family names and aliases, ASCII and other Unicode decimal
+# digits, commas, parentheses and whitespace, U+001C..U+001F (stripped by
+# str.strip but not by int) and U+3000 among it: shaped as a spec, so that
+# many parse, or mixed freely.
+_BLANK = st.text(" \t\n\x1c\x1d\x1e\x1f\u3000\x85", max_size=2)
+_NAME = st.sampled_from(sorted(catalog._NAMES) + ["E8", "Nope"])
+_NUMBER = st.text("0123456789\u0663\uff17\u0969", min_size=1, max_size=4)
+_PARAM = st.tuples(_BLANK, _NUMBER, _BLANK).map("".join)
+
+
+@st.composite
+def _shaped(draw):
+    name = draw(_NAME)
+    fam = _FAMILIES.get(catalog._NAMES.get(name))
+    arity = fam.arity if fam and draw(st.booleans()) else draw(st.integers(0, 3))
+    params = draw(st.lists(_PARAM, min_size=arity, max_size=arity))
+    text = draw(_BLANK) + name + draw(_BLANK)
+    return text + (f"({','.join(params)})" if params else "") + draw(_BLANK)
+
+
+_MIXED = st.lists(st.one_of(_NAME, _NUMBER, _BLANK, st.sampled_from("(),-+")), max_size=8)
+_SPEC_TEXTS = st.one_of(_shaped(), _MIXED.map("".join))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_SPEC_TEXTS)
+def test_the_parse_memo_answers_as_the_parser(text):
+    try:
+        expected = catalog._parse_space(text)
+    except SymcharError as exc:
+        for _ in range(2):
+            with pytest.raises(type(exc)) as info:
+                parse_space(text)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert parse_space(text) == expected
+        assert parse_space(text) == expected
+
+
+def test_the_json_dict_is_the_record_with_a_params_list():
+    for spec in [SpaceSpec(f.name, f.min_params) for f in _FAMILIES.values()] + _grid():
+        result = classify(spec)
+        expected = {**result._asdict(), "params": list(result.params)}
+        payload = result.to_json_dict()
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert type(payload["params"]) is list

@@ -14,6 +14,7 @@ from _oracles import (
     sw_number_plain,
     total_pontrjagin_plain,
     total_stiefel_whitney_plain,
+    total_stiefel_whitney_wu,
 )
 from symchar.catalog import SpaceSpec, classify
 from symchar.charclass import (
@@ -225,6 +226,25 @@ def test_sw_class_cp_binomial_mod_2():
         total = total_stiefel_whitney(complex_projective(n))
         for j in range(n + 1):
             assert total.coefficients[j] == comb(n + 1, j) % 2
+
+
+def test_sw_classes_match_wu_formula():
+    assert total_stiefel_whitney_wu(2, 4) == (1, 1, 0, 0, 1)
+    assert total_stiefel_whitney_wu(2, 3) == (1, 0, 0, 0)
+    for n in range(1, 51):
+        total = total_stiefel_whitney(sphere(n))
+        assert total.coefficients == total_stiefel_whitney_wu(n, 1), n
+    for n in range(1, 200):
+        total = total_stiefel_whitney(complex_projective(n))
+        assert total.coefficients == total_stiefel_whitney_wu(2, n), n
+
+
+def test_wu_formula_targets_for_hp_and_the_cayley_plane():
+    # The classes charclass does not compute yet: w(HP^T) in u is w(CP^T)
+    # in a, and w(CayP^2) = 1 + u + u^2.
+    for top in range(1, 200):
+        assert total_stiefel_whitney_wu(4, top) == total_stiefel_whitney_wu(2, top)
+    assert total_stiefel_whitney_wu(8, 2) == (1, 1, 1)
 
 
 def test_sw_classes_of_cp_stop_where_its_pontrjagin_classes_stop():

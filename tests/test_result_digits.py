@@ -2,8 +2,7 @@
 
 Each call below, placed on both sides of a size gate, either returns a
 result whose every integer (record fields, dict values, tuple and list
-items) has at most 4300 digits, or raises TooLargeError; _KNOWN_PAST names
-the one exception.  The factor lists
+items) has at most 4300 digits, or raises TooLargeError.  The factor lists
 of a DualPair are skipped: they hold the spec's parameters, which
 group_text checks when it renders them.
 """
@@ -104,14 +103,6 @@ def _arguments() -> dict:
 
 _ARGUMENTS = _arguments()
 
-# The one result past 4300 digits, kept for the command line's sake: CP^n
-# has no Pontrjagin numbers for odd n, and its empty table carries the
-# dimension 2n.  ``wall`` reads that table before the SW table, whose
-# refusal by check_weight is the answer for such a space; a refusal of the
-# Pontrjagin table would change that answer's text.
-_KNOWN_PAST = {pontrjagin_table: ["ComplexHyperbolic_n(<14285-bit int>)"]}
-
-
 def _label(arguments: tuple) -> str:
     """The arguments as text, an integer past 12 digits by its bit length."""
     def short(value):
@@ -139,4 +130,4 @@ def test_no_result_has_an_integer_past_4300_digits(function):
             continue
         if any(abs(value) >= _CEILING for value in _ints(result)):
             past.append(_label(arguments))
-    assert past == _KNOWN_PAST.get(function, []), f"results past 4300 digits: {past}"
+    assert not past, f"results past 4300 digits: {past}"
