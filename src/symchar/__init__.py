@@ -21,6 +21,7 @@ _EXPORTS = {
         "rank_one_dual",
         "spec_string",
         "stiefel_whitney_table",
+        "wall_verdict",
     ),
     "charclass": (
         "CharNumberTable",

@@ -407,3 +407,17 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     """Stiefel-Whitney numbers of a rank-one dual (S^n and CP^n only)."""
     return charclass.stiefel_whitney_numbers(rank_one_dual(spec))
+
+
+def wall_verdict(spec: SpaceSpec) -> tuple:
+    """(dimension, bounds_orientably verdict) of the compact dual.  The SW
+    table is built only when every Pontrjagin number vanishes, and is left
+    out, giving INSUFFICIENT_DATA, where it is not computed."""
+    p_table = pontrjagin_table(spec)
+    sw_table = None  # a nonzero Pontrjagin number decides without it
+    if p_table.all_zero():
+        try:
+            sw_table = stiefel_whitney_table(spec)
+        except UnsupportedClassError:
+            pass
+    return p_table.dimension, charclass.bounds_orientably(p_table, sw_table)

@@ -37,17 +37,18 @@ c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
 extends its parent prefix by one run, or by a finished tail of 2s and 1s
 that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
-before the total class is computed.  Where 4 does not divide the
-dimension (odd CP^n, S^n for n not a multiple of 4) the Pontrjagin table
-is empty, and its dimension, which no weight gate bounds, is refused past
-MAX_DIGITS digits.  Only the two table builders use
-partitions, so they import it: classify, dual and p-class never load it.
+before the total class is computed, and a DualSpace whose dimension has
+more than MAX_DIGITS digits when it is made: no result has a longer integer.
+Only the table builders and CharNumberTable.from_json_dict, which reads
+back what to_json_dict writes, use partitions, so they import it:
+classify, dual and p-class never load it.
 """
 
 from itertools import accumulate
 from typing import NamedTuple
 
 from symchar.errors import (
+    BadTableError,
     DimensionMismatchError,
     SymcharError,
     TooLargeError,
@@ -93,7 +94,9 @@ class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
                 f"no dual space {_GEOMETRY[kind][0]}^{n}: n must be >= 1, "
                 "and 2 for CayP"
             )
-        return super().__new__(cls, kind, n)
+        space = super().__new__(cls, kind, n)
+        check_digits(space.real_dimension)  # which bounds every integer derived from n
+        return space
 
     def _shape(self) -> tuple:
         return _GEOMETRY[self.kind][1](self.n)
@@ -213,6 +216,58 @@ class CharNumberTable(NamedTuple):
             payload["reason"] = self.reason
         return payload
 
+    @classmethod
+    def from_json_dict(cls, data) -> "CharNumberTable":
+        """The table of a decoded JSON document: to_json_dict's form, or bare
+        entries whose first key gives the kind and the degree.  Every key is
+        checked and canonicalized, and SW values are read mod 2."""
+        from symchar.partitions import parse_table_key
+
+        if not isinstance(data, dict):
+            raise BadTableError("table must be a JSON object")
+        reason = None
+        if "entries" in data:
+            raw = data["entries"]
+            kind = data.get("kind")
+            dim = data.get("dim")
+            reason = data.get("reason")
+            if kind not in (PONTRJAGIN, SW):
+                raise BadTableError('table "kind" must be "pontrjagin" or "sw"')
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+                raise BadTableError('table "dim" must be a non-negative integer')
+            if not isinstance(raw, dict):
+                raise BadTableError('table "entries" must be a JSON object')
+            if reason is not None and not isinstance(reason, str):
+                raise BadTableError('table "reason" must be a string or null')
+        else:
+            raw = data
+            if not raw:
+                raise BadTableError(
+                    "cannot infer dimension and kind from an empty table; "
+                    'pass the full {"dim", "kind", "entries"} form'
+                )
+            # the keys split on str.isspace, so any leading whitespace is skipped
+            head = next((c for c in next(iter(raw)) if c != "(" and not c.isspace()), "")
+            kind = SW if head == "w" else PONTRJAGIN
+            dim = None
+        entries: dict = {}
+        for key, value in raw.items():
+            canonical, degree = parse_table_key(kind, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise BadTableError(f"entry {key!r} must be an integer")
+            if kind == SW:
+                value &= 1
+            if canonical in entries:
+                raise BadTableError(f"duplicate table entry {canonical!r}")
+            if dim is None:
+                dim = degree
+            elif degree != dim:
+                raise BadTableError(
+                    f"entry {key!r} has total degree {degree}, expected {dim}"
+                )
+            entries[canonical] = value
+        return cls(kind, dim, entries, reason)
+
 
 def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
     """All Pontrjagin numbers p_I, I ranging over partitions of dim/4."""
@@ -220,9 +275,7 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
 
     dim = space.real_dimension
     if dim % 4:
-        return CharNumberTable(
-            PONTRJAGIN, check_digits(dim), {}, reason="dimension-not-multiple-of-4"
-        )
+        return CharNumberTable(PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4")
     check_weight(dim // 4)  # before the class, which costs O(n) products
     p = _coefficients_by_degree(total_pontrjagin(space), dim)
     entries = walk_runs(

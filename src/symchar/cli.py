@@ -1,4 +1,6 @@
-"""Command-line interface.  Every subcommand prints one JSON document.
+"""Command-line interface: it reads text, calls the library and prints one
+JSON document.  A table argument is CharNumberTable.from_json_dict of its
+JSON, and wall of a space is catalog.wall_verdict.
 
 Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
 A usage error (an unknown subcommand or option, a missing or malformed
@@ -18,19 +20,13 @@ import re
 import sys
 from types import SimpleNamespace
 
-from symchar.errors import (
-    MAX_DIGITS,
-    BadTableError,
-    SymcharError,
-    UnsupportedClassError,
-    past_digit_limit,
-)
+from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_limit
 
 # The largest table symchar writes, p-numbers 'CHn(90)' --pretty, has 9.1 M
 # characters and reads back in 0.38 s (2-vCPU VM, Python 3.11).  A read
-# costs about 3.5 us per key, most of it in parse_table_key, so the cap
-# bounds it: the slowest document measured under it, 599 557 distinct SW
-# keys of degree 62, took 2.7-2.9 s.
+# costs about 3.5 us per key, most of it in checking the key, so the cap
+# bounds it: the slowest document measured under it, 599 557 distinct
+# Stiefel-Whitney keys of degree 62, took 2.7-2.9 s.
 MAX_TABLE_CHARS = 16 * 2**20
 
 
@@ -47,10 +43,8 @@ def _read_table_text(text: str) -> str:
 
 
 def _load_table(text: str):
-    """Parse a table argument into a CharNumberTable: inline JSON or @file,
-    bare entries or the full {"dim", "kind", "entries"} document."""
-    from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
-    from symchar.partitions import parse_table_key
+    """A table argument, inline JSON or @file, as a CharNumberTable."""
+    from symchar.charclass import CharNumberTable
 
     text = _read_table_text(text)
     try:
@@ -61,48 +55,7 @@ def _load_table(text: str):
         raise BadTableError(f"table has an integer of more than {MAX_DIGITS} digits") from None
     except RecursionError:
         raise BadTableError("table is nested too deeply") from None
-    if not isinstance(data, dict):
-        raise BadTableError("table must be a JSON object")
-    reason = None
-    if "entries" in data:
-        raw = data["entries"]
-        kind = data.get("kind")
-        dim = data.get("dim")
-        reason = data.get("reason")
-        if kind not in (PONTRJAGIN, SW):
-            raise BadTableError('table "kind" must be "pontrjagin" or "sw"')
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-            raise BadTableError('table "dim" must be a non-negative integer')
-        if not isinstance(raw, dict):
-            raise BadTableError('table "entries" must be a JSON object')
-        if reason is not None and not isinstance(reason, str):
-            raise BadTableError('table "reason" must be a string or null')
-    else:
-        raw = data
-        if not raw:
-            raise BadTableError(
-                "cannot infer dimension and kind from an empty table; "
-                'pass the full {"dim", "kind", "entries"} form'
-            )
-        kind = SW if next(iter(raw)).lstrip(" (").startswith("w") else PONTRJAGIN
-        dim = None
-    entries: dict = {}
-    for key, value in raw.items():
-        canonical, degree = parse_table_key(kind, key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise BadTableError(f"entry {key!r} must be an integer")
-        if kind == SW:
-            value &= 1
-        if canonical in entries:
-            raise BadTableError(f"duplicate table entry {canonical!r}")
-        if dim is None:
-            dim = degree
-        elif degree != dim:
-            raise BadTableError(
-                f"entry {key!r} has total degree {degree}, expected {dim}"
-            )
-        entries[canonical] = value
-    return CharNumberTable(kind, dim, entries, reason)
+    return CharNumberTable.from_json_dict(data)
 
 
 def _cmd_classify(args) -> dict:
@@ -190,29 +143,18 @@ def _cmd_mu(args) -> dict:
 
 
 def _cmd_wall(args) -> dict:
-    from symchar import charclass
-
     if args.space is not None:
         if args.p is not None or args.sw is not None:
             raise SymcharError("pass either a space or --p/--sw tables, not both")
         from symchar import catalog
 
         spec = catalog.parse_space(args.space)
-        p_table = catalog.pontrjagin_table(spec)
-        sw_table = None  # a nonzero Pontrjagin number decides without it
-        if p_table.all_zero():
-            try:
-                sw_table = catalog.stiefel_whitney_table(spec)
-            except UnsupportedClassError:
-                pass
-        verdict = charclass.bounds_orientably(p_table, sw_table)
-        return {
-            "space": catalog.spec_string(spec),
-            "dim": p_table.dimension,
-            "verdict": verdict,
-        }
+        dim, verdict = catalog.wall_verdict(spec)
+        return {"space": catalog.spec_string(spec), "dim": dim, "verdict": verdict}
     if args.p is None:
         raise SymcharError("pass a space or at least a --p table")
+    from symchar import charclass
+
     p_table = _load_table(args.p)
     sw_table = _load_table(args.sw) if args.sw is not None else None
     verdict = charclass.bounds_orientably(p_table, sw_table)

@@ -24,12 +24,14 @@ from symchar.catalog import (
     parse_space,
     pontrjagin_table,
     spec_string,
+    wall_verdict,
 )
 from symchar.errors import (
     MalformedSpecError,
     SymcharError,
     TooLargeError,
     UnknownFamilyError,
+    UnsupportedClassError,
     UnsupportedFamilyError,
 )
 
@@ -480,3 +482,43 @@ def test_the_json_dict_is_the_record_with_a_params_list():
         assert payload == expected
         assert list(payload) == list(expected)
         assert type(payload["params"]) is list
+
+
+# p_1^k[CP^2k] = (2k + 1)^k decides CP^2k without its SW table, which would
+# be over the partitions of 4k; odd CP^n and spheres still need theirs.
+# Then one space of each family: a rank gap or a parallelizable dual has no
+# SW table here, and a higher-rank equal-rank dual no Pontrjagin table.
+@pytest.mark.parametrize(
+    "space, answer",
+    [
+        ("CHn(22)", (44, "does_not_bound")),
+        ("CHn(24)", (48, "does_not_bound")),
+        ("CHn(90)", (180, "does_not_bound")),
+        ("QHn(45)", (180, "does_not_bound")),
+        ("CHn(23)", TooLargeError),
+        ("RHn(46)", TooLargeError),
+        ("CHn(92)", TooLargeError),
+        ("SU_pq(2,3)", UnsupportedClassError),
+        ("SO0_pq(3,3)", (9, "insufficient_data")),
+        ("SOstar_2n(2)", UnsupportedClassError),
+        ("Sp_nR(1)", UnsupportedClassError),
+        ("Sp_pq(1,1)", UnsupportedClassError),
+        ("SL_nR(3)", (5, "insufficient_data")),
+        ("SUstar_2n(2)", (5, "insufficient_data")),
+        ("TypeIV(3)", (3, "insufficient_data")),
+        ("RHn(4)", (4, "bounds")),
+        ("CHn(2)", (4, "does_not_bound")),
+        ("CHn(3)", (6, "bounds")),
+        ("QHn(1)", (4, "insufficient_data")),  # HP^1 = S^4, but no SW class of HP^n
+        ("CayH", (16, "does_not_bound")),
+        ("ConstPos(3)", (3, "bounds")),
+        ("Flat(8)", (8, "insufficient_data")),
+    ],
+)
+def test_wall_verdict_reads_the_sw_table_only_when_it_decides(space, answer):
+    spec = parse_space(space)
+    if isinstance(answer, tuple):
+        assert wall_verdict(spec) == answer
+    else:
+        with pytest.raises(answer):
+            wall_verdict(spec)

@@ -1,5 +1,6 @@
 """Total classes and characteristic numbers of the rank-one duals."""
 
+import json
 import sys
 from collections import Counter
 from math import comb
@@ -16,7 +17,7 @@ from _oracles import (
     total_stiefel_whitney_plain,
     total_stiefel_whitney_wu,
 )
-from symchar.catalog import SpaceSpec, classify
+from symchar.catalog import SpaceSpec, classify, parse_space, pontrjagin_table
 from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
@@ -44,6 +45,7 @@ from symchar.errors import (
     UnsupportedClassError,
 )
 from symchar.partitions import format_partition
+from symchar.transfer import pullback_numbers, solve_manifold_numbers
 
 
 def test_sphere_class_is_trivial():
@@ -376,3 +378,49 @@ def test_construction_validators():
         sphere(True)
     with pytest.raises(MalformedSpecError):
         classify(SpaceSpec("RealHyperbolic_n", (True,)))
+
+
+def _round_trip_tables() -> list:
+    tables = []
+    for n in range(1, 13):
+        tables += [
+            pontrjagin_numbers(quaternionic_projective(n)),
+            pontrjagin_numbers(sphere(n)),
+            stiefel_whitney_numbers(sphere(n)),
+        ]
+    for n in range(1, 12):
+        space = complex_projective(n)
+        tables += [pontrjagin_numbers(space), stiefel_whitney_numbers(space)]
+    cayley = pontrjagin_numbers(cayley_plane())
+    return tables + [
+        cayley,
+        pontrjagin_table(parse_space("SL_nR(3)")),  # empty, with its reason
+        pontrjagin_table(parse_space("Flat(8)")),
+        pullback_numbers(cayley, 3),
+        pullback_numbers(stiefel_whitney_numbers(complex_projective(2)), 3),
+        solve_manifold_numbers(cayley, 2, 1),
+    ]
+
+
+def test_a_table_reads_back_from_its_json_document():
+    tables = _round_trip_tables()
+    assert any(table.reason for table in tables)
+    for table in tables:
+        document = json.loads(json.dumps(table.to_json_dict()))
+        read = CharNumberTable.from_json_dict(document)
+        assert read == table and list(read.entries) == list(table.entries), table
+
+
+@pytest.mark.parametrize("space", ["\t", "\n", "\x1c", "\u3000"])
+def test_a_bare_sw_table_led_by_any_whitespace_reads_as_sw(space):
+    # parse_monomial splits on every character that str.isspace accepts,
+    # so the kind of a bare table skips them all, not only " "
+    for dim in range(1, 7):
+        for key in stiefel_whitney_numbers(sphere(dim)).entries:
+            read = CharNumberTable.from_json_dict({space + key: 1})
+            assert read == CharNumberTable(SW, dim, {key: 1}), repr(space + key)
+
+
+def test_a_bare_pontrjagin_table_still_reads_after_whitespace_and_parens():
+    read = CharNumberTable.from_json_dict({"\t( 2, 1 )": 5, "3": 1})
+    assert read == CharNumberTable(PONTRJAGIN, 12, {"2,1": 5, "3": 1})

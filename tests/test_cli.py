@@ -316,6 +316,12 @@ def test_wall_builds_the_sw_table_only_when_needed(run, space, code, answer):
     assert (exit_code, payload.get("verdict", payload.get("error"))) == (code, answer)
 
 
+def test_a_bare_sw_table_may_start_with_any_whitespace(run_json):
+    for key in ("\tw2", "\nw1^2", "\x1cw2", "\u3000w1 w1"):
+        table = json.dumps({key: 1})
+        assert run_json("transfer", "--table", table, "--deg", "1")["kind"] == "sw"
+
+
 def test_wall_from_tables(run_json):
     assert run_json("wall", "--p", '{"1": 3}')["verdict"] == "does_not_bound"
     assert (
@@ -456,9 +462,19 @@ def _main(*argv):
         (_main("classify", "SU_pq(2,3)"), "catalog charclass cli errors"),
         (_main("dual", "SU_pq(2,3)"), "catalog charclass cli errors"),
         (_main("p-class", "CayH"), "catalog charclass cli errors"),
+        (_main("transfer", "--table", '{"1":3}', "--deg", "2"),
+         "charclass cli errors partitions transfer"),
+        (_main("mu", "--m", '{"1":3}', "--mu-dual", '{"1":6}'),
+         "charclass cli errors partitions transfer"),
+        (_main("wall", "--p", '{"1":3}'), "charclass cli errors partitions"),
+        (_main("wall", "CHn(3)"), "catalog charclass cli errors partitions"),
+        (_main("sw-numbers", "CHn(2)"), "catalog charclass cli errors partitions"),
         (_main("gl-order", "3"), "cli errors"),  # a usage error
     ],
-    ids=["package", "cli", "gl-order", "ds-check", "classify", "dual", "p-class", "usage-error"],
+    ids=[
+        "package", "cli", "gl-order", "ds-check", "classify", "dual", "p-class",
+        "transfer", "mu", "wall-tables", "wall-space", "sw-numbers", "usage-error",
+    ],
 )
 def test_a_call_loads_only_the_modules_it_runs(statement, loaded):
     child = subprocess.run(

@@ -7,8 +7,9 @@ change to an output byte, an error code or an exit code shows here.  The
 corpus holds no case whose text Python or the OS words (JSON decoder
 messages, file errors): those change between Python versions.
 
-Running this module as a script rewrites tests/cli_digests.json from the
-code on the path:
+Running this module as a script prints the count and the names of the
+cases whose digest changed, appeared or disappeared, and then rewrites
+tests/cli_digests.json from the code on the path:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
@@ -137,13 +138,26 @@ def _digests() -> dict:
     return digests
 
 
+def _differences(recorded: dict, digests: dict) -> list:
+    """(status, name) of every case whose digest changed, appeared or
+    disappeared, in corpus order and then recorded order."""
+    found = [
+        ("changed" if name in recorded else "appeared", name)
+        for name, value in digests.items()
+        if recorded.get(name) != value
+    ]
+    return found + [("disappeared", name) for name in recorded if name not in digests]
+
+
 def test_every_case_prints_its_recorded_bytes():
-    recorded = json.loads(DIGESTS.read_text())
-    digests = _digests()
-    assert digests.keys() == recorded.keys()
-    changed = [name for name, value in digests.items() if value != recorded[name]]
-    assert not changed, f"{len(changed)} cases changed, the first: {changed[:5]}"
+    differences = _differences(json.loads(DIGESTS.read_text()), _digests())
+    assert not differences, f"{len(differences)} cases differ: {differences}"
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(_digests(), indent=0) + "\n")
+    digests = _digests()
+    differences = _differences(json.loads(DIGESTS.read_text()), digests)
+    print(f"{len(differences)} cases differ")
+    for status, name in differences:
+        print(f"{status}: {name}")
+    DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")

@@ -23,6 +23,7 @@ from symchar.charclass import (
     CharNumberTable,
     complex_projective,
     quaternionic_projective,
+    sphere,
     total_pontrjagin,
     total_stiefel_whitney,
 )
@@ -131,3 +132,15 @@ def test_no_result_has_an_integer_past_4300_digits(function):
         if any(abs(value) >= _CEILING for value in _ints(result)):
             past.append(_label(arguments))
     assert not past, f"results past 4300 digits: {past}"
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(sphere, 10**5000), (complex_projective, _CEILING - 1)],
+    ids=["S^(10^5000)", "CP^(10^4300 - 1)"],
+)
+def test_a_dual_space_past_4300_digits_is_refused_when_it_is_made(make, n):
+    # its dimension, n and 2n, would pass the ceiling, and with it the
+    # generator degree and dimension of every result computed from it
+    with pytest.raises(TooLargeError):
+        make(n)
