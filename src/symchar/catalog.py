@@ -1,9 +1,11 @@
 """Symmetric-space families, compact duals, and the rank classifier.
 
 A locally symmetric space is described by a family name plus integer
-parameters ("SU_pq(2,3)", "SLnR(4)", "CayH").  Each family maps to its
-compact dual presented as a quotient G_U / K of compact Lie groups; the
-classifier then reads everything off rank arithmetic:
+parameters ("SU_pq(2,3)", "SLnR(4)", "CayH"): a SpaceSpec, which checks
+them when it is made, so no call that takes one checks it again.  Each
+family maps to its compact dual presented as a quotient G_U / K of
+compact Lie groups; the classifier then reads everything off rank
+arithmetic:
 
   rank(G_U) == rank(K)  -> Euler characteristic of the dual is |W(G_U)|/|W(K)|
                            (positive), Gauss-Bonnet forces chi(M) != 0.
@@ -90,9 +92,35 @@ class DualPair(NamedTuple):
     rank_k: int | None
 
 
-class SpaceSpec(NamedTuple):
-    family: str
-    params: tuple
+class SpaceSpec(NamedTuple("SpaceSpec", [("family", str), ("params", tuple)])):
+    """A known family and its parameters: exact ints, each in its range."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, params: tuple):
+        fam = _FAMILIES.get(family)
+        if fam is None:
+            raise UnknownFamilyError(f"unknown family {family!r}")
+        arity = len(fam.min_params)
+        if len(params) != arity:
+            raise MalformedSpecError(f"{fam.name} takes {arity} parameter(s), got {len(params)}")
+        for value, minimum in zip(params, fam.min_params):
+            # exact ints only: a bool (True == 1, with the same hash) or another
+            # int subclass would render as its own text, and classify's memo
+            # would answer it from the plain int's entry
+            if type(value) is not int or value < minimum:
+                raise MalformedSpecError(
+                    f"{fam.name} parameters must be integers >= {fam.min_params}"
+                )
+            if value >= TEN_TO_MAX_DIGITS:
+                raise MalformedSpecError(
+                    f"{fam.name} parameters must have at most {MAX_DIGITS} digits"
+                )
+        return super().__new__(cls, family, tuple(params))
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's skips __new__, and _replace calls it
+        return cls(*iterable)
 
 
 VERDICT_EQUAL_RANK = "EqualRank_EulerNonzero"
@@ -103,8 +131,7 @@ VERDICT_RANK_ONE = "RankOne"
 
 class _Family(NamedTuple):
     name: str
-    arity: int
-    min_params: tuple
+    min_params: tuple  # one minimum per parameter
     groups: Callable | None  # params -> (G_U factors, K factors); None for TypeIV
     aliases: tuple = ()  # short names parse_space accepts besides name
     # params -> (m, k, e) with chi(G_U/K) = 2^e C(m, k) at equal rank; None for
@@ -120,66 +147,66 @@ _FAMILIES = {
     f.name: f
     for f in (
         _Family(
-            "SU_pq", 2, (1, 1),
+            "SU_pq", (1, 1),
             lambda p, q: ([("SU", p + q)], [("SUxU", p, q)]),
             aliases=("SUpq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
-            "SO0_pq", 2, (1, 1),
+            "SO0_pq", (1, 1),
             lambda p, q: ([("SO", p + q)], [("SO", p), ("SO", q)]),
             aliases=("SO0pq",), euler=lambda p, q: ((p + q) // 2, p // 2, 1),
         ),
         _Family(
-            "SOstar_2n", 1, (2,), lambda n: ([("SO", 2 * n)], [("U", n)]),
+            "SOstar_2n", (2,), lambda n: ([("SO", 2 * n)], [("U", n)]),
             aliases=("SOstar2n", "SOstar"), euler=lambda n: (0, 0, n - 1),
         ),
         _Family(
-            "Sp_nR", 1, (1,), lambda n: ([("Sp", n)], [("U", n)]),
+            "Sp_nR", (1,), lambda n: ([("Sp", n)], [("U", n)]),
             aliases=("SpnR",), euler=lambda n: (0, 0, n),
         ),
         _Family(
-            "Sp_pq", 2, (1, 1),
+            "Sp_pq", (1, 1),
             lambda p, q: ([("Sp", p + q)], [("Sp", p), ("Sp", q)]),
             aliases=("Sppq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
-            "SL_nR", 1, (2,), lambda n: ([("SU", n)], [("SO", n)]),
+            "SL_nR", (2,), lambda n: ([("SU", n)], [("SO", n)]),
             aliases=("SLnR",), euler=lambda n: (0, 0, 1),  # equal rank at n = 2 only
         ),
         _Family(
-            "SUstar_2n", 1, (2,), lambda n: ([("SU", 2 * n)], [("Sp", n)]),
+            "SUstar_2n", (2,), lambda n: ([("SU", 2 * n)], [("Sp", n)]),
             aliases=("SUstar2n", "SUstar"),
         ),
-        _Family("TypeIV", 1, (1,), None, label=lambda d: "compact Lie group"),
+        _Family("TypeIV", (1,), None, label=lambda d: "compact Lie group"),
         _Family(
-            "RealHyperbolic_n", 1, (1,),
+            "RealHyperbolic_n", (1,),
             lambda n: ([("SO", n + 1)], [("SO", n)]),
             aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "ComplexHyperbolic_n", 1, (1,),
+            "ComplexHyperbolic_n", (1,),
             lambda n: ([("SU", n + 1)], [("SUxU", 1, n)]),
             aliases=("CHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.complex_projective,
         ),
         _Family(
-            "QuaternionicHyperbolic_n", 1, (1,),
+            "QuaternionicHyperbolic_n", (1,),
             lambda n: ([("Sp", n + 1)], [("Sp", 1), ("Sp", n)]),
             aliases=("QHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.quaternionic_projective,
         ),
         _Family(
-            "CayleyHyperbolic", 0, (),
+            "CayleyHyperbolic", (),
             lambda: ([("F4",)], [("Spin9",)]),
             aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
         ),
         _Family(
-            "ConstantPositive_n", 1, (1,),
+            "ConstantPositive_n", (1,),
             lambda n: ([("SO", n + 1)], [("SO", n)]),
             aliases=("ConstPos",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "Flat_n", 1, (1,), lambda n: ([("T", n)], []),
+            "Flat_n", (1,), lambda n: ([("T", n)], []),
             aliases=("Flat",), label=lambda n: f"T^{n}",
         ),
     )
@@ -192,29 +219,6 @@ _NAMES = {
 
 # Spaces modeled on other exceptional groups exist but are out of scope.
 _EXCEPTIONAL = {"E6", "E7", "E8", "G2", "F4"}
-
-
-def _family_record(spec: SpaceSpec) -> _Family:
-    fam = _FAMILIES.get(spec.family)
-    if fam is None:
-        raise UnknownFamilyError(f"unknown family {spec.family!r}")
-    if len(spec.params) != fam.arity:
-        raise MalformedSpecError(
-            f"{fam.name} takes {fam.arity} parameter(s), got {len(spec.params)}"
-        )
-    for value, minimum in zip(spec.params, fam.min_params):
-        # exact ints only: a bool (True == 1, with the same hash) or another
-        # int subclass would render as its own text, and classify's memo
-        # would answer it from the plain int's entry
-        if type(value) is not int or value < minimum:
-            raise MalformedSpecError(
-                f"{fam.name} parameters must be integers >= {fam.min_params}"
-            )
-        if value >= TEN_TO_MAX_DIGITS:
-            raise MalformedSpecError(
-                f"{fam.name} parameters must have at most {MAX_DIGITS} digits"
-            )
-    return fam
 
 
 def _parse_space(text: str) -> SpaceSpec:
@@ -247,9 +251,7 @@ def _parse_space(text: str) -> SpaceSpec:
     canonical = _NAMES.get(name)
     if canonical is None:
         raise UnknownFamilyError(f"unknown family {name!r}")
-    spec = SpaceSpec(canonical, params)
-    _family_record(spec)  # arity and range checks
-    return spec
+    return SpaceSpec(canonical, params)
 
 
 # The size of each of the two memos, parse_space's and classify's: at most
@@ -262,7 +264,7 @@ _parse_memo = lru_cache(maxsize=CLASSIFY_MEMO_SIZE)(_parse_space)
 
 
 def parse_space(text: str) -> SpaceSpec:
-    """Parse "SU_pq(2,3)", "SLnR(4)", "CayH" into a validated SpaceSpec.
+    """Parse "SU_pq(2,3)", "SLnR(4)", "CayH" into a SpaceSpec.
     A text of at most _PARSE_MEMO_MAX_CHARS characters is memoized, so a
     repeated text gets the same SpaceSpec object; errors are not stored.
     Any other input (a longer text, a str subclass, bytes) is parsed each
@@ -294,7 +296,7 @@ def _dual_pair(fam: _Family, params: tuple) -> DualPair:
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
-    pair = _dual_pair(_family_record(spec), spec.params)
+    pair = _dual_pair(_FAMILIES[spec.family], spec.params)
     check_digits(pair.dim)
     return pair
 
@@ -337,11 +339,11 @@ class Classification(NamedTuple):
 _MEMO_MAX_PARAM_SUM = 2048
 
 
-def _classification(family: str, params: tuple) -> Classification:
-    """classify of a validated spec, computed."""
+def _classification(spec: SpaceSpec) -> Classification:
+    """classify of a spec, computed."""
+    family, params = spec
     fam = _FAMILIES[family]
-    pair = _dual_pair(fam, params)
-    check_digits(pair.dim)
+    pair = dual_of(spec)
     if pair.gu is None:
         return Classification(
             family, params, pair.name, pair.dim,
@@ -368,19 +370,17 @@ _classify_memo = lru_cache(maxsize=CLASSIFY_MEMO_SIZE)(_classification)
 
 def classify(spec: SpaceSpec) -> Classification:
     """The dual, the ranks, the verdict and the Euler characteristic of a
-    space.  The spec is validated first; a valid spec's result is then
-    memoized per (family, parameters).  Results are immutable tuples and a
-    repeated spec gets the same object."""
-    _family_record(spec)
-    params = tuple(spec.params)
-    if sum(params) > _MEMO_MAX_PARAM_SUM:
-        return _classification(spec.family, params)
-    return _classify_memo(spec.family, params)
+    space.  The result is memoized per spec, which was checked when it was
+    made.  Results are immutable tuples and a repeated spec gets the same
+    object."""
+    if sum(spec.params) > _MEMO_MAX_PARAM_SUM:
+        return _classification(spec)
+    return _classify_memo(spec)
 
 
 def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
     """The compact dual S^n, CP^n, HP^n or CayP^2 of a rank-one family."""
-    fam = _family_record(spec)
+    fam = _FAMILIES[spec.family]
     if fam.space is None:
         raise UnsupportedClassError(
             "characteristic classes are computed for rank-one duals only"
@@ -392,7 +392,7 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     """Pontrjagin numbers of the compact dual: computed for a rank-one
     dual, all zero under a rank gap or on a parallelizable dual.  Decided
     from the family and the ranks: the Euler characteristic is not needed."""
-    fam = _family_record(spec)
+    fam = _FAMILIES[spec.family]
     if fam.space is not None:
         return charclass.pontrjagin_numbers(fam.space(*spec.params))
     pair = _dual_pair(fam, spec.params)

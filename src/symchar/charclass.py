@@ -98,6 +98,10 @@ class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
         check_digits(space.real_dimension)  # which bounds every integer derived from n
         return space
 
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's skips __new__, and _replace calls it
+        return cls(*iterable)
+
     def _shape(self) -> tuple:
         return _GEOMETRY[self.kind][1](self.n)
 
@@ -220,7 +224,8 @@ class CharNumberTable(NamedTuple):
     def from_json_dict(cls, data) -> "CharNumberTable":
         """The table of a decoded JSON document: to_json_dict's form, or bare
         entries whose first key gives the kind and the degree.  Every key is
-        checked and canonicalized, and SW values are read mod 2."""
+        checked and canonicalized, SW values are read mod 2, and a dimension
+        or value past MAX_DIGITS digits is refused with TooLargeError."""
         from symchar.partitions import parse_table_key
 
         if not isinstance(data, dict):
@@ -266,6 +271,8 @@ class CharNumberTable(NamedTuple):
                     f"entry {key!r} has total degree {degree}, expected {dim}"
                 )
             entries[canonical] = value
+        for value in (dim, *entries.values()):  # after the loop: a key error comes first
+            check_digits(value)
         return cls(kind, dim, entries, reason)
 
 

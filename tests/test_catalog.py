@@ -1,5 +1,7 @@
 """Family catalog: parsing, dual pairs, rank arithmetic, classification."""
 
+import copy
+import pickle
 import sys
 from itertools import product
 from math import comb
@@ -294,25 +296,96 @@ def test_parse_rejects_malformed_specs():
 @pytest.mark.parametrize("limit", [4300, 0, 20_000])
 def test_library_spec_parameters_have_at_most_4300_digits(limit):
     # as parse_space reads them: 10^4300 - 1 passes the spec check, and the
-    # call answers or refuses with a domain error; 10^4300 is a malformed
-    # spec in every family, at every int-to-text limit
+    # call answers or refuses with a domain error; a spec of 10^4300 cannot
+    # be made in any family, at any int-to-text limit
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
         for fam in _FAMILIES.values():
-            if not fam.arity:
+            if not fam.min_params:
                 continue
             longest = SpaceSpec(fam.name, (10**4300 - 1, *fam.min_params[1:]))
-            past = SpaceSpec(fam.name, (10**4300, *fam.min_params[1:]))
+            with pytest.raises(MalformedSpecError, match="at most 4300 digits"):
+                SpaceSpec(fam.name, (10**4300, *fam.min_params[1:]))
             for call in (classify, dual_of, pontrjagin_table):
                 try:
                     call(longest)
                 except SymcharError as exc:
                     assert not isinstance(exc, MalformedSpecError), (fam.name, call)
-                with pytest.raises(MalformedSpecError, match="at most 4300 digits"):
-                    call(past)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+class _Int(int):
+    pass
+
+
+# Each spec that cannot be made, with its error class and exact text: an
+# alias is a name parse_space reads, not a family.
+_INVALID_SPECS = {
+    "unknown family": ("Nope", (1,), UnknownFamilyError, "unknown family 'Nope'"),
+    "alias": ("CHn", (2,), UnknownFamilyError, "unknown family 'CHn'"),
+    "count": ("SU_pq", (2,), MalformedSpecError, "SU_pq takes 2 parameter(s), got 1"),
+    "bool": (
+        "RealHyperbolic_n", (True,), MalformedSpecError,
+        "RealHyperbolic_n parameters must be integers >= (1,)",
+    ),
+    "int subclass": (
+        "RealHyperbolic_n", (_Int(3),), MalformedSpecError,
+        "RealHyperbolic_n parameters must be integers >= (1,)",
+    ),
+    "below minimum": (
+        "SL_nR", (1,), MalformedSpecError, "SL_nR parameters must be integers >= (2,)"
+    ),
+    "10^4300": (
+        "SU_pq", (2, 10**4300), MalformedSpecError,
+        "SU_pq parameters must have at most 4300 digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID_SPECS))
+@pytest.mark.parametrize(
+    "make",
+    [
+        SpaceSpec,
+        lambda family, params: SpaceSpec._make((family, params)),
+        lambda family, params: SpaceSpec("SU_pq", (2, 3))._replace(
+            family=family, params=params
+        ),
+    ],
+    ids=["new", "_make", "_replace"],
+)
+def test_an_invalid_spec_cannot_be_made(case, make):
+    family, params, error, message = _INVALID_SPECS[case]
+    with pytest.raises(error) as info:
+        make(family, params)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_replace_checks_one_changed_field():
+    spec = parse_space("RHn(5)")
+    with pytest.raises(MalformedSpecError, match=r"integers >= \(1,\)"):
+        spec._replace(params=(True,))  # which rendered as "RealHyperbolic_n(True)"
+    with pytest.raises(MalformedSpecError, match="SU_pq takes 2 parameter"):
+        spec._replace(family="SU_pq")
+    assert spec._replace(params=(6,)) == parse_space("RHn(6)")
+
+
+def test_a_valid_spec_survives_copy_and_pickle():
+    specs = [SpaceSpec(f.name, f.min_params) for f in _FAMILIES.values()] + _grid()
+    for spec in specs:
+        for twin in (
+            copy.copy(spec),
+            copy.deepcopy(spec),
+            pickle.loads(pickle.dumps(spec)),
+            spec._replace(),
+            SpaceSpec._make(spec),
+        ):
+            assert type(twin) is SpaceSpec and twin == spec
+        assert parse_space(spec_string(spec)) == spec
+    # a parameter list is stored as a tuple
+    assert type(SpaceSpec("SU_pq", [2, 3]).params) is tuple
 
 
 def test_spec_string_round_trip():
@@ -325,7 +398,7 @@ def test_memoized_results_equal_computed_ones():
     catalog._classify_memo.cache_clear()
     specs = _grid() + [SpaceSpec(f.name, f.min_params) for f in _FAMILIES.values()]
     for spec in specs:
-        computed = catalog._classification(spec.family, spec.params)
+        computed = catalog._classification(spec)
         first = classify(spec)
         assert first == computed
         assert classify(spec) is first
@@ -375,7 +448,7 @@ def test_a_spec_past_the_size_rule_is_not_stored():
     assert catalog._classify_memo.cache_info().currsize == 1
     past = classify(SpaceSpec("SU_pq", (top, 1)))
     assert catalog._classify_memo.cache_info().currsize == 1
-    assert past == catalog._classification("SU_pq", (top, 1))
+    assert past == catalog._classification(SpaceSpec("SU_pq", (top, 1)))
 
 
 def test_a_repeated_text_gets_the_same_spec():
@@ -449,7 +522,7 @@ _PARAM = st.tuples(_BLANK, _NUMBER, _BLANK).map("".join)
 def _shaped(draw):
     name = draw(_NAME)
     fam = _FAMILIES.get(catalog._NAMES.get(name))
-    arity = fam.arity if fam and draw(st.booleans()) else draw(st.integers(0, 3))
+    arity = len(fam.min_params) if fam and draw(st.booleans()) else draw(st.integers(0, 3))
     params = draw(st.lists(_PARAM, min_size=arity, max_size=arity))
     text = draw(_BLANK) + name + draw(_BLANK)
     return text + (f"({','.join(params)})" if params else "") + draw(_BLANK)

@@ -380,6 +380,20 @@ def test_construction_validators():
         classify(SpaceSpec("RealHyperbolic_n", (True,)))
 
 
+def test_replace_and_make_check_as_the_constructor():
+    # NamedTuple's own _make, which _replace calls, skips __new__
+    with pytest.raises(SymcharError, match="unknown dual space kind 'nonsense'"):
+        DualSpace._make(("nonsense", 1))
+    with pytest.raises(SymcharError, match="must be an integer, got True"):
+        complex_projective(2)._replace(n=True)  # which rendered as "CP^True"
+    with pytest.raises(SymcharError, match="no dual space S\\^0"):
+        sphere(3)._replace(n=0)
+    with pytest.raises(SymcharError, match="no dual space CayP\\^3"):
+        cayley_plane()._replace(n=3)
+    for space in (complex_projective(3), DualSpace._make(("complex-projective", 3))):
+        assert type(space) is DualSpace and space == complex_projective(2)._replace(n=3)
+
+
 def _round_trip_tables() -> list:
     tables = []
     for n in range(1, 13):

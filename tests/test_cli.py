@@ -529,6 +529,10 @@ def test_all_spaces_classify_deterministically(capsys):
         (["classify", "SU_pq(%s,1)" % ("9" * 4300)], "too-large"),
         (["dual", "SU_pq(%s,1)" % ("9" * 4300)], "too-large"),
         (["dual", "RHn(%s)" % ("9" * 4300)], "too-large"),
+        # a table whose key "k", of 4300 digits, has a degree 4k of 4301
+        (["mu", "--m", '{"%s":1}' % ("9" * 4300), "--mu-dual", '{"%s":2}' % ("9" * 4300)], "too-large"),
+        (["transfer", "--table", '{"%s":1}' % ("9" * 4300), "--deg", "0"], "too-large"),
+        (["transfer", "--table", '{"%s":1}' % ("9" * 4300), "--deg", "1"], "too-large"),
     ],
 )
 def test_integers_past_the_digit_limit_are_refused(

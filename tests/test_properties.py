@@ -176,7 +176,7 @@ def _spec(name: str, params: list) -> str:
 
 def _small_specs(name: str):
     """Specs of the family named, with its arity and parameters up to 12."""
-    arity = _FAMILIES[_NAMES[name]].arity
+    arity = len(_FAMILIES[_NAMES[name]].min_params)
     params = st.lists(st.integers(0, 12), min_size=arity, max_size=arity)
     return params.map(lambda p: _spec(name, p))
 

@@ -20,7 +20,9 @@ from symchar.catalog import (
 )
 from symchar.charclass import (
     PONTRJAGIN,
+    SPHERE,
     CharNumberTable,
+    DualSpace,
     complex_projective,
     quaternionic_projective,
     sphere,
@@ -58,12 +60,13 @@ def _ints(value):
 def _specs() -> list:
     specs = []
     for fam in _FAMILIES.values():
-        if fam.arity == 0:
+        arity = len(fam.min_params)
+        if arity == 0:
             specs.append(SpaceSpec(fam.name, ()))
         for value in _VALUES:
-            if fam.arity == 1:
+            if arity == 1:
                 specs.append(SpaceSpec(fam.name, (value,)))
-            elif fam.arity == 2:
+            elif arity == 2:
                 specs += [SpaceSpec(fam.name, (1, value)), SpaceSpec(fam.name, (value, value))]
     return specs
 
@@ -99,6 +102,19 @@ def _arguments() -> dict:
             (_table(1, 1), _table(big, 10)),
             (_table(1, 1), _table(big, big + 1)),
         ],
+        # a key "k" has degree 4k, which passes 10^4300 between these two
+        CharNumberTable.from_json_dict: [
+            ({"2" + "4" * 4299: 1},),
+            ({"2" + "5" * 4299: 1},),
+            ({"9" * 4300: 1},),
+            ({"dim": _CEILING - 1, "kind": "pontrjagin", "entries": {}},),
+            ({"dim": _CEILING, "kind": "pontrjagin", "entries": {}},),
+            ({"2": _CEILING - 1, "1,1": 1 - _CEILING},),
+            ({"2": _CEILING, "1,1": 1},),
+            ({"2": 1, "1,1": -_CEILING},),
+            ({"dim": 8, "kind": "pontrjagin", "entries": {"2": _CEILING}},),
+            ({"w4": _CEILING, "w1^4": _CEILING + 1},),  # read mod 2
+        ],
     }
 
 
@@ -109,8 +125,12 @@ def _label(arguments: tuple) -> str:
     def short(value):
         if isinstance(value, int) and abs(value) >= 10**12:
             return f"<{value.bit_length()}-bit int>"
+        if isinstance(value, str) and len(value) > 12:
+            return f"<{len(value)}-character text>"
         if isinstance(value, CharNumberTable):
-            return str({key: short(v) for key, v in value.entries.items()})
+            value = value.entries
+        if isinstance(value, dict):
+            return str({short(key): short(v) for key, v in value.items()})
         if isinstance(value, SpaceSpec):
             return f"{value.family}({', '.join(map(short, value.params))})"
         return str(value)
@@ -136,8 +156,13 @@ def test_no_result_has_an_integer_past_4300_digits(function):
 
 @pytest.mark.parametrize(
     "make, n",
-    [(sphere, 10**5000), (complex_projective, _CEILING - 1)],
-    ids=["S^(10^5000)", "CP^(10^4300 - 1)"],
+    [
+        (sphere, 10**5000),
+        (complex_projective, _CEILING - 1),
+        (lambda n: sphere(3)._replace(n=n), 10**5000),
+        (lambda n: DualSpace._make((SPHERE, n)), 10**5000),
+    ],
+    ids=["S^(10^5000)", "CP^(10^4300 - 1)", "_replace", "_make"],
 )
 def test_a_dual_space_past_4300_digits_is_refused_when_it_is_made(make, n):
     # its dimension, n and 2n, would pass the ceiling, and with it the
