@@ -15,11 +15,11 @@ CP^14291 and HP^7146, so one comparison of n with _LARGEST_N is both the
 cost bound and the exact digit ceiling.
 The CayP^2 coefficients are rigid: the only ambiguity is the sign of the
 degree-8 term, and 6 is the standard positive choice (consistent with
-p_2^2 = 36, p_4 = 39).  Stiefel-Whitney classes are computed for spheres
-(all vanish) and CP^n (w = (1 + a)^(n+1) mod 2, whose a^j term is 1 iff the
-bits of j are bits of n + 1, by Lucas' theorem); for HP^n and CayP^2 they
-are much harder to obtain and deliberately unsupported (Milnor-Stasheff,
-Characteristic Classes, section 15; Borel-Hirzebruch 1958).
+p_2^2 = 36, p_4 = 39).  By Wu's formula every rank-one dual has total
+Stiefel-Whitney class w = (1 + u)^(T+1) mod 2, whose u^j term is 1 iff the
+bits of j are bits of T + 1 (Lucas); on S^n, where u^2 = 0, w = 1
+(Milnor-Stasheff, section 11; Borel-Hirzebruch 1958).  It is applied to S^n
+and CP^n; HP^n and CayP^2 are still refused with UnsupportedClassError.
 
 A characteristic number is the coefficient of the top generator power in a
 product of class components; the fundamental class is normalized so that
@@ -33,7 +33,7 @@ Characteristic Classes, sections 15-16).
 A table is one walk over the partitions (partitions.walk_runs), a run of
 part k taken r times contributing its key text and a coefficient power:
 "k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}" and
-c_(k/g) mod 2 prepended for SW monomials, whose indices ascend.  Each entry
+c_(k/g), 0 or 1, prepended for SW monomials, whose indices ascend.  Each entry
 extends its parent prefix by one run, or by a finished tail of 2s and 1s
 that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
@@ -41,7 +41,7 @@ before the total class is computed, and a DualSpace whose dimension has
 more than MAX_DIGITS digits when it is made: no result has a longer integer.
 Only the table builders and CharNumberTable.from_json_dict, which reads
 back what to_json_dict writes, use partitions, so they import it:
-classify, dual and p-class never load it.
+classify, dual and p-class never load it.  Both key spellings live here.
 """
 
 from itertools import accumulate
@@ -178,14 +178,18 @@ def _require_sw(space: DualSpace) -> None:
 
 
 def total_stiefel_whitney(space: DualSpace) -> TotalClass:
-    """Total SW class mod 2; defined here for spheres, and for CP^n up to
-    the largest n of its Pontrjagin class."""
+    """Total SW class mod 2 by Wu's formula, for spheres, and for CP^n up
+    to the largest n of its Pontrjagin class."""
     _require_sw(space)
     if space.n > _LARGEST_N.get(space.kind, space.n):
         raise TooLargeError(f"classes of CP^n are computed for n <= {_LARGEST_N[space.kind]}")
     degree, top = space._shape()
-    bits = 0 if space.kind == SPHERE else space.n + 1  # bits 0 give w(S^n) = 1
+    bits = top + 1  # Wu: w = (1 + u)^(T+1), whose u^j term is C(T+1, j) mod 2
     return TotalClass(degree, top, tuple(int(j & bits == j) for j in range(top + 1)))
+
+
+def _sw_factor(index: int, exponent: int) -> str:
+    return f"w{index}" if exponent == 1 else f"w{index}^{exponent}"
 
 
 def _coefficients_by_degree(total: TotalClass, dim: int) -> list:
@@ -226,7 +230,7 @@ class CharNumberTable(NamedTuple):
         entries whose first key gives the kind and the degree.  Every key is
         checked and canonicalized, SW values are read mod 2, and a dimension
         or value past MAX_DIGITS digits is refused with TooLargeError."""
-        from symchar.partitions import parse_table_key
+        from symchar.partitions import format_partition, parse_monomial, parse_partition
 
         if not isinstance(data, dict):
             raise BadTableError("table must be a JSON object")
@@ -257,7 +261,13 @@ class CharNumberTable(NamedTuple):
             dim = None
         entries: dict = {}
         for key, value in raw.items():
-            canonical, degree = parse_table_key(kind, key)
+            if kind == PONTRJAGIN:
+                partition = parse_partition(key)
+                canonical, degree = format_partition(partition), 4 * sum(partition)
+            else:
+                exponents = parse_monomial(key)
+                canonical = " ".join(_sw_factor(i, r) for i, r in exponents)
+                degree = sum(i * r for i, r in exponents)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise BadTableError(f"entry {key!r} must be an integer")
             if kind == SW:
@@ -301,7 +311,7 @@ def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     w = _coefficients_by_degree(total_stiefel_whitney(space), dim)
     entries = walk_runs(
         dim,
-        lambda k, r: (f"w{k}" if r == 1 else f"w{k}^{r}", w[k] & 1),
+        lambda k, r: (_sw_factor(k, r), w[k]),
         " ",
         prepend=True,
     )

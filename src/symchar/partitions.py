@@ -5,8 +5,9 @@ lexicographically decreasing: partitions_of(4) starts at (4,) and ends at
 (1, 1, 1, 1).  A degree-n SW monomial w_1^r1 ... w_n^rn with sum(i * ri) = n
 corresponds to the partition of n whose parts are the factor indices, and
 is a plain tuple ((index, exponent), ...) of indices ascending, as
-parse_monomial returns it.  A table key is text: parse_table_key reads
-either kind back to its canonical spelling and its degree.
+parse_monomial returns it.  This module knows no table kind: charclass
+spells the keys of each kind and reads them back through parse_partition
+and parse_monomial, so partitions imports only errors.
 
 Every enumeration in the package is one walk, walk_runs.  It reads a
 partition as runs, part k taken r times with k decreasing, and builds each
@@ -29,9 +30,6 @@ above MAX_WEIGHT, before any work is done.
 
 from typing import Callable
 
-# charclass imports this module only inside its table builders, so the
-# import below makes no cycle
-from symchar.charclass import PONTRJAGIN
 from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError
 
 Partition = tuple[int, ...]
@@ -179,13 +177,3 @@ def parse_monomial(text: str) -> tuple:
         counts[index] = counts.get(index, 0) + exponent
     return tuple(sorted(counts.items()))
 
-
-def parse_table_key(kind: str, key: str) -> tuple:
-    """(canonical spelling, degree) of a table key: a partition such as
-    "(2,2)" in a Pontrjagin table, a monomial such as "w2 w2" in an SW one."""
-    if kind == PONTRJAGIN:
-        partition = parse_partition(key)
-        return format_partition(partition), 4 * sum(partition)
-    exponents = parse_monomial(key)
-    text = " ".join(f"w{i}" if r == 1 else f"w{i}^{r}" for i, r in exponents)
-    return text, sum(i * r for i, r in exponents)

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
+    TEN_TO_MAX_DIGITS,
     BadPrimePowerError,
     DimensionMismatchError,
     EqualCharacteristicError,
@@ -159,8 +160,8 @@ _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 _MR_MAX_BITS = 4096
 # The root search grows faster than d^2 in the digits of q (0.23 s at 4300
 # digits, 5.9 s at 17 200), so a q longer than 10^4300 - 1, the largest one
-# the CLI reads, is refused before it.
-_ROOT_MAX_BITS = 14_285
+# the CLI reads, is refused before it: 14 285 bits, as many as 10^4300 has.
+_ROOT_MAX_BITS = TEN_TO_MAX_DIGITS.bit_length()
 
 
 def _passes_miller_rabin(n: int, bases: tuple) -> bool:

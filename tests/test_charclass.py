@@ -97,10 +97,16 @@ def test_cayley_class_frozen():
 
 def _hp_series(n: int, length: int) -> list:
     """c_0 .. c_(length-1) of (1 + u)^(2n+2) / (1 + 4u), the HP^n class
-    for length n + 1: c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1)."""
-    series = [1]
+    for length n + 1: c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1).  Each C(m, k)
+    is C(m, k-1) (m - k + 1) / k, checked against math.comb at every 64th k
+    and at the last: a comb per k, on thousands of digits, took 16 s."""
+    m = 2 * n + 2
+    series, binomial = [1], 1
     for k in range(1, length):
-        series.append(comb(2 * n + 2, k) - 4 * series[-1])
+        binomial = binomial * (m - k + 1) // k
+        if k % 64 == 0 or k == length - 1:
+            assert binomial == comb(m, k), k
+        series.append(binomial - 4 * series[-1])
     return series
 
 

@@ -30,7 +30,13 @@ from symchar.catalog import (
     spec_string,
     stiefel_whitney_table,
 )
-from symchar.charclass import PONTRJAGIN, CharNumberTable, bounds_orientably
+from symchar.charclass import (
+    BOUNDS,
+    DOES_NOT_BOUND,
+    PONTRJAGIN,
+    CharNumberTable,
+    bounds_orientably,
+)
 from symchar.errors import SymcharError, TooLargeError, UnsupportedClassError
 from symchar.partitions import format_partition
 from symchar.transfer import pullback_numbers, solve_manifold_numbers
@@ -333,6 +339,24 @@ def test_wall_from_tables(run_json):
     assert payload["verdict"] == "bounds"
 
 
+# The Wu manifold SU(3)/SO(3), the compact dual of SL_nR(3): dimension 5,
+# so every Pontrjagin number is 0, and w2 w3 = 1, so it does not bound by
+# its SW number alone.  wall 'SL_nR(3)' answers insufficient_data, because
+# SW tables are computed for rank-one duals only.
+_WU_P_TABLE = '{"dim":5,"kind":"pontrjagin","entries":{}}'
+
+
+@pytest.mark.parametrize("w2w3, verdict", [(1, DOES_NOT_BOUND), (0, BOUNDS)])
+def test_wall_decides_the_wu_manifold_by_its_sw_number(capsys, w2w3, verdict):
+    sw = json.dumps({"w2 w3": w2w3})
+    assert cli.main(["wall", "--p", _WU_P_TABLE, "--sw", sw]) == 0
+    assert capsys.readouterr() == (f'{{"dim":5,"verdict":"{verdict}"}}\n', "")
+    p_table = CharNumberTable.from_json_dict(json.loads(_WU_P_TABLE))
+    sw_table = CharNumberTable.from_json_dict(json.loads(sw))
+    assert p_table.all_zero() and sw_table.entries == {"w2 w3": w2w3}
+    assert bounds_orientably(p_table, sw_table) == verdict
+
+
 def test_wall_table_from_file(run_json, tmp_path):
     table_file = tmp_path / "cay.json"
     table_file.write_text(
@@ -456,6 +480,7 @@ def _main(*argv):
     [
         ("import symchar", ""),
         ("import symchar.cli", "cli errors"),
+        ("import symchar.partitions", "errors partitions"),  # no table kind
         (_main("gl-order", "3", "2"), "charclass cli errors transfer"),
         (_main("ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "3"),
          "charclass cli errors transfer"),
@@ -472,8 +497,9 @@ def _main(*argv):
         (_main("gl-order", "3"), "cli errors"),  # a usage error
     ],
     ids=[
-        "package", "cli", "gl-order", "ds-check", "classify", "dual", "p-class",
-        "transfer", "mu", "wall-tables", "wall-space", "sw-numbers", "usage-error",
+        "package", "cli", "partitions", "gl-order", "ds-check", "classify", "dual",
+        "p-class", "transfer", "mu", "wall-tables", "wall-space", "sw-numbers",
+        "usage-error",
     ],
 )
 def test_a_call_loads_only_the_modules_it_runs(statement, loaded):

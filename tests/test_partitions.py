@@ -12,14 +12,13 @@ from _oracles import (
     partitions_decreasing,
     sw_key,
 )
-from symchar.charclass import SW, sphere, stiefel_whitney_numbers
+from symchar.charclass import SW, CharNumberTable, sphere, stiefel_whitney_numbers
 from symchar.errors import SymcharError, TooLargeError
 from symchar.partitions import (
     MAX_WEIGHT,
     format_partition,
     parse_monomial,
     parse_partition,
-    parse_table_key,
     partitions_of,
     walk_runs,
 )
@@ -161,12 +160,18 @@ def test_degree_one_monomial():
     assert _sw_keys(1) == ["w1"]
 
 
+def _read_back(key):
+    table = CharNumberTable.from_json_dict({key: 1})
+    assert table.kind == SW
+    return (*table.entries, table.dimension)
+
+
 def test_monomial_format_parse_round_trip():
     for n in range(1, 10):
         for key in _sw_keys(n):
-            assert parse_table_key(SW, key) == (key, n)
+            assert _read_back(key) == (key, n)
     assert parse_monomial("w3 w1 w1") == parse_monomial("w1^2 w3") == ((1, 2), (3, 1))
-    assert parse_table_key(SW, " w3 w1 w1") == ("w1^2 w3", 5)
+    assert _read_back(" w3 w1 w1") == ("w1^2 w3", 5)
 
 
 def test_parse_monomial_rejects_garbage():

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from _oracles import build_parser, sw_monomial_by_regex
 from symchar import cli
 from symchar.catalog import _FAMILIES, _NAMES, parse_space
-from symchar.charclass import PONTRJAGIN, SW
+from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import SymcharError
-from symchar.partitions import parse_monomial, parse_partition, parse_table_key
+from symchar.partitions import parse_monomial, parse_partition
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -87,8 +87,11 @@ def test_parse_monomial_agrees_with_the_regex_grammar(text):
 
 @SETTINGS
 @given(st.sampled_from([PONTRJAGIN, SW]), st.one_of(PARTITIONS, MONOMIALS))
-def test_parse_table_key_is_total(kind, text):
-    _value_or_domain_error(lambda key: parse_table_key(kind, key), text)
+def test_reading_a_one_key_table_is_total(kind, text):
+    # in the full form of either kind, where the key is read before its
+    # degree is compared with "dim", and bare, where it gives kind and degree
+    for document in ({"dim": 0, "kind": kind, "entries": {text: 1}}, {text: 1}):
+        _value_or_domain_error(CharNumberTable.from_json_dict, document)
 
 
 @SETTINGS

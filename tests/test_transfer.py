@@ -30,6 +30,7 @@ from symchar.partitions import format_partition
 from symchar.transfer import (
     GL_MEMO_SIZE,
     _MR_MAX_BITS,
+    _ROOT_MAX_BITS,
     _prime_power_base,
     deligne_sullivan_check,
     gl_order,
@@ -333,6 +334,19 @@ def test_a_field_size_past_the_cli_range_is_refused_before_the_root_search():
     with pytest.raises(TooLargeError):
         deligne_sullivan_check(1, 1, 2, q)
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_root_search_runs_up_to_the_bits_of_the_largest_cli_q():
+    # 10^4300 - 1 has 14 285 bits: a q of that many passes the root search
+    # and is refused at the Miller-Rabin cap, one bit more at once
+    assert _ROOT_MAX_BITS == (10**4300 - 1).bit_length() == 14_285
+    last = _odd_without_factor_to_100(2 ** (_ROOT_MAX_BITS - 1))
+    past = _odd_without_factor_to_100(2**_ROOT_MAX_BITS)
+    assert (last.bit_length(), past.bit_length()) == (14_285, 14_286)
+    with pytest.raises(TooLargeError, match="primality is tested up to 4096 bits"):
+        _prime_power_base(last)
+    with pytest.raises(TooLargeError, match="prime powers are sought up to 14285 bits"):
+        _prime_power_base(past)
 
 
 def test_the_bit_cap_stops_only_miller_rabin():
