@@ -11,9 +11,10 @@ arithmetic:
                            (positive), Gauss-Bonnet forces chi(M) != 0.
                            Each family states that quotient in closed form,
                            2^e C(m, k).
-  rank(G_U) >  rank(K)  -> the dual carries a free torus action of the
-                           difference rank, so chi and every Pontrjagin
-                           number of the dual vanish.
+  rank(G_U) >  rank(K)  -> the maximal torus of G_U acts on the dual without
+                           fixed points, so chi and, by localization (Bott
+                           1967), every Pontrjagin number vanish; not every
+                           SW number: SU(3)/SO(3) has w2 w3 = 1.
 
 Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
@@ -24,9 +25,9 @@ CayP^2) whose numbers charclass computes, and pontrjagin_table gives the
 all-zero table under a rank gap or on a parallelizable dual.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, log10
-from typing import Callable, NamedTuple
 
 from symchar import charclass
 from symchar.errors import (
@@ -80,20 +81,17 @@ def group_text(factors: list) -> str:
     return "x".join(texts) or "1"
 
 
-class DualPair(NamedTuple):
-    """Compact dual G_U / K, each group a list of factors.  TypeIV spaces
-    carry only the display name and the dimension."""
+class DualPair(namedtuple("DualPair", "gu k name dim rank_gu rank_k")):
+    """Compact dual G_U / K, each group a list of factors, its name and its
+    int dimension and ranks.  TypeIV spaces carry only the name and the
+    dimension."""
 
-    gu: list | None
-    k: list | None
-    name: str
-    dim: int
-    rank_gu: int | None
-    rank_k: int | None
+    __slots__ = ()
 
 
-class SpaceSpec(NamedTuple("SpaceSpec", [("family", str), ("params", tuple)])):
-    """A known family and its parameters: exact ints, each in its range."""
+class SpaceSpec(namedtuple("SpaceSpec", "family params")):
+    """A known family (str) and its parameters: a tuple of exact ints, each
+    in its range."""
 
     __slots__ = ()
 
@@ -119,7 +117,7 @@ class SpaceSpec(NamedTuple("SpaceSpec", [("family", str), ("params", tuple)])):
         return super().__new__(cls, family, tuple(params))
 
     @classmethod
-    def _make(cls, iterable):  # NamedTuple's skips __new__, and _replace calls it
+    def _make(cls, iterable):  # namedtuple's skips __new__, and _replace calls it
         return cls(*iterable)
 
 
@@ -129,16 +127,17 @@ VERDICT_PARALLELIZABLE = "Parallelizable_Vanish"
 VERDICT_RANK_ONE = "RankOne"
 
 
-class _Family(NamedTuple):
-    name: str
-    min_params: tuple  # one minimum per parameter
-    groups: Callable | None  # params -> (G_U factors, K factors); None for TypeIV
-    aliases: tuple = ()  # short names parse_space accepts besides name
-    # params -> (m, k, e) with chi(G_U/K) = 2^e C(m, k) at equal rank; None for
-    # the families that never reach it
-    euler: Callable | None = None
-    space: Callable | None = None  # params -> DualSpace, for the rank-one families
-    label: Callable | None = None  # params -> name of the dual, where "G_U/K" is not
+class _Family(namedtuple("_Family", "name min_params groups aliases euler space label",
+                         defaults=((), None, None, None))):
+    """name: the canonical family name
+    min_params: one minimum per parameter, a tuple
+    groups: params -> (G_U factors, K factors); None for TypeIV
+    aliases: short names parse_space accepts besides name, a tuple
+    euler: params -> (m, k, e), chi(G_U/K) = 2^e C(m, k) at equal rank, or None
+    space: params -> DualSpace, for the rank-one families
+    label: params -> name of the dual, where "G_U/K" is not"""
+
+    __slots__ = ()
 
 
 # The dual's name is "G_U/K" rendered from the groups, unless the family
@@ -313,17 +312,12 @@ def _two_power_binomial(m: int, k: int, e: int) -> int:
     return check_digits(comb(m, k) << e)
 
 
-class Classification(NamedTuple):
-    family: str
-    params: tuple
-    dual: str
-    dim: int
-    rank_gu: int | None
-    rank_k: int | None
-    toral_rank: int | None
-    verdict: str
-    euler_char_dual: int
-    minvol_positive: bool
+class Classification(namedtuple("Classification", "family params dual dim rank_gu rank_k "
+                                "toral_rank verdict euler_char_dual minvol_positive")):
+    """The dual's name and int dimension, ranks and their difference (None
+    on a parallelizable dual), verdict and Euler characteristic of a space."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         payload = dict(zip(self._fields, self))

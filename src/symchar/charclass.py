@@ -44,8 +44,8 @@ back what to_json_dict writes, use partitions, so they import it:
 classify, dual and p-class never load it.  Both key spellings live here.
 """
 
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from symchar.errors import (
     BadTableError,
@@ -79,8 +79,8 @@ _GEOMETRY = {
 }
 
 
-class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
-    """A rank-one compact dual: S^n, CP^n, HP^n, or CayP^2."""
+class DualSpace(namedtuple("DualSpace", "kind n")):
+    """A rank-one compact dual: S^n, CP^n, HP^n, or CayP^2 (kind a str)."""
 
     __slots__ = ()
 
@@ -99,7 +99,7 @@ class DualSpace(NamedTuple("DualSpace", [("kind", str), ("n", int)])):
         return space
 
     @classmethod
-    def _make(cls, iterable):  # NamedTuple's skips __new__, and _replace calls it
+    def _make(cls, iterable):  # namedtuple's skips __new__, and _replace calls it
         return cls(*iterable)
 
     def _shape(self) -> tuple:
@@ -130,12 +130,10 @@ def cayley_plane() -> DualSpace:
     return DualSpace(CAYLEY_PLANE, 2)
 
 
-class TotalClass(NamedTuple):
-    """A total class: coefficients of u^0 .. u^T, u in generator_degree."""
+class TotalClass(namedtuple("TotalClass", "generator_degree truncation_top coefficients")):
+    """A total class: a tuple of coefficients of u^0 .. u^T, u in generator_degree."""
 
-    generator_degree: int
-    truncation_top: int
-    coefficients: tuple
+    __slots__ = ()
 
 
 def _binomials(m: int, count: int) -> list:
@@ -198,18 +196,17 @@ def _coefficients_by_degree(total: TotalClass, dim: int) -> list:
     return [0 if d % g else total.coefficients[d // g] for d in range(dim + 1)]
 
 
-class CharNumberTable(NamedTuple):
-    """Characteristic numbers of one space, keyed by serialized index.
+class CharNumberTable(
+    namedtuple("CharNumberTable", "kind dimension entries reason", defaults=(None,))
+):
+    """Characteristic numbers of one space, a dict keyed by serialized index.
 
     Pontrjagin tables are keyed by partitions ("2,2"); SW tables by
-    monomials ("w1^2 w2").  ``reason`` marks tables that are empty by
-    degree bookkeeping (every number is vacuously zero).
+    monomials ("w1^2 w2").  ``reason``, a str or None, marks tables that are
+    empty by degree bookkeeping (every number is vacuously zero).
     """
 
-    kind: str
-    dimension: int
-    entries: dict
-    reason: str | None = None
+    __slots__ = ()
 
     def all_zero(self) -> bool:
         return not any(self.entries.values())

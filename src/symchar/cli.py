@@ -5,7 +5,8 @@ JSON, and wall of a space is catalog.wall_verdict.
 Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
 A usage error (an unknown subcommand or option, a missing or malformed
 argument) exits 2 with the usage and the error on stderr and nothing on
-stdout; -h or --help prints help and exits 0.
+stdout; -h or --help prints help and exits 0.  A closed or full stdout
+exits 1 with no traceback, and a full one with a line on stderr.
 
 main runs each call with Python's int-to-text limit at errors.MAX_DIGITS,
 the ceiling of the size gates, and then restores the caller's: every
@@ -16,6 +17,7 @@ what its subcommand runs: a usage error loads none of them.
 """
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -253,9 +255,28 @@ def _usage_error(command: str | None, message: str):
     raise SystemExit(2)
 
 
+def _print(text: str) -> int:
+    """Print text and flush stdout in one try: 0, or 1 when stdout is closed
+    or full (a small text meets a full device only at the flush)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+        return 0
+    except OSError as exc:
+        # point stdout at os.devnull, as the docs' note on SIGPIPE does, so
+        # that the interpreter's own flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left wants no text
+            print(f"symchar: cannot write the result: {exc.strerror}", file=sys.stderr)
+        return 1
+
+
 def _help(command: str | None, name: str, joined: str | None):
-    """Print the help text and exit 0.  A value joined to the help option is a
-    usage error, except that -hh (-h=h, ...) reads as -h repeated."""
+    """Print the help text and exit 0, or 1 if it cannot be written.  A value
+    joined to the help option is a usage error, except that -hh (-h=h, ...)
+    reads as -h repeated."""
     if joined is not None and (name != "-h" or not joined or joined.strip("h")):
         _usage_error(command, f"argument -h/--help: ignored explicit argument {joined!r}")
     if command is None:
@@ -272,8 +293,7 @@ def _help(command: str | None, name: str, joined: str | None):
     width = max(len(name) for name, _ in rows) + 2
     lines = [_usage(command), "", head, ""]
     lines += [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
-    print("\n".join(lines))
-    raise SystemExit(0)
+    raise SystemExit(_print("\n".join(lines)))
 
 
 def _read_option(command: str | None, token: str, names) -> tuple | None:
@@ -432,8 +452,7 @@ def main(argv=None) -> int:
             text = _dumps(payload, args.pretty)
         except ValueError:  # an integer of more than MAX_DIGITS digits
             text, status = _dumps(_error(past_digit_limit()), args.pretty), 1
-        print(text)
-        return status
+        return _print(text) or status
     finally:
         sys.set_int_max_str_digits(saved)
 

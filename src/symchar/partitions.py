@@ -28,7 +28,7 @@ p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
 above MAX_WEIGHT, before any work is done.
 """
 
-from typing import Callable
+from collections.abc import Callable
 
 from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError
 

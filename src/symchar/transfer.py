@@ -22,9 +22,9 @@ q^(n(n-1)/2) * prod_{i=1}^{n} (q^i - 1) and share one memo of them, looked
 up only after every gate on the request has passed.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, lcm, log, log10
-from typing import NamedTuple
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
@@ -95,12 +95,10 @@ def solve_manifold_numbers(
     )
 
 
-class MuReport(NamedTuple):
-    """The divisibility bound mu together with its per-partition pieces."""
+class MuReport(namedtuple("MuReport", "mu contributions skipped")):
+    """The divisibility bound mu, its per-partition pieces and the skipped keys."""
 
-    mu: int
-    contributions: dict
-    skipped: list
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return self._asdict()
@@ -283,13 +281,10 @@ def _gl_factored(n: int, q: int) -> int:
 _gl_memo = lru_cache(maxsize=GL_MEMO_SIZE)(_gl_factored)
 
 
-class DSReport(NamedTuple):
-    """Witnesses for the smoothing divisibility test."""
+class DSReport(namedtuple("DSReport", "divides order_1 order_2 order_product")):
+    """Witnesses for the smoothing divisibility test (a bool, then ints)."""
 
-    divides: bool
-    order_1: int
-    order_2: int
-    order_product: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return self._asdict()

@@ -1,6 +1,8 @@
 """Total classes and characteristic numbers of the rank-one duals."""
 
+import copy
 import json
+import pickle
 import sys
 from collections import Counter
 from math import comb
@@ -17,7 +19,14 @@ from _oracles import (
     total_stiefel_whitney_plain,
     total_stiefel_whitney_wu,
 )
-from symchar.catalog import SpaceSpec, classify, parse_space, pontrjagin_table
+from symchar.catalog import (
+    SpaceSpec,
+    _Family,
+    classify,
+    dual_of,
+    parse_space,
+    pontrjagin_table,
+)
 from symchar.charclass import (
     BOUNDS,
     CharNumberTable,
@@ -45,7 +54,7 @@ from symchar.errors import (
     UnsupportedClassError,
 )
 from symchar.partitions import format_partition
-from symchar.transfer import pullback_numbers, solve_manifold_numbers
+from symchar.transfer import deligne_sullivan_check, mu, pullback_numbers, solve_manifold_numbers
 
 
 def test_sphere_class_is_trivial():
@@ -387,7 +396,7 @@ def test_construction_validators():
 
 
 def test_replace_and_make_check_as_the_constructor():
-    # NamedTuple's own _make, which _replace calls, skips __new__
+    # namedtuple's own _make, which _replace calls, skips __new__
     with pytest.raises(SymcharError, match="unknown dual space kind 'nonsense'"):
         DualSpace._make(("nonsense", 1))
     with pytest.raises(SymcharError, match="must be an integer, got True"):
@@ -398,6 +407,65 @@ def test_replace_and_make_check_as_the_constructor():
         cayley_plane()._replace(n=3)
     for space in (complex_projective(3), DualSpace._make(("complex-projective", 3))):
         assert type(space) is DualSpace and space == complex_projective(2)._replace(n=3)
+
+
+def _records() -> list:
+    """One instance of each of the nine records, with its fields, its
+    defaults, and whether it checks itself when it is made."""
+    cayley = pontrjagin_numbers(cayley_plane())
+    return [
+        (parse_space("SU_pq(2,3)"), "family params", {}, True),
+        (dual_of(parse_space("SU_pq(2,3)")), "gu k name dim rank_gu rank_k", {}, False),
+        (
+            classify(parse_space("CHn(2)")),
+            "family params dual dim rank_gu rank_k toral_rank verdict "
+            "euler_char_dual minvol_positive",
+            {},
+            False,
+        ),
+        (
+            _Family("Flat_n", (1,), None),  # no callable, so that it pickles
+            "name min_params groups aliases euler space label",
+            {"aliases": (), "euler": None, "space": None, "label": None},
+            False,
+        ),
+        (complex_projective(3), "kind n", {}, True),
+        (total_pontrjagin(cayley_plane()), "generator_degree truncation_top coefficients", {}, False),
+        (cayley, "kind dimension entries reason", {"reason": None}, False),
+        (mu(cayley, cayley), "mu contributions skipped", {}, False),
+        (deligne_sullivan_check(3, 1, 2, 3), "divides order_1 order_2 order_product", {}, False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, fields, defaults, checked",
+    [pytest.param(*case, id=type(case[0]).__name__) for case in _records()],
+)
+def test_every_record_keeps_the_namedtuple_protocol(record, fields, defaults, checked):
+    cls = type(record)
+    fields = tuple(fields.split())
+    assert cls._fields == fields and cls._field_defaults == defaults
+    assert not hasattr(record, "__dict__")  # __slots__ = () on the subclass
+    values = ", ".join(f"{name}={value!r}" for name, value in zip(fields, record))
+    assert repr(record) == f"{cls.__name__}({values})"
+    assert record == tuple(record) and list(record._asdict()) == list(fields)
+    for twin in (
+        record._replace(),
+        cls._make(record),
+        copy.copy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(twin) is cls and twin == record
+    # a checked record runs its checks through _replace and _make too
+    for make in (
+        lambda: record._replace(**{fields[0]: "nonsense"}),
+        lambda: cls._make(("nonsense", *record[1:])),
+    ):
+        if checked:
+            with pytest.raises(SymcharError):
+                make()
+        else:
+            assert make() == ("nonsense", *record[1:])
 
 
 def _round_trip_tables() -> list:

@@ -414,6 +414,42 @@ def test_usage_errors_exit_2():
 
 
 @pytest.mark.parametrize(
+    "argv, head",
+    [
+        # QHn(30)'s table, 356 570 bytes, fills the pipe: the child is still
+        # writing when the pipe closes
+        (["p-numbers", "QHn(30)"], b'{"dim":120'),
+        # a pipe closed before the child writes: its first write fails
+        (["classify", "SU_pq(2,3)"], b""),
+        (["--help"], b""),
+    ],
+)
+def test_a_closed_pipe_exits_1_with_nothing_on_stderr(argv, head):
+    with subprocess.Popen(
+        [sys.executable, "-m", "symchar", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.read(len(head)) == head
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["classify", "SU_pq(2,3)"], ["p-numbers", "QHn(30)"], ["gl-order", "3", "6"], ["-h"]]
+)
+def test_a_full_device_exits_1_with_one_line_on_stderr(argv):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "symchar", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert child.returncode == 1
+    assert child.stderr == "symchar: cannot write the result: No space left on device\n"
+
+
+@pytest.mark.parametrize(
     "argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in cli.COMMANDS)]
 )
 def test_help_exits_0_and_names_every_choice(argv, capsys):
@@ -466,9 +502,9 @@ except SystemExit:
     pass
 print(*sorted(m for m in sys.modules if m.startswith("symchar") or m in {}))
 """
-# Modules no call loads: dataclasses, and argparse with the gettext and
-# locale it pulls in; no module imports __future__.
-_NEVER_LOADED = ("dataclasses", "argparse", "gettext", "locale", "__future__")
+# Modules no call loads: dataclasses, typing, and argparse with the gettext
+# and locale it pulls in; no module imports __future__.
+_NEVER_LOADED = ("dataclasses", "argparse", "gettext", "locale", "__future__", "typing")
 
 
 def _main(*argv):
