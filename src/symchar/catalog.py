@@ -16,6 +16,12 @@ arithmetic:
                            1967), every Pontrjagin number vanish; not every
                            SW number: SU(3)/SO(3) has w2 w3 = 1.
 
+Each family states its dual in closed form: the dimension and the two
+ranks, the texts of G_U and K, and chi at equal rank.  The texts are
+rendered only by dual_of and for the name "G_U/K" of a family with neither
+a DualSpace nor a label, so classify of RHn(n) answers where SO(n+1) has
+too many digits to render.
+
 Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
 
@@ -43,48 +49,10 @@ from symchar.errors import (
 )
 
 
-# Compact group factors: kind -> (rank, dimension, text), the rank and the
-# dimension as functions of the factor's parameters, the text with one "{}"
-# per parameter.  A factor is a tuple (kind, *params); a group is a list of
-# factors, the empty list being the trivial group.
-_FACTOR_KINDS = {
-    "SU": (lambda n: n - 1, lambda n: n * n - 1, "SU({})"),
-    "SO": (lambda m: m // 2, lambda m: m * (m - 1) // 2, "SO({})"),
-    "Sp": (lambda n: n, lambda n: n * (2 * n + 1), "Sp({})"),
-    "U": (lambda n: n, lambda n: n * n, "U({})"),
-    "SUxU": (lambda p, q: p + q - 1, lambda p, q: p * p + q * q - 1, "S(U{}xU{})"),
-    "Spin9": (lambda: 4, lambda: 36, "Spin(9)"),
-    "F4": (lambda: 4, lambda: 52, "F4"),
-    "T": (lambda n: n, lambda n: n, "U(1)^{}"),  # the torus U(1)^n
-}
-
-
-def _group_sums(factors: list) -> tuple:
-    """(rank, dimension) of a group, in one pass over its factors."""
-    rank = dim = 0
-    for kind, *params in factors:
-        rank_of, dim_of, _ = _FACTOR_KINDS[kind]
-        rank += rank_of(*params)
-        dim += dim_of(*params)
-    return rank, dim
-
-
-def group_text(factors: list) -> str:
-    """A group as text, "1" for the trivial group.  A parameter derived from
-    the spec's (p+q, 2n, n+1) can pass MAX_DIGITS digits where the spec's
-    own do not; that is refused with TooLargeError."""
-    texts = []
-    for kind, *params in factors:
-        for p in params:
-            check_digits(p)
-        texts.append(_FACTOR_KINDS[kind][2].format(*params))
-    return "x".join(texts) or "1"
-
-
 class DualPair(namedtuple("DualPair", "gu k name dim rank_gu rank_k")):
-    """Compact dual G_U / K, each group a list of factors, its name and its
-    int dimension and ranks.  TypeIV spaces carry only the name and the
-    dimension."""
+    """Compact dual G_U / K, each group as text ("SU(5)", "1" for the
+    trivial group), its name and its int dimension and ranks.  TypeIV
+    spaces carry only the name and the dimension."""
 
     __slots__ = ()
 
@@ -127,11 +95,15 @@ VERDICT_PARALLELIZABLE = "Parallelizable_Vanish"
 VERDICT_RANK_ONE = "RankOne"
 
 
-class _Family(namedtuple("_Family", "name min_params groups aliases euler space label",
+class _Family(namedtuple("_Family", "name min_params sizes texts aliases euler space label",
                          defaults=((), None, None, None))):
     """name: the canonical family name
     min_params: one minimum per parameter, a tuple
-    groups: params -> (G_U factors, K factors); None for TypeIV
+    sizes: params -> (dim, rank(G_U), rank(K)) of the dual, the ranks None
+        for TypeIV
+    texts: params -> (G_U text, K text), each parameter derived from the
+        spec's (p+q, 2n, n+1) checked with check_digits before it is
+        rendered; None for TypeIV
     aliases: short names parse_space accepts besides name, a tuple
     euler: params -> (m, k, e), chi(G_U/K) = 2^e C(m, k) at equal rank, or None
     space: params -> DualSpace, for the rank-one families
@@ -140,72 +112,81 @@ class _Family(namedtuple("_Family", "name min_params groups aliases euler space 
     __slots__ = ()
 
 
-# The dual's name is "G_U/K" rendered from the groups, unless the family
+# The dual's name is "G_U/K" rendered from the texts, unless the family
 # has a DualSpace (rank one) or a label of its own.
 _FAMILIES = {
     f.name: f
     for f in (
         _Family(
             "SU_pq", (1, 1),
-            lambda p, q: ([("SU", p + q)], [("SUxU", p, q)]),
+            lambda p, q: (2 * p * q, p + q - 1, p + q - 1),
+            lambda p, q: (f"SU({check_digits(p + q)})", f"S(U{p}xU{q})"),
             aliases=("SUpq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
             "SO0_pq", (1, 1),
-            lambda p, q: ([("SO", p + q)], [("SO", p), ("SO", q)]),
+            lambda p, q: (p * q, (p + q) // 2, p // 2 + q // 2),
+            lambda p, q: (f"SO({check_digits(p + q)})", f"SO({p})xSO({q})"),
             aliases=("SO0pq",), euler=lambda p, q: ((p + q) // 2, p // 2, 1),
         ),
         _Family(
-            "SOstar_2n", (2,), lambda n: ([("SO", 2 * n)], [("U", n)]),
+            "SOstar_2n", (2,), lambda n: (n * (n - 1), n, n),
+            lambda n: (f"SO({check_digits(2 * n)})", f"U({n})"),
             aliases=("SOstar2n", "SOstar"), euler=lambda n: (0, 0, n - 1),
         ),
         _Family(
-            "Sp_nR", (1,), lambda n: ([("Sp", n)], [("U", n)]),
+            "Sp_nR", (1,), lambda n: (n * (n + 1), n, n),
+            lambda n: (f"Sp({n})", f"U({n})"),
             aliases=("SpnR",), euler=lambda n: (0, 0, n),
         ),
         _Family(
             "Sp_pq", (1, 1),
-            lambda p, q: ([("Sp", p + q)], [("Sp", p), ("Sp", q)]),
+            lambda p, q: (4 * p * q, p + q, p + q),
+            lambda p, q: (f"Sp({check_digits(p + q)})", f"Sp({p})xSp({q})"),
             aliases=("Sppq",), euler=lambda p, q: (p + q, p, 0),
         ),
         _Family(
-            "SL_nR", (2,), lambda n: ([("SU", n)], [("SO", n)]),
+            "SL_nR", (2,), lambda n: ((n - 1) * (n + 2) // 2, n - 1, n // 2),
+            lambda n: (f"SU({n})", f"SO({n})"),
             aliases=("SLnR",), euler=lambda n: (0, 0, 1),  # equal rank at n = 2 only
         ),
         _Family(
-            "SUstar_2n", (2,), lambda n: ([("SU", 2 * n)], [("Sp", n)]),
+            "SUstar_2n", (2,), lambda n: ((2 * n + 1) * (n - 1), 2 * n - 1, n),
+            lambda n: (f"SU({check_digits(2 * n)})", f"Sp({n})"),
             aliases=("SUstar2n", "SUstar"),
         ),
-        _Family("TypeIV", (1,), None, label=lambda d: "compact Lie group"),
         _Family(
-            "RealHyperbolic_n", (1,),
-            lambda n: ([("SO", n + 1)], [("SO", n)]),
+            "TypeIV", (1,), lambda d: (d, None, None), None,
+            label=lambda d: "compact Lie group",
+        ),
+        _Family(
+            "RealHyperbolic_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
+            lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
             aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "ComplexHyperbolic_n", (1,),
-            lambda n: ([("SU", n + 1)], [("SUxU", 1, n)]),
+            "ComplexHyperbolic_n", (1,), lambda n: (2 * n, n, n),
+            lambda n: (f"SU({check_digits(n + 1)})", f"S(U1xU{n})"),
             aliases=("CHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.complex_projective,
         ),
         _Family(
-            "QuaternionicHyperbolic_n", (1,),
-            lambda n: ([("Sp", n + 1)], [("Sp", 1), ("Sp", n)]),
+            "QuaternionicHyperbolic_n", (1,), lambda n: (4 * n, n + 1, n + 1),
+            lambda n: (f"Sp({check_digits(n + 1)})", f"Sp(1)xSp({n})"),
             aliases=("QHn",), euler=lambda n: (n + 1, 1, 0),
             space=charclass.quaternionic_projective,
         ),
         _Family(
-            "CayleyHyperbolic", (),
-            lambda: ([("F4",)], [("Spin9",)]),
+            "CayleyHyperbolic", (), lambda: (16, 4, 4), lambda: ("F4", "Spin(9)"),
             aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
         ),
         _Family(
-            "ConstantPositive_n", (1,),
-            lambda n: ([("SO", n + 1)], [("SO", n)]),
+            "ConstantPositive_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
+            lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
             aliases=("ConstPos",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
         ),
         _Family(
-            "Flat_n", (1,), lambda n: ([("T", n)], []),
+            "Flat_n", (1,), lambda n: (n, n, 0), lambda n: (f"U(1)^{n}", "1"),
             aliases=("Flat",), label=lambda n: f"T^{n}",
         ),
     )
@@ -279,25 +260,23 @@ def spec_string(spec: SpaceSpec) -> str:
     return f"{spec.family}({','.join(str(p) for p in spec.params)})"
 
 
-def _dual_pair(fam: _Family, params: tuple) -> DualPair:
-    if fam.groups is None:  # TypeIV(d) has the dimension of its group
-        return DualPair(None, None, fam.label(*params), params[0], None, None)
-    gu, k = fam.groups(*params)
+def _dual_facts(fam: _Family, params: tuple) -> tuple:
+    """(name, dim, rank_gu, rank_k) of a family's dual, its dimension not
+    yet checked.  Only a name "G_U/K" renders the texts."""
     if fam.space is not None:
         name = fam.space(*params).render()
     elif fam.label is not None:
         name = fam.label(*params)
     else:
-        name = f"{group_text(gu)}/{group_text(k)}"
-    rank_gu, dim_gu = _group_sums(gu)
-    rank_k, dim_k = _group_sums(k)
-    return DualPair(gu, k, name, dim_gu - dim_k, rank_gu, rank_k)
+        name = "/".join(fam.texts(*params))
+    return (name, *fam.sizes(*params))
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
-    pair = _dual_pair(_FAMILIES[spec.family], spec.params)
-    check_digits(pair.dim)
-    return pair
+    fam = _FAMILIES[spec.family]
+    name, dim, rank_gu, rank_k = _dual_facts(fam, spec.params)
+    gu, k = (None, None) if fam.texts is None else fam.texts(*spec.params)
+    return DualPair(gu, k, name, check_digits(dim), rank_gu, rank_k)
 
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:
@@ -337,13 +316,13 @@ def _classification(spec: SpaceSpec) -> Classification:
     """classify of a spec, computed."""
     family, params = spec
     fam = _FAMILIES[family]
-    pair = dual_of(spec)
-    if pair.gu is None:
+    name, dim, rank_gu, rank_k = _dual_facts(fam, params)
+    check_digits(dim)
+    if rank_gu is None:
         return Classification(
-            family, params, pair.name, pair.dim,
-            None, None, None, VERDICT_PARALLELIZABLE, 0, False,
+            family, params, name, dim, None, None, None, VERDICT_PARALLELIZABLE, 0, False,
         )
-    toral = pair.rank_gu - pair.rank_k
+    toral = rank_gu - rank_k
     if toral < 0:
         raise SymcharError("dual pair has rank(K) > rank(G_U)")
     euler = _two_power_binomial(*fam.euler(*params)) if toral == 0 else 0
@@ -354,8 +333,7 @@ def _classification(spec: SpaceSpec) -> Classification:
     else:
         verdict = VERDICT_RANK_GAP
     return Classification(
-        family, params, pair.name, pair.dim,
-        pair.rank_gu, pair.rank_k, toral, verdict, euler, euler > 0,
+        family, params, name, dim, rank_gu, rank_k, toral, verdict, euler, euler > 0,
     )
 
 
@@ -389,13 +367,15 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     fam = _FAMILIES[spec.family]
     if fam.space is not None:
         return charclass.pontrjagin_numbers(fam.space(*spec.params))
-    pair = _dual_pair(fam, spec.params)
-    if pair.gu is not None and pair.rank_gu == pair.rank_k:
+    # the name is rendered as classify renders it, so a "G_U/K" past the
+    # digit limit is refused before the ranks are read
+    _, dim, rank_gu, rank_k = _dual_facts(fam, spec.params)
+    if rank_gu is not None and rank_gu == rank_k:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
     # every number vanishes: the table of the total class 1, as on S^dim
-    return charclass.pontrjagin_numbers(charclass.sphere(pair.dim))
+    return charclass.pontrjagin_numbers(charclass.sphere(dim))
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

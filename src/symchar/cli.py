@@ -76,8 +76,8 @@ def _cmd_dual(args) -> dict:
         "family": spec.family,
         "params": list(spec.params),
         "dual": pair.name,
-        "gu": None if pair.gu is None else catalog.group_text(pair.gu),
-        "k": None if pair.k is None else catalog.group_text(pair.k),
+        "gu": pair.gu,
+        "k": pair.k,
         "rank_gu": pair.rank_gu,
         "rank_k": pair.rank_k,
         "dim": pair.dim,
@@ -251,7 +251,10 @@ def _usage(command: str | None) -> str:
 
 def _usage_error(command: str | None, message: str):
     prog = "symchar" if command is None else f"symchar {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    try:
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    except OSError:  # a full stderr: the exit code still tells a usage error
+        pass
     raise SystemExit(2)
 
 

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import euler_char_by_weyl_quotient, group_weyl_order, weyl_order
+from _oracles import (
+    _COMPACT_DUALS,
+    _group_rank,
+    euler_char_by_weyl_quotient,
+    group_weyl_order,
+    weyl_order,
+)
 from symchar import catalog
 from symchar.catalog import (
     CLASSIFY_MEMO_SIZE,
@@ -50,8 +56,8 @@ def test_factor_weyl_orders():
 
 
 def test_rank_and_weyl_multiplicative_over_products():
-    # the package's ranks and dimensions of products are checked by the
-    # dual goldens in test_cli
+    # the package's ranks and dimensions of products are checked against
+    # _COMPACT_DUALS below, and by the dual goldens in test_cli
     assert group_weyl_order([("SO", 3), ("Sp", 2)]) == (
         weyl_order("SO", 3) * weyl_order("Sp", 2)
     )
@@ -61,7 +67,7 @@ def test_rank_and_weyl_multiplicative_over_products():
 def test_dual_pair_examples():
     pair = dual_of(parse_space("SU_pq(2,3)"))
     assert pair.name == "SU(5)/S(U2xU3)"
-    assert pair.gu == [("SU", 5)] and pair.k == [("SUxU", 2, 3)]
+    assert pair.gu == "SU(5)" and pair.k == "S(U2xU3)"
 
     assert dual_of(parse_space("SLnR(4)")).name == "SU(4)/SO(4)"
     assert dual_of(parse_space("RHn(3)")).name == "S^3"
@@ -133,10 +139,47 @@ def test_dimension_examples():
     assert classify(parse_space("TypeIV(7)")).dim == 7
 
 
+def _oracle_specs():
+    """Every family but TypeIV at every parameter up to 60, which covers
+    _grid()."""
+    specs = []
+    for fam in _FAMILIES.values():
+        if fam.name in _COMPACT_DUALS:
+            ranges = (range(low, 61) for low in fam.min_params)
+            specs += [SpaceSpec(fam.name, params) for params in product(*ranges)]
+    return specs
+
+
 def test_dimension_matches_group_difference_oracle():
-    for spec in _grid():
+    for spec in _oracle_specs():
         assert classify(spec).dim == _DIM_ORACLE[spec.family](spec.params)
         assert dual_of(spec).dim == _DIM_ORACLE[spec.family](spec.params)
+
+
+# A group of (kind, *params) factors as text, written out again here: the
+# factors joined by "x", the trivial group "1".
+_FACTOR_TEXTS = {
+    "SU": "SU({})", "SO": "SO({})", "Sp": "Sp({})", "U": "U({})",
+    "SUxU": "S(U{}xU{})", "Spin9": "Spin(9)", "F4": "F4",
+}
+
+
+def _group_text(factors) -> str:
+    return "x".join(_FACTOR_TEXTS[kind].format(*params) for kind, *params in factors) or "1"
+
+
+def test_ranks_and_texts_match_the_compact_dual_oracle():
+    for spec in _oracle_specs():
+        gu, k = _COMPACT_DUALS[spec.family](*spec.params)
+        # Flat's n factors U(1) are written as a power
+        gu_text = f"U(1)^{len(gu)}" if spec.family == "Flat_n" else _group_text(gu)
+        cls, pair = classify(spec), dual_of(spec)
+        assert (cls.rank_gu, cls.rank_k) == (_group_rank(gu), _group_rank(k)), spec
+        assert (pair.rank_gu, pair.rank_k) == (_group_rank(gu), _group_rank(k)), spec
+        assert (pair.gu, pair.k) == (gu_text, _group_text(k)), spec
+        fam = _FAMILIES[spec.family]
+        if fam.space is None and fam.label is None:
+            assert cls.dual == pair.name == f"{gu_text}/{_group_text(k)}", spec
 
 
 def test_classify_sp_nr_3():

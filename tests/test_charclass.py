@@ -424,8 +424,8 @@ def _records() -> list:
             False,
         ),
         (
-            _Family("Flat_n", (1,), None),  # no callable, so that it pickles
-            "name min_params groups aliases euler space label",
+            _Family("Flat_n", (1,), None, None),  # no callable, so that it pickles
+            "name min_params sizes texts aliases euler space label",
             {"aliases": (), "euler": None, "space": None, "label": None},
             False,
         ),

@@ -449,6 +449,16 @@ def test_a_full_device_exits_1_with_one_line_on_stderr(argv):
     assert child.stderr == "symchar: cannot write the result: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["bogus"], ["gl-order", "3"]])
+def test_a_usage_error_exits_2_when_stderr_is_full(argv):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "symchar", *argv], stdout=subprocess.PIPE, stderr=full, text=True
+        )
+    assert (child.returncode, child.stdout) == (2, "")
+
+
 @pytest.mark.parametrize(
     "argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in cli.COMMANDS)]
 )

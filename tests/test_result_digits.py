@@ -2,19 +2,20 @@
 
 Each call below, placed on both sides of a size gate, either returns a
 result whose every integer (record fields, dict values, tuple and list
-items) has at most 4300 digits, or raises TooLargeError.  The factor lists
-of a DualPair are skipped: they hold the spec's parameters, which
-group_text checks when it renders them.
+items) has at most 4300 digits, or raises TooLargeError.
 """
+
+import json
 
 import pytest
 
+from symchar import cli
 from symchar.catalog import (
     _FAMILIES,
-    DualPair,
     SpaceSpec,
     classify,
     dual_of,
+    parse_space,
     pontrjagin_table,
     stiefel_whitney_table,
 )
@@ -46,8 +47,6 @@ _VALUES = (
 
 
 def _ints(value):
-    if isinstance(value, DualPair):
-        value = value._replace(gu=None, k=None)
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (tuple, list)):
@@ -169,3 +168,16 @@ def test_a_dual_space_past_4300_digits_is_refused_when_it_is_made(make, n):
     # generator degree and dimension of every result computed from it
     with pytest.raises(TooLargeError):
         make(n)
+
+
+@pytest.mark.parametrize("alias", ["RHn", "ConstPos"])
+def test_classify_of_s_n_answers_where_dual_cannot_render_so_n_plus_1(alias, capsys):
+    # n = 10^4300 - 1: classify names the dual S^n and renders no group;
+    # dual renders G_U = SO(n + 1), whose parameter has 4301 digits
+    text = f"{alias}({_CEILING - 1})"
+    spec = parse_space(text)
+    assert classify(spec).dim == _CEILING - 1
+    with pytest.raises(TooLargeError):
+        dual_of(spec)
+    assert cli.main(["dual", text]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "too-large"
