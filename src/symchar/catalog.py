@@ -37,6 +37,7 @@ from math import comb, log10
 
 from symchar import charclass
 from symchar.errors import (
+    _SAFE_BITS,
     MAX_DIGITS,
     TEN_TO_MAX_DIGITS,
     MalformedSpecError,
@@ -281,9 +282,12 @@ def dual_of(spec: SpaceSpec) -> DualPair:
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:
     """2^e C(m, k): the Euler characteristic |W(G_U)|/|W(K)| of an
-    equal-rank dual.  Refused with TooLargeError before it is computed when
+    equal-rank dual, at once when m + e <= _SAFE_BITS (C(m, k) <= 2^m).
+    Past that it is refused with TooLargeError before it is computed when
     2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is certain to pass
     MAX_DIGITS digits, and as soon as it is computed when it does."""
+    if m + e <= _SAFE_BITS:
+        return comb(m, k) << e
     refuse_past_digit_limit(e, log10(2), 0)
     k = min(k, m - k)
     if k:
@@ -299,9 +303,13 @@ class Classification(namedtuple("Classification", "family params dual dim rank_g
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        payload = dict(zip(self._fields, self))
-        payload["params"] = list(self.params)
-        return payload
+        """The fields in sorted key order, params as a list."""
+        return {
+            "dim": self.dim, "dual": self.dual, "euler_char_dual": self.euler_char_dual,
+            "family": self.family, "minvol_positive": self.minvol_positive,
+            "params": list(self.params), "rank_gu": self.rank_gu, "rank_k": self.rank_k,
+            "toral_rank": self.toral_rank, "verdict": self.verdict,
+        }
 
 
 # classify's memo holds CLASSIFY_MEMO_SIZE results.  Only a spec whose

@@ -212,10 +212,11 @@ class CharNumberTable(
         return not any(self.entries.values())
 
     def to_json_dict(self) -> dict:
+        """The table, its keys in sorted order and its entries in the walk's."""
         payload = {
             "dim": self.dimension,
-            "kind": self.kind,
             "entries": dict(self.entries),
+            "kind": self.kind,
         }
         if self.reason:
             payload["reason"] = self.reason

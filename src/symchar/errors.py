@@ -8,7 +8,9 @@ exit 2 instead.
 No result has more than MAX_DIGITS digits, whatever Python's int-to-text
 limit is: check_digits refuses a longer integer once it is computed, and
 refuse_past_digit_limit from an estimate before work that could be
-unbounded.  The CLI runs each call at a limit of MAX_DIGITS.
+unbounded.  The estimate runs only where it can refuse: a caller whose
+inputs' bits bound the result below 2^_SAFE_BITS < 10^MAX_DIGITS skips it.
+The CLI runs each call at a limit of MAX_DIGITS.
 """
 
 

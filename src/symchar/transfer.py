@@ -28,6 +28,7 @@ from math import isqrt, lcm, log, log10
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
+    _SAFE_BITS,
     TEN_TO_MAX_DIGITS,
     BadPrimePowerError,
     DimensionMismatchError,
@@ -44,9 +45,11 @@ from symchar.errors import (
 def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:
     """Table of the degree-``degree`` cover: every entry times the degree.
 
-    The degree of a covering is a positive integer; any other is refused.
-    SW tables live mod 2, so the result is reduced there.  A product past
-    MAX_DIGITS digits is refused with TooLargeError at once."""
+    The degree of a covering is a positive int, any other (a float or bool
+    too) refused.  SW tables live mod 2, so the result is reduced there.  A
+    product past MAX_DIGITS digits is refused with TooLargeError at once."""
+    if type(degree) is not int:
+        raise SymcharError("covering degree must be an int")
     if degree < 1:
         raise SymcharError("covering degree must be a positive integer")
     if table.kind == SW:
@@ -64,11 +67,14 @@ def solve_manifold_numbers(
     """Solve deg_f * p_I(M) = deg_t * p_I(M_U) for the table of M.
 
     deg_f is the tangential-map degree (nonzero), deg_t the covering
-    degree carried along the diagram.  Every division must be exact;
+    degree carried along the diagram, both exact ints, which is checked
+    first.  Every division must be exact;
     a non-integer entry means no such manifold exists and raises
     InconsistentDegreesError, then a quotient past MAX_DIGITS digits
     TooLargeError.
     """
+    if type(deg_t) is not int or type(deg_f) is not int:
+        raise SymcharError("degrees must be ints")
     if dual_table.kind != PONTRJAGIN:
         raise SymcharError("degree solving applies to Pontrjagin tables only")
     if deg_f == 0:
@@ -101,7 +107,7 @@ class MuReport(namedtuple("MuReport", "mu contributions skipped")):
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return self._asdict()
+        return {"contributions": self.contributions, "mu": self.mu, "skipped": self.skipped}
 
 
 def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
@@ -257,15 +263,19 @@ def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = q^(n(n-1)/2) prod_{i=1}^{n} (q^i - 1).  q must be a
     prime power.
 
-    The gates run in this order: n >= 1, q a prime power, then an order
-    certain to have more than MAX_DIGITS digits is refused with
-    TooLargeError.  Only then is the order looked up in the memo.
+    The gates run in this order: n and q exact ints, n >= 1, q a prime
+    power, then an order certain to have more than MAX_DIGITS digits is
+    refused with TooLargeError, estimated only when n^2 bits(q) > _SAFE_BITS
+    (the order is below q^(n^2)).  Only then is it looked up in the memo.
     """
+    if type(n) is not int or type(q) is not int:
+        raise SymcharError("matrix size and field size must be ints")
     if n < 1:
         raise SymcharError("matrix size must be a positive integer")
     if _prime_power_base(q) is None:
         raise BadPrimePowerError(f"{q} is not a prime power")
-    refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
+    if n * n * q.bit_length() > _SAFE_BITS:
+        refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
     return _gl_memo(n, q)
 
 
@@ -293,13 +303,17 @@ class DSReport(namedtuple("DSReport", "divides order_1 order_2 order_product")):
 def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     """Test mu | |GL_{2k+1}(F_q1)| * |GL_{2k+1}(F_q2)|.
 
-    The gates run in this order: mu >= 1, k >= 1, q1 and q2 prime powers
-    (q1's failure reported first), distinct characteristics (equal ones raise
-    EqualCharacteristicError), then a product certain to have more than
-    MAX_DIGITS digits is refused with TooLargeError.  Only then are the two
-    orders looked up in gl_order's memo; the orders and their product are
-    checked exactly.
+    The gates run in this order: all four arguments exact ints, mu >= 1,
+    k >= 1, q1 and q2 prime powers (q1's failure reported first), distinct
+    characteristics (equal ones raise EqualCharacteristicError), then a
+    product certain to have more than MAX_DIGITS digits is refused with
+    TooLargeError, estimated, as in gl_order, only when
+    n^2 bits(q1 q2) > _SAFE_BITS.  Only then are the two orders looked up in gl_order's
+    memo; the orders and their product are checked exactly.
     """
+    if (type(mu_value) is not int or type(k) is not int
+            or type(q1) is not int or type(q2) is not int):
+        raise SymcharError("mu, k, q1 and q2 must be ints")
     if mu_value < 1:
         raise SymcharError("mu must be a positive integer")
     if k < 1:
@@ -316,7 +330,8 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
             "distinct characteristics"
         )
     n = 2 * k + 1
-    refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
+    if n * n * (q1 * q2).bit_length() > _SAFE_BITS:
+        refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
     order_1 = _gl_memo(n, q1)
     order_2 = _gl_memo(n, q2)
     product = check_digits(order_1 * order_2)

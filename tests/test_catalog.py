@@ -596,7 +596,7 @@ def test_the_json_dict_is_the_record_with_a_params_list():
         expected = {**result._asdict(), "params": list(result.params)}
         payload = result.to_json_dict()
         assert payload == expected
-        assert list(payload) == list(expected)
+        assert list(payload) == sorted(payload)
         assert type(payload["params"]) is list
 
 

@@ -5,11 +5,15 @@ result whose every integer (record fields, dict values, tuple and list
 items) has at most 4300 digits, or raises TooLargeError.
 """
 
+import itertools
 import json
+import sys
+from math import comb
 
 import pytest
 
-from symchar import cli
+from _oracles import gl_order_by_definition
+from symchar import catalog, cli, transfer
 from symchar.catalog import (
     _FAMILIES,
     SpaceSpec,
@@ -30,8 +34,15 @@ from symchar.charclass import (
     total_pontrjagin,
     total_stiefel_whitney,
 )
-from symchar.errors import TooLargeError, UnsupportedClassError
+from symchar.errors import (
+    _SAFE_BITS,
+    BadPrimePowerError,
+    EqualCharacteristicError,
+    TooLargeError,
+    UnsupportedClassError,
+)
 from symchar.transfer import (
+    DSReport,
     deligne_sullivan_check,
     gl_order,
     mu,
@@ -181,3 +192,103 @@ def test_classify_of_s_n_answers_where_dual_cannot_render_so_n_plus_1(alias, cap
         dual_of(spec)
     assert cli.main(["dual", text]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "too-large"
+
+
+# Every integer below 2^14284 is below 10^4300, so no estimate runs where the
+# bits decide: m + e for chi = 2^e C(m, k), n^2 bits(q) for |GL_n(F_q)|,
+# n^2 bits(q1 q2) for a Deligne-Sullivan product.  Each is taken from 40
+# bits below that bound to 30 above it.
+_EDGE = range(_SAFE_BITS - 40, _SAFE_BITS + 31)
+
+
+@pytest.fixture(params=[4300, 0], ids=["default-limit", "limit-off"])
+def digit_limit(request):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def _outcome(call, *arguments):
+    try:
+        return call(*arguments)
+    except TooLargeError:
+        return TooLargeError
+
+
+def _exact(value):
+    """What a gated call must give: the value, or TooLargeError iff the
+    value has more than 4300 digits."""
+    return value if value < _CEILING else TooLargeError
+
+
+def _euler_cases():
+    """(call, arguments, outcome) with m + e in _EDGE: 2^e alone, C(m, k)
+    alone, 2 C(m, k) and 2^e C(24, 12)."""
+    for t in _EDGE:
+        for spec, chi in [
+            (SpaceSpec("SOstar_2n", (t + 1,)), 2**t),
+            (SpaceSpec("Sp_nR", (t,)), 2**t),
+            (SpaceSpec("SU_pq", (t // 2, t - t // 2)), comb(t, t // 2)),
+            (SpaceSpec("SO0_pq", (2 * (t // 2), 2 * (t - 1 - t // 2))), 2 * comb(t - 1, t // 2)),
+        ]:
+            yield lambda spec: classify(spec).euler_char_dual, (spec,), _exact(chi)
+        yield catalog._two_power_binomial, (24, 12, t - 24), _exact(comb(24, 12) << (t - 24))
+
+
+def _gl_cases():
+    """Every n and every power q of 2, 3, 5 or 7 with n^2 bits(q) in _EDGE."""
+    for n, base in itertools.product(range(1, 120), (2, 3, 5, 7)):
+        q = base
+        while n * n * q.bit_length() <= _EDGE[-1]:
+            if n * n * q.bit_length() in _EDGE:
+                yield gl_order, (n, q), _exact(gl_order_by_definition(n, q))
+            q *= base
+
+
+def _ds_cases():
+    """For each odd n and each bit count b with n^2 b in _EDGE, two fields
+    q1 = 2^a, q2 = 3^c with a + bits(3^c) = b, the bits of q1 q2."""
+    for n in range(3, 120, 2):
+        for bits in range(-(-_EDGE[0] // (n * n)), _EDGE[-1] // (n * n) + 1):
+            for q2 in (3, 3 ** (bits // 3)):
+                q1 = 2 ** (bits - q2.bit_length())
+                o1, o2 = gl_order_by_definition(n, q1), gl_order_by_definition(n, q2)
+                product = o1 * o2
+                report = DSReport(product % 7 == 0, o1, o2, product)
+                yield deligne_sullivan_check, (7, n // 2, q1, q2), (
+                    report if product < _CEILING else TooLargeError
+                )
+
+
+@pytest.mark.parametrize("cases", [_euler_cases, _gl_cases, _ds_cases],
+                         ids=["euler", "gl-order", "ds-check"])
+def test_each_gate_is_exact_across_the_bit_bound(digit_limit, cases):
+    outcomes = set()
+    for call, arguments, expected in cases():
+        assert _outcome(call, *arguments) == expected, (call.__name__, arguments)
+        outcomes.add(expected is TooLargeError)
+    assert outcomes == {False, True}  # both sides of the bound are reached
+
+
+def test_the_benchmark_ranges_never_reach_an_estimate(monkeypatch):
+    # classify parameters up to 150, gl-order n <= 40 with q <= 16 and
+    # ds-check k <= 19 with q1, q2 <= 9 are decided by the bit test alone
+    def estimate(*arguments):
+        raise AssertionError(f"an estimate ran on {arguments}")
+
+    monkeypatch.setattr(catalog, "refuse_past_digit_limit", estimate)
+    monkeypatch.setattr(transfer, "refuse_past_digit_limit", estimate)
+    for fam in _FAMILIES.values():
+        for params in itertools.product(*(range(low, 151) for low in fam.min_params)):
+            catalog._classification(SpaceSpec(fam.name, params))
+    for n, q in itertools.product(range(1, 41), range(2, 17)):
+        try:
+            gl_order(n, q)
+        except BadPrimePowerError:
+            pass
+    for k, q1, q2 in itertools.product(range(1, 20), range(2, 10), range(2, 10)):
+        try:
+            deligne_sullivan_check(1, k, q1, q2)
+        except (BadPrimePowerError, EqualCharacteristicError):
+            pass

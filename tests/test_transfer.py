@@ -509,3 +509,41 @@ def test_ds_check_validates_inputs():
         deligne_sullivan_check(0, 1, 2, 3)
     with pytest.raises(SymcharError):
         deligne_sullivan_check(3, 0, 2, 3)
+
+
+_SW_TABLE = CharNumberTable(SW, 2, {"w1^2": 1})
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+@pytest.mark.parametrize(
+    "call, arguments",
+    [
+        (gl_order, (2.0, 5)),
+        (gl_order, (2, 5.0)),
+        (gl_order, (True, 2)),
+        (deligne_sullivan_check, (6, 1.0, 2, 3)),
+        (deligne_sullivan_check, (6.0, 19, 9, 16)),
+        (deligne_sullivan_check, (6, 1, 2, 3.0)),
+        (deligne_sullivan_check, (True, 1, 2, 3)),
+        (pullback_numbers, (_p_table(16, _CAYLEY), 2.5)),
+        (pullback_numbers, (_p_table(16, _CAYLEY), True)),
+        (pullback_numbers, (_SW_TABLE, 1.0)),
+        (solve_manifold_numbers, (_p_table(16, _CAYLEY), 3, 1.5)),
+        (solve_manifold_numbers, (_p_table(16, _CAYLEY), 3.0, 1)),
+        (solve_manifold_numbers, (_SW_TABLE, True, 1)),  # before the kind is read
+    ],
+    ids=lambda value: getattr(value, "__name__", None) or ",".join(
+        repr(a) for a in value if not isinstance(a, CharNumberTable)
+    ),
+)
+def test_numeric_arguments_must_be_exact_ints(call, arguments, memo):
+    # A float or bool equal to an int hashes as it does, so a warm GL memo
+    # would answer it from the int's entry: the type is checked first.
+    transfer._gl_memo.cache_clear()
+    if memo == "warm":
+        gl_order(2, 5)
+        deligne_sullivan_check(6, 1, 2, 3)
+        deligne_sullivan_check(6, 19, 9, 16)
+    with pytest.raises(SymcharError, match=r"must be (an int|ints)$") as info:
+        call(*arguments)
+    assert type(info.value) is SymcharError and info.value.code == "invalid-input"
