@@ -37,7 +37,6 @@ from math import comb, log10
 
 from symchar import charclass
 from symchar.errors import (
-    _SAFE_BITS,
     MAX_DIGITS,
     TEN_TO_MAX_DIGITS,
     MalformedSpecError,
@@ -47,6 +46,7 @@ from symchar.errors import (
     UnsupportedFamilyError,
     check_digits,
     refuse_past_digit_limit,
+    within_digit_limit,
 )
 
 
@@ -282,11 +282,12 @@ def dual_of(spec: SpaceSpec) -> DualPair:
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:
     """2^e C(m, k): the Euler characteristic |W(G_U)|/|W(K)| of an
-    equal-rank dual, at once when m + e <= _SAFE_BITS (C(m, k) <= 2^m).
-    Past that it is refused with TooLargeError before it is computed when
-    2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is certain to pass
-    MAX_DIGITS digits, and as soon as it is computed when it does."""
-    if m + e <= _SAFE_BITS:
+    equal-rank dual.  Computed at once when m + e bits bound it, since
+    C(m, k) <= 2^m.  Past that it is refused with TooLargeError before it
+    is computed when 2^e, or C(m, k) >= (m/k)^k with k = min(k, m - k), is
+    certain to pass MAX_DIGITS digits, and as soon as it is computed when
+    it does."""
+    if within_digit_limit(m + e):
         return comb(m, k) << e
     refuse_past_digit_limit(e, log10(2), 0)
     k = min(k, m - k)

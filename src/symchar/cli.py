@@ -60,8 +60,6 @@ def _load_table(text: str):
     return CharNumberTable.from_json_dict(data)
 
 
-# Each handler builds its document with the keys in sorted order, which
-# _dumps's sort_keys then passes through in one pass.
 def _cmd_classify(args) -> dict:
     from symchar import catalog
 
@@ -75,14 +73,14 @@ def _cmd_dual(args) -> dict:
     spec = catalog.parse_space(args.space)
     pair = catalog.dual_of(spec)
     return {
-        "dim": pair.dim,
-        "dual": pair.name,
         "family": spec.family,
+        "params": list(spec.params),
+        "dual": pair.name,
         "gu": pair.gu,
         "k": pair.k,
-        "params": list(spec.params),
         "rank_gu": pair.rank_gu,
         "rank_k": pair.rank_k,
+        "dim": pair.dim,
     }
 
 
@@ -93,17 +91,17 @@ def _cmd_p_class(args) -> dict:
     space = catalog.rank_one_dual(spec)
     total = charclass.total_pontrjagin(space)
     payload = {
-        "coefficients": list(total.coefficients),
+        "space": catalog.spec_string(spec),
         "dual": space.render(),
         "generator_degree": total.generator_degree,
+        "truncation_top": total.truncation_top,
+        "coefficients": list(total.coefficients),
     }
     if space.kind == charclass.CAYLEY_PLANE:
         payload["notes"] = (
             "degree-8 coefficient sign fixed positive; the class is then "
             "pinned by its squared middle number 36 and top number 39"
         )
-    payload["space"] = catalog.spec_string(spec)
-    payload["truncation_top"] = total.truncation_top
     return payload
 
 
@@ -154,7 +152,7 @@ def _cmd_wall(args) -> dict:
 
         spec = catalog.parse_space(args.space)
         dim, verdict = catalog.wall_verdict(spec)
-        return {"dim": dim, "space": catalog.spec_string(spec), "verdict": verdict}
+        return {"space": catalog.spec_string(spec), "dim": dim, "verdict": verdict}
     if args.p is None:
         raise SymcharError("pass a space or at least a --p table")
     from symchar import charclass
@@ -168,16 +166,14 @@ def _cmd_wall(args) -> dict:
 def _cmd_gl_order(args) -> dict:
     from symchar import transfer
 
-    return {"n": args.n, "order": transfer.gl_order(args.n, args.q), "q": args.q}
+    return {"n": args.n, "q": args.q, "order": transfer.gl_order(args.n, args.q)}
 
 
 def _cmd_ds_check(args) -> dict:
     from symchar import transfer
 
     report = transfer.deligne_sullivan_check(args.mu, args.k, args.q1, args.q2)
-    return {"divides": report.divides, "k": args.k, "mu": args.mu, "order_1": report.order_1,
-            "order_2": report.order_2, "order_product": report.order_product,
-            "q1": args.q1, "q2": args.q2}
+    return {**report.to_json_dict(), "mu": args.mu, "k": args.k, "q1": args.q1, "q2": args.q2}
 
 
 # The command table: subcommand -> (handler, help, arguments).  An argument
@@ -441,7 +437,7 @@ def _dumps(payload: dict, pretty: bool) -> str:
 
 
 def _error(exc: SymcharError) -> dict:
-    return {"detail": str(exc), "error": exc.code}
+    return {"error": exc.code, "detail": str(exc)}
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,9 @@ exit 2 instead.
 No result has more than MAX_DIGITS digits, whatever Python's int-to-text
 limit is: check_digits refuses a longer integer once it is computed, and
 refuse_past_digit_limit from an estimate before work that could be
-unbounded.  The estimate runs only where it can refuse: a caller whose
-inputs' bits bound the result below 2^_SAFE_BITS < 10^MAX_DIGITS skips it.
-The CLI runs each call at a limit of MAX_DIGITS.
+unbounded.  A result known to have at most ``bits`` bits needs neither
+when within_digit_limit(bits) holds.  The CLI runs each call at a limit of
+MAX_DIGITS.
 """
 
 
@@ -89,6 +89,12 @@ def check_digits(value: int) -> int:
     if value.bit_length() > _SAFE_BITS and abs(value) >= TEN_TO_MAX_DIGITS:
         raise past_digit_limit()
     return value
+
+
+def within_digit_limit(bits: int) -> bool:
+    """Whether every integer of at most ``bits`` bits is below 10^MAX_DIGITS,
+    so that no size gate can refuse it."""
+    return bits <= _SAFE_BITS
 
 
 def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) -> None:

@@ -28,7 +28,6 @@ from math import isqrt, lcm, log, log10
 
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
-    _SAFE_BITS,
     TEN_TO_MAX_DIGITS,
     BadPrimePowerError,
     DimensionMismatchError,
@@ -265,8 +264,7 @@ def gl_order(n: int, q: int) -> int:
 
     The gates run in this order: n and q exact ints, n >= 1, q a prime
     power, then an order certain to have more than MAX_DIGITS digits is
-    refused with TooLargeError, estimated only when n^2 bits(q) > _SAFE_BITS
-    (the order is below q^(n^2)).  Only then is it looked up in the memo.
+    refused with TooLargeError.  Only then is the order looked up in the memo.
     """
     if type(n) is not int or type(q) is not int:
         raise SymcharError("matrix size and field size must be ints")
@@ -274,8 +272,7 @@ def gl_order(n: int, q: int) -> int:
         raise SymcharError("matrix size must be a positive integer")
     if _prime_power_base(q) is None:
         raise BadPrimePowerError(f"{q} is not a prime power")
-    if n * n * q.bit_length() > _SAFE_BITS:
-        refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
+    refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
     return _gl_memo(n, q)
 
 
@@ -307,8 +304,7 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     k >= 1, q1 and q2 prime powers (q1's failure reported first), distinct
     characteristics (equal ones raise EqualCharacteristicError), then a
     product certain to have more than MAX_DIGITS digits is refused with
-    TooLargeError, estimated, as in gl_order, only when
-    n^2 bits(q1 q2) > _SAFE_BITS.  Only then are the two orders looked up in gl_order's
+    TooLargeError.  Only then are the two orders looked up in gl_order's
     memo; the orders and their product are checked exactly.
     """
     if (type(mu_value) is not int or type(k) is not int
@@ -330,8 +326,7 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
             "distinct characteristics"
         )
     n = 2 * k + 1
-    if n * n * (q1 * q2).bit_length() > _SAFE_BITS:
-        refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
+    refuse_past_digit_limit(n * n, log10(q1 * q2), 2 * _GL_FACTOR_LOG10)
     order_1 = _gl_memo(n, q1)
     order_2 = _gl_memo(n, q2)
     product = check_digits(order_1 * order_2)

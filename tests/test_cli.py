@@ -946,26 +946,7 @@ def test_readme_command_examples_run(run):
         assert run(*argv)[0] == 0, argv
 
 
-_CAYLEY_TABLE = '{"4": 39, "3,1": 0, "2,2": 36, "2,1,1": 0, "1,1,1,1": 0}'
-# One command line per subcommand, and both forms of p-class and wall.
-_ONE_ARGV_EACH = [
-    ["classify", "SU_pq(2,3)"],
-    ["dual", "SU_pq(2,3)"],
-    ["p-class", "CHn(3)"],
-    ["p-class", "CayH"],  # with its notes
-    ["p-numbers", "RHn(3)"],  # with a reason
-    ["sw-numbers", "CHn(3)"],
-    ["transfer", "--table", _CAYLEY_TABLE, "--deg", "3"],
-    ["transfer", "--table", _CAYLEY_TABLE, "--deg-t", "2", "--deg-f", "2"],
-    ["mu", "--m", _CAYLEY_TABLE, "--mu-dual", _CAYLEY_TABLE],
-    ["wall", "RHn(4)"],
-    ["wall", "--p", '{"dim": 4, "kind": "pontrjagin", "entries": {"1": 0}}'],
-    ["gl-order", "3", "5"],
-    ["ds-check", "--mu", "7", "--k", "1", "--q1", "2", "--q2", "3"],
-]
-
-
-def test_every_document_is_built_in_sorted_key_order():
+def test_every_record_builds_its_document_in_sorted_key_order():
     # json.dumps(sort_keys=True) then passes each document through in one
     # pass.  Only the top-level keys are checked: entries keep the walk's order.
     cayley = pontrjagin_table(parse_space("CayH"))
@@ -981,12 +962,8 @@ def test_every_document_is_built_in_sorted_key_order():
         if isinstance(value, type) and hasattr(value, "to_json_dict")
     }
     payloads = [record.to_json_dict() for record in records]
-    assert {argv[0] for argv in _ONE_ARGV_EACH} == set(cli.COMMANDS)
-    for argv in _ONE_ARGV_EACH:
-        args = cli.parse_args(argv)
-        payloads.append(args.handler(args))
-    payloads.append(cli._error(TooLargeError("refused")))
     assert any("reason" in payload for payload in payloads)
-    assert any("notes" in payload for payload in payloads)
-    for payload in payloads:
+    for record, payload in zip(records, payloads):
         assert list(payload) == sorted(payload), list(payload)
+        if type(record) is not charclass.CharNumberTable:  # a document of every field
+            assert sorted(payload) == sorted(record._fields)

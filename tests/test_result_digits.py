@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from _oracles import gl_order_by_definition
-from symchar import catalog, cli, transfer
+from symchar import catalog, cli
 from symchar.catalog import (
     _FAMILIES,
     SpaceSpec,
@@ -34,13 +34,7 @@ from symchar.charclass import (
     total_pontrjagin,
     total_stiefel_whitney,
 )
-from symchar.errors import (
-    _SAFE_BITS,
-    BadPrimePowerError,
-    EqualCharacteristicError,
-    TooLargeError,
-    UnsupportedClassError,
-)
+from symchar.errors import TooLargeError, UnsupportedClassError
 from symchar.transfer import (
     DSReport,
     deligne_sullivan_check,
@@ -194,11 +188,14 @@ def test_classify_of_s_n_answers_where_dual_cannot_render_so_n_plus_1(alias, cap
     assert json.loads(capsys.readouterr().out)["error"] == "too-large"
 
 
-# Every integer below 2^14284 is below 10^4300, so no estimate runs where the
-# bits decide: m + e for chi = 2^e C(m, k), n^2 bits(q) for |GL_n(F_q)|,
-# n^2 bits(q1 q2) for a Deligne-Sullivan product.  Each is taken from 40
-# bits below that bound to 30 above it.
-_EDGE = range(_SAFE_BITS - 40, _SAFE_BITS + 31)
+# 10^4300 has 14 285 bits: check_digits compares a value with 10^4300 only
+# past 14 284 bits, and near there the estimates before the work meet
+# results that must be computed.  Each input that sizes a result is taken
+# from 40 bits below that to 30 above it: m + e for chi = 2^e C(m, k),
+# n^2 bits(q) for |GL_n(F_q)| and n^2 bits(q1 q2) for a Deligne-Sullivan
+# product.
+_BOUND = _CEILING.bit_length() - 1  # 14 284
+_EDGE = range(_BOUND - 40, _BOUND + 31)
 
 
 @pytest.fixture(params=[4300, 0], ids=["default-limit", "limit-off"])
@@ -263,7 +260,7 @@ def _ds_cases():
 
 @pytest.mark.parametrize("cases", [_euler_cases, _gl_cases, _ds_cases],
                          ids=["euler", "gl-order", "ds-check"])
-def test_each_gate_is_exact_across_the_bit_bound(digit_limit, cases):
+def test_each_size_gate_is_exact_around_14284_bits(digit_limit, cases):
     outcomes = set()
     for call, arguments, expected in cases():
         assert _outcome(call, *arguments) == expected, (call.__name__, arguments)
@@ -271,24 +268,15 @@ def test_each_gate_is_exact_across_the_bit_bound(digit_limit, cases):
     assert outcomes == {False, True}  # both sides of the bound are reached
 
 
-def test_the_benchmark_ranges_never_reach_an_estimate(monkeypatch):
-    # classify parameters up to 150, gl-order n <= 40 with q <= 16 and
-    # ds-check k <= 19 with q1, q2 <= 9 are decided by the bit test alone
+
+def test_no_estimate_runs_where_m_plus_e_bounds_the_euler_characteristic(monkeypatch):
+    # Every family at every parameter up to 150 (the classify-transfer range)
     def estimate(*arguments):
         raise AssertionError(f"an estimate ran on {arguments}")
 
     monkeypatch.setattr(catalog, "refuse_past_digit_limit", estimate)
-    monkeypatch.setattr(transfer, "refuse_past_digit_limit", estimate)
     for fam in _FAMILIES.values():
         for params in itertools.product(*(range(low, 151) for low in fam.min_params)):
             catalog._classification(SpaceSpec(fam.name, params))
-    for n, q in itertools.product(range(1, 41), range(2, 17)):
-        try:
-            gl_order(n, q)
-        except BadPrimePowerError:
-            pass
-    for k, q1, q2 in itertools.product(range(1, 20), range(2, 10), range(2, 10)):
-        try:
-            deligne_sullivan_check(1, k, q1, q2)
-        except (BadPrimePowerError, EqualCharacteristicError):
-            pass
+    with pytest.raises(AssertionError, match="an estimate ran"):
+        catalog._two_power_binomial(_BOUND, 1, 1)
