@@ -66,11 +66,10 @@ def solve_manifold_numbers(
     """Solve deg_f * p_I(M) = deg_t * p_I(M_U) for the table of M.
 
     deg_f is the tangential-map degree (nonzero), deg_t the covering
-    degree carried along the diagram, both exact ints, which is checked
-    first.  Every division must be exact;
-    a non-integer entry means no such manifold exists and raises
-    InconsistentDegreesError, then a quotient past MAX_DIGITS digits
-    TooLargeError.
+    degree carried along the diagram; both must be exact ints, which is
+    checked first.  Every division must be exact; a non-integer entry
+    means no such manifold exists and raises InconsistentDegreesError,
+    then a quotient past MAX_DIGITS digits TooLargeError.
     """
     if type(deg_t) is not int or type(deg_f) is not int:
         raise SymcharError("degrees must be ints")
