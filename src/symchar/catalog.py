@@ -40,7 +40,6 @@ from symchar.errors import (
     MAX_DIGITS,
     TEN_TO_MAX_DIGITS,
     MalformedSpecError,
-    SymcharError,
     UnknownFamilyError,
     UnsupportedClassError,
     UnsupportedFamilyError,
@@ -100,8 +99,8 @@ class _Family(namedtuple("_Family", "name min_params sizes texts aliases euler s
                          defaults=((), None, None, None))):
     """name: the canonical family name
     min_params: one minimum per parameter, a tuple
-    sizes: params -> (dim, rank(G_U), rank(K)) of the dual, the ranks None
-        for TypeIV
+    sizes: params -> (dim, rank(G_U), rank(K)) of the dual, rank(G_U) >=
+        rank(K) (classify does not check it), the ranks None for TypeIV
     texts: params -> (G_U text, K text), each parameter derived from the
         spec's (p+q, 2n, n+1) checked with check_digits before it is
         rendered; None for TypeIV
@@ -112,6 +111,13 @@ class _Family(namedtuple("_Family", "name min_params sizes texts aliases euler s
 
     __slots__ = ()
 
+
+# S^n is the dual of RealHyperbolic_n and of ConstantPositive_n: one row.
+_REAL_HYPERBOLIC = _Family(
+    "RealHyperbolic_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
+    lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
+    aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
+)
 
 # The dual's name is "G_U/K" rendered from the texts, unless the family
 # has a DualSpace (rank one) or a label of its own.
@@ -160,11 +166,7 @@ _FAMILIES = {
             "TypeIV", (1,), lambda d: (d, None, None), None,
             label=lambda d: "compact Lie group",
         ),
-        _Family(
-            "RealHyperbolic_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
-            lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
-            aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
-        ),
+        _REAL_HYPERBOLIC,
         _Family(
             "ComplexHyperbolic_n", (1,), lambda n: (2 * n, n, n),
             lambda n: (f"SU({check_digits(n + 1)})", f"S(U1xU{n})"),
@@ -181,11 +183,7 @@ _FAMILIES = {
             "CayleyHyperbolic", (), lambda: (16, 4, 4), lambda: ("F4", "Spin(9)"),
             aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
         ),
-        _Family(
-            "ConstantPositive_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
-            lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
-            aliases=("ConstPos",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
-        ),
+        _REAL_HYPERBOLIC._replace(name="ConstantPositive_n", aliases=("ConstPos",)),
         _Family(
             "Flat_n", (1,), lambda n: (n, n, 0), lambda n: (f"U(1)^{n}", "1"),
             aliases=("Flat",), label=lambda n: f"T^{n}",
@@ -332,8 +330,6 @@ def _classification(spec: SpaceSpec) -> Classification:
             family, params, name, dim, None, None, None, VERDICT_PARALLELIZABLE, 0, False,
         )
     toral = rank_gu - rank_k
-    if toral < 0:
-        raise SymcharError("dual pair has rank(K) > rank(G_U)")
     euler = _two_power_binomial(*fam.euler(*params)) if toral == 0 else 0
     if fam.space is not None:
         verdict = VERDICT_RANK_ONE

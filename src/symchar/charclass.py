@@ -13,13 +13,13 @@ HP^n's has c_0 = 1, c_k = C(2n+2, k) - 4 c_(k-1): O(n) integer steps each.
 The largest coefficient grows with n and first passes MAX_DIGITS digits at
 CP^14291 and HP^7146, so one comparison of n with _LARGEST_N is both the
 cost bound and the exact digit ceiling.
-The CayP^2 coefficients are rigid: the only ambiguity is the sign of the
-degree-8 term, and 6 is the standard positive choice (consistent with
-p_2^2 = 36, p_4 = 39).  By Wu's formula every rank-one dual has total
-Stiefel-Whitney class w = (1 + u)^(T+1) mod 2, whose u^j term is 1 iff the
-bits of j are bits of T + 1 (Lucas); on S^n, where u^2 = 0, w = 1
-(Milnor-Stasheff, section 11; Borel-Hirzebruch 1958).  It is applied to S^n
-and CP^n; HP^n and CayP^2 are still refused with UnsupportedClassError.
+The CayP^2 coefficients are rigid up to the sign of the degree-8 term;
+CAYLEY_PLANE_NOTE states the choice, and p-class prints it.
+By Wu's formula every rank-one dual has total Stiefel-Whitney class
+w = (1 + u)^(T+1) mod 2, whose u^j term is 1 iff the bits of j are bits of
+T + 1 (Lucas); on S^n, where u^2 = 0, w = 1 (Milnor-Stasheff, section 11;
+Borel-Hirzebruch 1958).  It is applied to S^n and CP^n; HP^n and CayP^2 are
+still refused with UnsupportedClassError.
 
 A characteristic number is the coefficient of the top generator power in a
 product of class components; the fundamental class is normalized so that
@@ -39,9 +39,10 @@ that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
 before the total class is computed, and a DualSpace whose dimension has
 more than MAX_DIGITS digits when it is made: no result has a longer integer.
-Only the table builders and CharNumberTable.from_json_dict, which reads
-back what to_json_dict writes, use partitions, so they import it:
-classify, dual and p-class never load it.  Both key spellings live here.
+Only the table builders and CharNumberTable.from_json_dict use partitions,
+so they import it: classify, dual and p-class never load it.  The keys are
+written here and read back through partitions.parse_partition,
+format_partition and parse_monomial.
 """
 
 from collections import namedtuple
@@ -146,6 +147,11 @@ def _binomials(m: int, count: int) -> list:
 
 _LARGEST_N = {COMPLEX_PROJECTIVE: 14_290, QUATERNIONIC_PROJECTIVE: 7_145}
 
+CAYLEY_PLANE_NOTE = (
+    "degree-8 coefficient sign fixed positive; the class is then "
+    "pinned by its squared middle number 36 and top number 39"
+)
+
 
 def total_pontrjagin(space: DualSpace) -> TotalClass:
     """Total Pontrjagin class in closed form.  A CP^n or HP^n class with a
@@ -164,7 +170,7 @@ def total_pontrjagin(space: DualSpace) -> TotalClass:
         row = _binomials(2 * n + 2, n + 1)
         coefficients = tuple(accumulate(row, lambda c, binomial: binomial - 4 * c))
     else:
-        coefficients = (1, 6, 39)
+        coefficients = (1, 6, 39)  # CAYLEY_PLANE_NOTE
     return TotalClass(degree, top, coefficients)
 
 
@@ -212,12 +218,9 @@ class CharNumberTable(
         return not any(self.entries.values())
 
     def to_json_dict(self) -> dict:
-        """The table, its keys in sorted order and its entries in the walk's."""
-        payload = {
-            "dim": self.dimension,
-            "entries": dict(self.entries),
-            "kind": self.kind,
-        }
+        """The table, its keys in sorted order and its entries in the walk's.
+        The document shares the table's entries dict: do not mutate it."""
+        payload = {"dim": self.dimension, "entries": self.entries, "kind": self.kind}
         if self.reason:
             payload["reason"] = self.reason
         return payload

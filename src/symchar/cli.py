@@ -24,11 +24,11 @@ from types import SimpleNamespace
 
 from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_limit
 
-# The largest table symchar writes, p-numbers 'CHn(90)' --pretty, has 9.1 M
-# characters and reads back in 0.38 s (2-vCPU VM, Python 3.11).  A read
-# costs about 3.5 us per key, most of it in checking the key, so the cap
-# bounds it: the slowest document measured under it, 599 557 distinct
-# Stiefel-Whitney keys of degree 62, took 2.7-2.9 s.
+# The largest table symchar writes, p-numbers 'CHn(90)' --pretty (9.1 M
+# characters, 89 134 keys), reads back in 0.7-1.0 s: 8-11 us a key, most of
+# it in checking the key, so the cap bounds a read.  At the cap, 596 766 to
+# 600 293 SW keys of degree 60-64 took 4.5-7.8 s in from_json_dict after
+# 0.3-0.7 s in json.loads (2-vCPU VM, Python 3.11.7; python -c pass 51-60 ms).
 MAX_TABLE_CHARS = 16 * 2**20
 
 
@@ -98,10 +98,7 @@ def _cmd_p_class(args) -> dict:
         "coefficients": list(total.coefficients),
     }
     if space.kind == charclass.CAYLEY_PLANE:
-        payload["notes"] = (
-            "degree-8 coefficient sign fixed positive; the class is then "
-            "pinned by its squared middle number 36 and top number 39"
-        )
+        payload["notes"] = charclass.CAYLEY_PLANE_NOTE
     return payload
 
 

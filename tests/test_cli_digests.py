@@ -54,7 +54,8 @@ def _specs() -> list:
 
 
 def _tables() -> list:
-    """Table arguments, inline, around the 4300-digit limit of an integer."""
+    """Table arguments, inline: around the 4300-digit limit of an integer,
+    and malformed ones."""
     nines, ten = "9" * 4300, "1" + "0" * 4300
     near = str(10**4299 + 7)  # coprime to 10**4299 + 1, so their lcm passes
     argvs = []
@@ -81,10 +82,18 @@ def _tables() -> list:
         ["transfer", "--table", f'{{"2":{str(10**4299)}}}', "--deg", "9"],
         ["transfer", "--table", f'{{"2":{str(10**4299)}}}', "--deg", "10"],
     ]
+    argvs += [
+        ["transfer", "--table", table, "--deg", "2"]
+        for table in (
+            '{"dim":4,"kind":"x","entries":{}}', '{"dim":4,"kind":"sw","entries":[]}',
+            '{"4":true}', '{"4":1.5}',
+        )
+    ]
     return argvs
 
 
 def _usage() -> list:
+    """Usage errors, help, and refused arguments."""
     long = "1" + "0" * 4300
     return [
         [], ["--help"], ["-h"], ["bogus"], ["classify"],
@@ -94,6 +103,9 @@ def _usage() -> list:
         ["ds-check", "--mu", long, "--k", "1", "--q1", "2", "--q2", "3"],
         ["transfer", "--table", "{}", "--deg", "x"], ["mu", "--m", "{}"],
         ["wall", "CayH", "--p", '{"2":1}'], ["--", "classify", "CayH"],
+        ["classify", "--help=x"], ["classify", "-hh"], ["wall", "--sw", '{"w4":1}'],
+        ["transfer", "--table", '{"4":1}', "--deg", "2", "--deg-t", "1", "--deg-f", "1"],
+        ["ds-check", "--mu", "1", "--k", "1", "--q1", "2", "--q2", "6"],
     ]
 
 
