@@ -13,7 +13,8 @@ the ceiling of the size gates, and then restores the caller's: every
 int-text conversion of a call refuses where the gates do, in any environment.
 
 Each handler imports the library modules it calls, so a call loads only
-what its subcommand runs: a usage error loads none of them.
+what its subcommand runs: a usage error loads none of them.  A handler checks
+its own arguments before it reads any table, so a refused flag costs no read.
 """
 
 import json
@@ -32,7 +33,10 @@ from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_l
 MAX_TABLE_CHARS = 16 * 2**20
 
 
-def _read_table_text(text: str) -> str:
+def _load_table(text: str):
+    """A table argument, inline JSON or @file, as a CharNumberTable."""
+    from symchar.charclass import CharNumberTable
+
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -41,14 +45,6 @@ def _read_table_text(text: str) -> str:
             raise BadTableError(f"cannot read table file: {exc}") from None
     if len(text) > MAX_TABLE_CHARS:
         raise BadTableError(f"table has more than {MAX_TABLE_CHARS} characters")
-    return text
-
-
-def _load_table(text: str):
-    """A table argument, inline JSON or @file, as a CharNumberTable."""
-    from symchar.charclass import CharNumberTable
-
-    text = _read_table_text(text)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,17 +115,16 @@ def _cmd_sw_numbers(args) -> dict:
 def _cmd_transfer(args) -> dict:
     from symchar import transfer
 
-    table = _load_table(args.table)
     if args.deg is not None:
         if args.deg_t is not None or args.deg_f is not None:
             raise SymcharError("pass either --deg or --deg-t/--deg-f, not both")
-        return transfer.pullback_numbers(table, args.deg).to_json_dict()
+        return transfer.pullback_numbers(_load_table(args.table), args.deg).to_json_dict()
     if args.deg_t is None or args.deg_f is None:
         raise SymcharError(
             "pass --deg for a pullback or both --deg-t and --deg-f to solve"
         )
     return transfer.solve_manifold_numbers(
-        table, args.deg_t, args.deg_f
+        _load_table(args.table), args.deg_t, args.deg_f
     ).to_json_dict()
 
 

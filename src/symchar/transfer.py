@@ -300,11 +300,12 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     """Test mu | |GL_{2k+1}(F_q1)| * |GL_{2k+1}(F_q2)|.
 
     The gates run in this order: all four arguments exact ints, mu >= 1,
-    k >= 1, q1 and q2 prime powers (q1's failure reported first), distinct
-    characteristics (equal ones raise EqualCharacteristicError), then a
-    product certain to have more than MAX_DIGITS digits is refused with
-    TooLargeError.  Only then are the two orders looked up in gl_order's
-    memo; the orders and their product are checked exactly.
+    k >= 1, q1 and q2 prime powers (q1 is tested, and refused, before q2 is
+    tried), distinct characteristics (equal ones raise
+    EqualCharacteristicError), then a product certain to have more than
+    MAX_DIGITS digits is refused with TooLargeError.  Only then are the two
+    orders looked up in gl_order's memo; the orders and their product are
+    checked exactly.
     """
     if (type(mu_value) is not int or type(k) is not int
             or type(q1) is not int or type(q2) is not int):
@@ -314,9 +315,9 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
     if k < 1:
         raise SymcharError("k must be a positive integer")
     p1 = _prime_power_base(q1)
-    p2 = _prime_power_base(q2)
     if p1 is None:
         raise BadPrimePowerError(f"{q1} is not a prime power")
+    p2 = _prime_power_base(q2)
     if p2 is None:
         raise BadPrimePowerError(f"{q2} is not a prime power")
     if p1 == p2:

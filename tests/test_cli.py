@@ -261,8 +261,21 @@ def test_transfer_solve_inexact_errors(run):
     assert (code, payload["error"]) == (1, "inconsistent-degrees")
 
 
-def test_transfer_requires_a_mode(run):
-    assert run("transfer", "--table", '{"4":39}')[0] == 1
+def test_transfer_requires_a_mode(run, monkeypatch):
+    # Each handler refuses its flags before it reads a table.
+    def no_read(text):
+        raise AssertionError(f"table {text!r} read before the flags were checked")
+
+    monkeypatch.setattr(cli, "_load_table", no_read)
+    for argv in [
+        ("transfer", "--table", "{}"),
+        ("transfer", "--table", "{}", "--deg", "2", "--deg-t", "1"),
+        ("transfer", "--table", "{}", "--deg-t", "1"),
+        ("wall", "CHn(2)", "--p", "{}"),
+        ("wall", "--sw", "{}"),
+    ]:
+        code, payload = run(*argv)
+        assert (code, payload["error"]) == (1, "invalid-input"), argv
 
 
 def test_table_reason_must_be_a_string_or_null(run, run_json):

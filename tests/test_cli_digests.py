@@ -106,6 +106,9 @@ def _usage() -> list:
         ["classify", "--help=x"], ["classify", "-hh"], ["wall", "--sw", '{"w4":1}'],
         ["transfer", "--table", '{"4":1}', "--deg", "2", "--deg-t", "1", "--deg-f", "1"],
         ["ds-check", "--mu", "1", "--k", "1", "--q1", "2", "--q2", "6"],
+        ["ds-check", "--mu", "1", "--k", "1", "--q1", "6", "--q2", str(10**25 + 13)],
+        ["ds-check", "--mu", "1", "--k", "1", "--q1", str(10**25 + 13), "--q2", "6"],
+        ["transfer", "--table", '{"4":1', "--deg", "2", "--deg-t", "1"],
     ]
 
 

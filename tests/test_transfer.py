@@ -502,9 +502,21 @@ def test_ds_check_requires_distinct_characteristics():
         deligne_sullivan_check(3, 1, 3, 27)
 
 
-def test_ds_check_validates_inputs():
+def test_ds_check_validates_inputs(monkeypatch):
     with pytest.raises(BadPrimePowerError):
         deligne_sullivan_check(3, 1, 6, 5)
+    # q1 is refused before q2 is tested: 10**25 + 13 is an 84-bit prime that
+    # _prime_power_base cannot prove prime.
+    tested = []
+
+    def recording(q):
+        tested.append(q)
+        return _prime_power_base(q)
+
+    monkeypatch.setattr(transfer, "_prime_power_base", recording)
+    with pytest.raises(BadPrimePowerError, match="^6 is not a prime power$"):
+        deligne_sullivan_check(1, 1, 6, 10**25 + 13)
+    assert tested == [6]
     with pytest.raises(SymcharError):
         deligne_sullivan_check(0, 1, 2, 3)
     with pytest.raises(SymcharError):
