@@ -56,11 +56,12 @@ def _load_table(text: str):
     return CharNumberTable.from_json_dict(data)
 
 
-def _cmd_classify(args) -> dict:
-    from symchar import catalog
-
-    spec = catalog.parse_space(args.space)
-    return catalog.classify(spec).to_json_dict()
+def _space_record(function_name: str):
+    """The handler that prints catalog.<function_name>(space).to_json_dict()."""
+    def handler(args) -> dict:
+        from symchar import catalog
+        return getattr(catalog, function_name)(catalog.parse_space(args.space)).to_json_dict()
+    return handler
 
 
 def _cmd_dual(args) -> dict:
@@ -96,20 +97,6 @@ def _cmd_p_class(args) -> dict:
     if space.kind == charclass.CAYLEY_PLANE:
         payload["notes"] = charclass.CAYLEY_PLANE_NOTE
     return payload
-
-
-def _cmd_p_numbers(args) -> dict:
-    from symchar import catalog
-
-    spec = catalog.parse_space(args.space)
-    return catalog.pontrjagin_table(spec).to_json_dict()
-
-
-def _cmd_sw_numbers(args) -> dict:
-    from symchar import catalog
-
-    spec = catalog.parse_space(args.space)
-    return catalog.stiefel_whitney_table(spec).to_json_dict()
 
 
 def _cmd_transfer(args) -> dict:
@@ -175,15 +162,18 @@ def _cmd_ds_check(args) -> dict:
 _SPACE = ("space", str, True, "")
 COMMANDS = {
     "classify": (
-        _cmd_classify,
+        _space_record("classify"),
         "rank classification of a locally symmetric space",
         [("space", str, True, 'e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')],
     ),
     "dual": (_cmd_dual, "compact dual pair of a space", [_SPACE]),
     "p-class": (_cmd_p_class, "total Pontrjagin class of a rank-one dual", [_SPACE]),
-    "p-numbers": (_cmd_p_numbers, "Pontrjagin numbers of the compact dual", [_SPACE]),
+    "p-numbers": (
+        _space_record("pontrjagin_table"), "Pontrjagin numbers of the compact dual", [_SPACE]
+    ),
     "sw-numbers": (
-        _cmd_sw_numbers, "Stiefel-Whitney numbers of the compact dual", [_SPACE]
+        _space_record("stiefel_whitney_table"), "Stiefel-Whitney numbers of the compact dual",
+        [_SPACE],
     ),
     "transfer": (
         _cmd_transfer,

@@ -379,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     from symchar.cli import (
-        _cmd_classify,
+        COMMANDS,
         _cmd_ds_check,
         _cmd_dual,
         _cmd_gl_order,
         _cmd_mu,
         _cmd_p_class,
-        _cmd_p_numbers,
-        _cmd_sw_numbers,
         _cmd_transfer,
         _cmd_wall,
     )
@@ -409,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank classification of a locally symmetric space",
     )
     p.add_argument("space", help='e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=COMMANDS["classify"][0])
 
     p = sub.add_parser(
         "dual", parents=[common], help="compact dual pair of a space"
@@ -429,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="Pontrjagin numbers of the compact dual",
     )
     p.add_argument("space")
-    p.set_defaults(handler=_cmd_p_numbers)
+    p.set_defaults(handler=COMMANDS["p-numbers"][0])
 
     p = sub.add_parser(
         "sw-numbers", parents=[common],
         help="Stiefel-Whitney numbers of the compact dual",
     )
     p.add_argument("space")
-    p.set_defaults(handler=_cmd_sw_numbers)
+    p.set_defaults(handler=COMMANDS["sw-numbers"][0])
 
     p = sub.add_parser(
         "transfer", parents=[common],

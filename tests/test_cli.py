@@ -933,6 +933,7 @@ def _wall_payload(spec) -> dict:
 
 def test_cli_prints_the_library_tables(capsys):
     library = {
+        "classify": lambda spec: classify(spec).to_json_dict(),
         "p-numbers": lambda spec: pontrjagin_table(spec).to_json_dict(),
         "sw-numbers": lambda spec: stiefel_whitney_table(spec).to_json_dict(),
         "wall": _wall_payload,
