@@ -49,12 +49,21 @@ from symchar.errors import (
 )
 
 
-class DualPair(namedtuple("DualPair", "gu k name dim rank_gu rank_k")):
-    """Compact dual G_U / K, each group as text ("SU(5)", "1" for the
-    trivial group), its name and its int dimension and ranks.  TypeIV
-    spaces carry only the name and the dimension."""
+class DualPair(namedtuple("DualPair", "family params dual gu k dim rank_gu rank_k")):
+    """A space's family and parameters and its compact dual G_U / K: the
+    dual's name, each group as text ("SU(5)", "1" for the trivial group)
+    and its int dimension and ranks.  TypeIV spaces carry no group texts
+    and no ranks."""
 
     __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        """The fields in sorted key order, params as a list."""
+        return {
+            "dim": self.dim, "dual": self.dual, "family": self.family, "gu": self.gu,
+            "k": self.k, "params": list(self.params), "rank_gu": self.rank_gu,
+            "rank_k": self.rank_k,
+        }
 
 
 class SpaceSpec(namedtuple("SpaceSpec", "family params")):
@@ -275,7 +284,7 @@ def dual_of(spec: SpaceSpec) -> DualPair:
     fam = _FAMILIES[spec.family]
     name, dim, rank_gu, rank_k = _dual_facts(fam, spec.params)
     gu, k = (None, None) if fam.texts is None else fam.texts(*spec.params)
-    return DualPair(gu, k, name, check_digits(dim), rank_gu, rank_k)
+    return DualPair(*spec, name, gu, k, check_digits(dim), rank_gu, rank_k)
 
 
 def _two_power_binomial(m: int, k: int, e: int) -> int:

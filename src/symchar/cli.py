@@ -64,23 +64,6 @@ def _space_record(function_name: str):
     return handler
 
 
-def _cmd_dual(args) -> dict:
-    from symchar import catalog
-
-    spec = catalog.parse_space(args.space)
-    pair = catalog.dual_of(spec)
-    return {
-        "family": spec.family,
-        "params": list(spec.params),
-        "dual": pair.name,
-        "gu": pair.gu,
-        "k": pair.k,
-        "rank_gu": pair.rank_gu,
-        "rank_k": pair.rank_k,
-        "dim": pair.dim,
-    }
-
-
 def _cmd_p_class(args) -> dict:
     from symchar import catalog, charclass
 
@@ -166,7 +149,7 @@ COMMANDS = {
         "rank classification of a locally symmetric space",
         [("space", str, True, 'e.g. "SU_pq(2,3)", "SLnR(4)", "CayH"')],
     ),
-    "dual": (_cmd_dual, "compact dual pair of a space", [_SPACE]),
+    "dual": (_space_record("dual_of"), "compact dual pair of a space", [_SPACE]),
     "p-class": (_cmd_p_class, "total Pontrjagin class of a rank-one dual", [_SPACE]),
     "p-numbers": (
         _space_record("pontrjagin_table"), "Pontrjagin numbers of the compact dual", [_SPACE]
@@ -181,8 +164,8 @@ COMMANDS = {
         [
             ("--table", str, True, "JSON table or @file"),
             ("--deg", int, False, "covering degree for a pullback"),
-            ("--deg-t", int, False, "covering degree in the diagram"),
-            ("--deg-f", int, False, "tangential-map degree"),
+            ("--deg-t", int, False, "tangential-map degree"),
+            ("--deg-f", int, False, "covering degree"),
         ],
     ),
     "mu": (

@@ -1,13 +1,12 @@
 """Covering-transfer arithmetic on characteristic-number tables.
 
 For a degree-d covering M' -> M, every characteristic number pulls back
-multiplied by d.  For a degree-r tangential map f: M -> M_U between closed
-oriented manifolds of equal dimension combined with a degree-d cover, the
-numbers satisfy d * p_I(M) = r * p_I(M_U), which makes three things
-computable exactly:
+multiplied by d.  When M' also has a degree-r tangential map t: M' -> M_U
+to a closed oriented manifold of equal dimension, the numbers satisfy
+d * p_I(M) = r * p_I(M_U), which makes three things computable exactly:
 
   * pullback_numbers:       multiply a table through by one degree;
-  * solve_manifold_numbers: recover p_I(M) = d * p_I(M_U) / r when every
+  * solve_manifold_numbers: recover p_I(M) = r * p_I(M_U) / d when every
                             division is exact;
   * mu:                     the least positive mu such that mu * p_I(M) is
                             an integer multiple of lcm(|p_I(M)|, |p_I(M_U)|)
@@ -65,8 +64,8 @@ def solve_manifold_numbers(
 ) -> CharNumberTable:
     """Solve deg_f * p_I(M) = deg_t * p_I(M_U) for the table of M.
 
-    deg_f is the tangential-map degree (nonzero), deg_t the covering
-    degree carried along the diagram; both must be exact ints, which is
+    deg_f is the covering degree d (nonzero), deg_t the degree r of the
+    tangential map in the diagram; both must be exact ints, which is
     checked first.  Every division must be exact; a non-integer entry
     means no such manifold exists and raises InconsistentDegreesError,
     then a quotient past MAX_DIGITS digits TooLargeError.
@@ -76,7 +75,7 @@ def solve_manifold_numbers(
     if dual_table.kind != PONTRJAGIN:
         raise SymcharError("degree solving applies to Pontrjagin tables only")
     if deg_f == 0:
-        raise InconsistentDegreesError("tangential-map degree must be nonzero")
+        raise InconsistentDegreesError("covering degree must be nonzero")
     if deg_t == 0 and any(v != 0 for v in dual_table.entries.values()):
         raise InconsistentDegreesError(
             "degree 0 forces every solved number to vanish, but the dual "
@@ -131,16 +130,16 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
             if b != 0:
                 raise InconsistentTablesError(
                     f"entry {key or '()'}: the dual number is nonzero while "
-                    "the manifold number vanishes; no covering transfer is "
-                    "consistent with this"
+                    "the manifold number vanishes; no tangential map of "
+                    "nonzero degree allows this"
                 )
             skipped.append(key)
             continue
         if b == 0:
             raise InconsistentTablesError(
                 f"entry {key or '()'}: the manifold number is nonzero while "
-                "the dual number vanishes; no tangential map of nonzero "
-                "degree allows this"
+                "the dual number vanishes; no covering transfer is "
+                "consistent with this"
             )
         contributions[key] = lcm(abs(a), abs(b)) // abs(a)
     value = 1

@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     from symchar.cli import (
         COMMANDS,
         _cmd_ds_check,
-        _cmd_dual,
         _cmd_gl_order,
         _cmd_mu,
         _cmd_p_class,
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dual", parents=[common], help="compact dual pair of a space"
     )
     p.add_argument("space")
-    p.set_defaults(handler=_cmd_dual)
+    p.set_defaults(handler=COMMANDS["dual"][0])
 
     p = sub.add_parser(
         "p-class", parents=[common],
@@ -442,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--table", required=True, help="JSON table or @file")
     p.add_argument("--deg", type=int, help="covering degree for a pullback")
-    p.add_argument("--deg-t", type=int, help="covering degree in the diagram")
-    p.add_argument("--deg-f", type=int, help="tangential-map degree")
+    p.add_argument("--deg-t", type=int, help="tangential-map degree")
+    p.add_argument("--deg-f", type=int, help="covering degree")
     p.set_defaults(handler=_cmd_transfer)
 
     p = sub.add_parser(

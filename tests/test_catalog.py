@@ -66,18 +66,18 @@ def test_rank_and_weyl_multiplicative_over_products():
 
 def test_dual_pair_examples():
     pair = dual_of(parse_space("SU_pq(2,3)"))
-    assert pair.name == "SU(5)/S(U2xU3)"
+    assert pair.dual == "SU(5)/S(U2xU3)"
     assert pair.gu == "SU(5)" and pair.k == "S(U2xU3)"
 
-    assert dual_of(parse_space("SLnR(4)")).name == "SU(4)/SO(4)"
-    assert dual_of(parse_space("RHn(3)")).name == "S^3"
-    assert dual_of(parse_space("QHn(2)")).name == "HP^2"
-    assert dual_of(parse_space("CayH")).name == "CayP^2"
-    assert dual_of(parse_space("Flat(3)")).name == "T^3"
+    assert dual_of(parse_space("SLnR(4)")).dual == "SU(4)/SO(4)"
+    assert dual_of(parse_space("RHn(3)")).dual == "S^3"
+    assert dual_of(parse_space("QHn(2)")).dual == "HP^2"
+    assert dual_of(parse_space("CayH")).dual == "CayP^2"
+    assert dual_of(parse_space("Flat(3)")).dual == "T^3"
 
     type_iv = dual_of(parse_space("TypeIV(5)"))
     assert type_iv.gu is None and type_iv.k is None
-    assert type_iv.name == "compact Lie group"
+    assert type_iv.dual == "compact Lie group"
 
 
 # Independent dimension oracle: dim(G_U) - dim(K) from the classical
@@ -179,7 +179,7 @@ def test_ranks_and_texts_match_the_compact_dual_oracle():
         assert (pair.gu, pair.k) == (gu_text, _group_text(k)), spec
         fam = _FAMILIES[spec.family]
         if fam.space is None and fam.label is None:
-            assert cls.dual == pair.name == f"{gu_text}/{_group_text(k)}", spec
+            assert cls.dual == pair.dual == f"{gu_text}/{_group_text(k)}", spec
 
 
 def test_classify_sp_nr_3():

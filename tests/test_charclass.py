@@ -415,7 +415,12 @@ def _records() -> list:
     cayley = pontrjagin_numbers(cayley_plane())
     return [
         (parse_space("SU_pq(2,3)"), "family params", {}, True),
-        (dual_of(parse_space("SU_pq(2,3)")), "gu k name dim rank_gu rank_k", {}, False),
+        (
+            dual_of(parse_space("SU_pq(2,3)")),
+            "family params dual gu k dim rank_gu rank_k",
+            {},
+            False,
+        ),
         (
             classify(parse_space("CHn(2)")),
             "family params dual dim rank_gu rank_k toral_rank verdict "

@@ -820,6 +820,23 @@ def test_tables_up_to_the_size_limits_are_read(run, tmp_path, limit):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_a_result_past_the_digit_limit_is_refused_when_printed(capsys, monkeypatch, limit):
+    # a result that no gate refused meets the encoder, which answers too-large
+    monkeypatch.setattr(transfer, "gl_order", lambda n, q: 10**4300)
+    expected = {"error": "too-large", "detail": "result has an integer of more than 4300 digits"}
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for pretty, options in (([], {"separators": (",", ":")}), (["--pretty"], {"indent": 2})):
+            assert cli.main(["gl-order", "3", "2", *pretty]) == 1
+            assert sys.get_int_max_str_digits() == limit
+            out, err = capsys.readouterr()
+            assert (out, err) == (json.dumps(expected, sort_keys=True, **options) + "\n", "")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_the_largest_tables_fit_under_the_cap(capsys):
     # the two tables over the partitions of MAX_WEIGHT with the most digits
     for argv in (["p-numbers", "QHn(45)"], ["p-numbers", "CHn(90)", "--pretty"]):
@@ -934,6 +951,7 @@ def _wall_payload(spec) -> dict:
 def test_cli_prints_the_library_tables(capsys):
     library = {
         "classify": lambda spec: classify(spec).to_json_dict(),
+        "dual": lambda spec: dual_of(spec).to_json_dict(),
         "p-numbers": lambda spec: pontrjagin_table(spec).to_json_dict(),
         "sw-numbers": lambda spec: stiefel_whitney_table(spec).to_json_dict(),
         "wall": _wall_payload,
@@ -943,7 +961,7 @@ def test_cli_prints_the_library_tables(capsys):
             cli.main([command, spec_string(spec)])
             assert capsys.readouterr().out == _encoded(call, spec), (command, spec)
         if classify(spec).verdict == VERDICT_RANK_ONE:
-            assert dual_of(spec).name == rank_one_dual(spec).render()
+            assert dual_of(spec).dual == rank_one_dual(spec).render()
 
 
 def _readme_commands() -> list:
@@ -965,6 +983,8 @@ def test_every_record_builds_its_document_in_sorted_key_order():
     # pass.  Only the top-level keys are checked: entries keep the walk's order.
     cayley = pontrjagin_table(parse_space("CayH"))
     records = [classify(parse_space(space)) for space in SPACES] + [
+        dual_of(parse_space(space)) for space in SPACES
+    ] + [
         cayley,
         pontrjagin_table(parse_space("RHn(3)")),
         stiefel_whitney_table(parse_space("CHn(3)")),

@@ -89,6 +89,11 @@ def _tables() -> list:
             '{"4":true}', '{"4":1.5}',
         )
     ]
+    argvs += [  # the details that name the covering or the tangential degree
+        ["transfer", "--table", '{"4":39,"2,2":36}', "--deg-t", "1", "--deg-f", "0"],
+        ["mu", "--m", '{"4":0,"2,2":36}', "--mu-dual", '{"4":39,"2,2":36}'],
+        ["mu", "--m", '{"4":13,"2,2":12}', "--mu-dual", '{"4":0,"2,2":36}'],
+    ]
     return argvs
 
 
