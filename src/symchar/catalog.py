@@ -26,9 +26,10 @@ Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
 
 The family table is the one place that maps a space to its dual and to its
-number tables: a rank-one family carries the DualSpace (S^n, CP^n, HP^n,
-CayP^2) whose numbers charclass computes, and pontrjagin_table gives the
-all-zero table under a rank gap or on a parallelizable dual.
+number tables, and _dual_model decides each spec's model once: a rank-one
+family's DualSpace (S^n, CP^n, HP^n, CayP^2), whose numbers charclass
+computes, or else the verdict the ranks give.  classify, dual_of and
+pontrjagin_table all read that one model.
 """
 
 from collections import namedtuple
@@ -268,21 +269,28 @@ def spec_string(spec: SpaceSpec) -> str:
     return f"{spec.family}({','.join(str(p) for p in spec.params)})"
 
 
-def _dual_facts(fam: _Family, params: tuple) -> tuple:
-    """(name, dim, rank_gu, rank_k) of a family's dual, its dimension not
-    yet checked.  Only a name "G_U/K" renders the texts."""
+def _dual_model(fam: _Family, params: tuple) -> tuple:
+    """(name, dim, rank_gu, rank_k, model) of a family's dual, its dimension
+    not yet checked.  The model is the dual's DualSpace for a rank-one
+    family, else the verdict its ranks give.  Only a name "G_U/K" renders
+    the texts."""
+    dim, rank_gu, rank_k = fam.sizes(*params)
     if fam.space is not None:
-        name = fam.space(*params).render()
-    elif fam.label is not None:
-        name = fam.label(*params)
+        model = fam.space(*params)
+        return model.render(), dim, rank_gu, rank_k, model
+    name = fam.label(*params) if fam.label is not None else "/".join(fam.texts(*params))
+    if rank_gu is None:
+        model = VERDICT_PARALLELIZABLE
+    elif rank_gu == rank_k:
+        model = VERDICT_EQUAL_RANK
     else:
-        name = "/".join(fam.texts(*params))
-    return (name, *fam.sizes(*params))
+        model = VERDICT_RANK_GAP
+    return name, dim, rank_gu, rank_k, model
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
     fam = _FAMILIES[spec.family]
-    name, dim, rank_gu, rank_k = _dual_facts(fam, spec.params)
+    name, dim, rank_gu, rank_k, _ = _dual_model(fam, spec.params)
     gu, k = (None, None) if fam.texts is None else fam.texts(*spec.params)
     return DualPair(*spec, name, gu, k, check_digits(dim), rank_gu, rank_k)
 
@@ -332,20 +340,11 @@ def _classification(spec: SpaceSpec) -> Classification:
     """classify of a spec, computed."""
     family, params = spec
     fam = _FAMILIES[family]
-    name, dim, rank_gu, rank_k = _dual_facts(fam, params)
+    name, dim, rank_gu, rank_k, model = _dual_model(fam, params)
     check_digits(dim)
-    if rank_gu is None:
-        return Classification(
-            family, params, name, dim, None, None, None, VERDICT_PARALLELIZABLE, 0, False,
-        )
-    toral = rank_gu - rank_k
+    toral = None if rank_gu is None else rank_gu - rank_k
     euler = _two_power_binomial(*fam.euler(*params)) if toral == 0 else 0
-    if fam.space is not None:
-        verdict = VERDICT_RANK_ONE
-    elif toral == 0:
-        verdict = VERDICT_EQUAL_RANK
-    else:
-        verdict = VERDICT_RANK_GAP
+    verdict = model if isinstance(model, str) else VERDICT_RANK_ONE
     return Classification(
         family, params, name, dim, rank_gu, rank_k, toral, verdict, euler, euler > 0,
     )
@@ -375,21 +374,18 @@ def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
 
 
 def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
-    """Pontrjagin numbers of the compact dual: computed for a rank-one
-    dual, all zero under a rank gap or on a parallelizable dual.  Decided
-    from the family and the ranks: the Euler characteristic is not needed."""
-    fam = _FAMILIES[spec.family]
-    if fam.space is not None:
-        return charclass.pontrjagin_numbers(fam.space(*spec.params))
-    # the name is rendered as classify renders it, so a "G_U/K" past the
-    # digit limit is refused before the ranks are read
-    _, dim, rank_gu, rank_k = _dual_facts(fam, spec.params)
-    if rank_gu is not None and rank_gu == rank_k:
+    """Pontrjagin numbers of the compact dual, decided by its model:
+    computed for a rank-one dual, refused at equal rank, all zero otherwise.
+    The name is rendered as classify renders it, so a "G_U/K" past the digit
+    limit is refused before any table is built."""
+    _, dim, _, _, model = _dual_model(_FAMILIES[spec.family], spec.params)
+    if model == VERDICT_EQUAL_RANK:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
-    # every number vanishes: the table of the total class 1, as on S^dim
-    return charclass.pontrjagin_numbers(charclass.sphere(dim))
+    if isinstance(model, str):  # every number vanishes: the table of 1, as on S^dim
+        model = charclass.sphere(dim)
+    return charclass.pontrjagin_numbers(model)
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

@@ -14,7 +14,9 @@ int-text conversion of a call refuses where the gates do, in any environment.
 
 Each handler imports the library modules it calls, so a call loads only
 what its subcommand runs: a usage error loads none of them.  A handler checks
-its own arguments before it reads any table, so a refused flag costs no read.
+its own arguments before it reads any table, so a refused flag costs no read,
+and opens each of its table files before it parses any, so a missing second
+file costs no parse of the first.
 """
 
 import json
@@ -33,20 +35,20 @@ from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_l
 MAX_TABLE_CHARS = 16 * 2**20
 
 
-def _load_table(text: str):
-    """A table argument, inline JSON or @file, as a CharNumberTable."""
+def _load_table(source):
+    """A table argument, its inline JSON or its opened @file, as a
+    CharNumberTable."""
     from symchar.charclass import CharNumberTable
 
-    if text.startswith("@"):
+    if not isinstance(source, str):
         try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read(MAX_TABLE_CHARS + 1)  # never the whole of a larger file
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, not UTF-8
+            source = source.read(MAX_TABLE_CHARS + 1)  # never the whole of a larger file
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise BadTableError(f"cannot read table file: {exc}") from None
-    if len(text) > MAX_TABLE_CHARS:
+    if len(source) > MAX_TABLE_CHARS:
         raise BadTableError(f"table has more than {MAX_TABLE_CHARS} characters")
     try:
-        data = json.loads(text)
+        data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise BadTableError(f"table is not valid JSON: {exc}") from None
     except ValueError:  # under main's limit, int() of more than MAX_DIGITS digits
@@ -54,6 +56,27 @@ def _load_table(text: str):
     except RecursionError:
         raise BadTableError("table is nested too deeply") from None
     return CharNumberTable.from_json_dict(data)
+
+
+def _load_tables(*arguments) -> list:
+    """Each table argument, inline JSON or @file, as a CharNumberTable, and
+    None as None.  Every file is opened before any table is read, so a file
+    that cannot be opened is refused before any table is parsed, and every
+    file is closed on every path."""
+    sources, files = [], []
+    try:
+        for source in arguments:
+            if source is not None and source.startswith("@"):
+                try:
+                    source = open(source[1:], "r", encoding="utf-8")
+                except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+                    raise BadTableError(f"cannot read table file: {exc}") from None
+                files.append(source)
+            sources.append(source)
+        return [None if source is None else _load_table(source) for source in sources]
+    finally:
+        for fh in files:
+            fh.close()
 
 
 def _space_record(function_name: str):
@@ -88,22 +111,20 @@ def _cmd_transfer(args) -> dict:
     if args.deg is not None:
         if args.deg_t is not None or args.deg_f is not None:
             raise SymcharError("pass either --deg or --deg-t/--deg-f, not both")
-        return transfer.pullback_numbers(_load_table(args.table), args.deg).to_json_dict()
+        return transfer.pullback_numbers(*_load_tables(args.table), args.deg).to_json_dict()
     if args.deg_t is None or args.deg_f is None:
         raise SymcharError(
             "pass --deg for a pullback or both --deg-t and --deg-f to solve"
         )
     return transfer.solve_manifold_numbers(
-        _load_table(args.table), args.deg_t, args.deg_f
+        *_load_tables(args.table), args.deg_t, args.deg_f
     ).to_json_dict()
 
 
 def _cmd_mu(args) -> dict:
     from symchar import transfer
 
-    table_m = _load_table(args.m)
-    table_mu = _load_table(args.mu_dual)
-    return transfer.mu(table_m, table_mu).to_json_dict()
+    return transfer.mu(*_load_tables(args.m, args.mu_dual)).to_json_dict()
 
 
 def _cmd_wall(args) -> dict:
@@ -119,8 +140,7 @@ def _cmd_wall(args) -> dict:
         raise SymcharError("pass a space or at least a --p table")
     from symchar import charclass
 
-    p_table = _load_table(args.p)
-    sw_table = _load_table(args.sw) if args.sw is not None else None
+    p_table, sw_table = _load_tables(args.p, args.sw)
     verdict = charclass.bounds_orientably(p_table, sw_table)
     return {"dim": p_table.dimension, "verdict": verdict}
 
@@ -423,7 +443,3 @@ def main(argv=None) -> int:
         return _print(text) or status
     finally:
         sys.set_int_max_str_digits(saved)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

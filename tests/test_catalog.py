@@ -31,9 +31,12 @@ from symchar.catalog import (
     dual_of,
     parse_space,
     pontrjagin_table,
+    rank_one_dual,
     spec_string,
+    stiefel_whitney_table,
     wall_verdict,
 )
+from symchar.charclass import PONTRJAGIN, pontrjagin_numbers, stiefel_whitney_numbers
 from symchar.errors import (
     MalformedSpecError,
     SymcharError,
@@ -638,3 +641,36 @@ def test_wall_verdict_reads_the_sw_table_only_when_it_decides(space, answer):
     else:
         with pytest.raises(answer):
             wall_verdict(spec)
+
+
+def test_the_verdict_decides_the_tables():
+    # A rank-one dual has its own tables, an equal-rank dual of higher rank
+    # none, and every other dual the all-zero Pontrjagin table and no SW table.
+    seen = set()
+    for spec in [SpaceSpec(f.name, f.min_params) for f in _FAMILIES.values()] + _grid():
+        result = classify(spec)
+        seen.add(result.verdict)
+        if result.verdict == VERDICT_RANK_ONE:
+            space = rank_one_dual(spec)
+            assert pontrjagin_table(spec) == pontrjagin_numbers(space), spec
+            try:
+                expected = stiefel_whitney_numbers(space)
+            except UnsupportedClassError:
+                with pytest.raises(UnsupportedClassError):
+                    stiefel_whitney_table(spec)
+            else:
+                assert stiefel_whitney_table(spec) == expected, spec
+        elif result.verdict == VERDICT_EQUAL_RANK:
+            for table in (pontrjagin_table, stiefel_whitney_table):
+                with pytest.raises(UnsupportedClassError):
+                    table(spec)
+        else:
+            assert result.verdict in (VERDICT_RANK_GAP, VERDICT_PARALLELIZABLE), spec
+            table = pontrjagin_table(spec)
+            assert (table.kind, table.dimension) == (PONTRJAGIN, result.dim), spec
+            assert table.all_zero(), spec
+            with pytest.raises(UnsupportedClassError):
+                stiefel_whitney_table(spec)
+    assert seen == {
+        VERDICT_RANK_ONE, VERDICT_EQUAL_RANK, VERDICT_RANK_GAP, VERDICT_PARALLELIZABLE,
+    }

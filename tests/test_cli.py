@@ -381,6 +381,60 @@ def test_wall_table_from_file(run_json, tmp_path):
     assert payload["dim"] == 16
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file that cli opens, in order."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return files
+
+
+def test_a_second_file_that_cannot_be_opened_is_refused_before_any_parse(
+    run, monkeypatch, tmp_path, opened
+):
+    first = tmp_path / "first.json"
+    first.write_text('{"4": 13, "2,2": 12}')
+    missing = tmp_path / "missing.json"
+
+    def no_parse(data):
+        raise AssertionError("a table was parsed before every file was opened")
+
+    monkeypatch.setattr(CharNumberTable, "from_json_dict", no_parse)
+    for argv in [
+        ("mu", "--m", f"@{first}", "--mu-dual", f"@{missing}"),
+        ("mu", "--m", '{"4": 13, "2,2": 12}', "--mu-dual", f"@{missing}"),
+        ("wall", "--p", f"@{first}", "--sw", f"@{missing}"),
+    ]:
+        code, payload = run(*argv)
+        assert (code, payload["error"]) == (1, "bad-table"), argv
+        assert payload["detail"].startswith("cannot read table file"), argv
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+def test_every_table_file_is_closed_on_every_path(run, tmp_path, opened):
+    good = tmp_path / "good.json"
+    good.write_text('{"4": 39, "2,2": 36}')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"4": ')
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"4": 1} \xff')
+    for argv, error in [
+        (("mu", "--m", f"@{good}", "--mu-dual", f"@{good}"), None),
+        (("mu", "--m", f"@{malformed}", "--mu-dual", f"@{good}"), "bad-table"),
+        (("mu", "--m", f"@{good}", "--mu-dual", f"@{not_utf8}"), "bad-table"),
+        (("wall", "--p", f"@{not_utf8}", "--sw", f"@{good}"), "bad-table"),
+        (("transfer", "--table", f"@{malformed}", "--deg", "2"), "bad-table"),
+    ]:
+        code, payload = run(*argv)
+        assert (code, payload.get("error")) == (0 if error is None else 1, error), argv
+    assert len(opened) == 9 and all(fh.closed for fh in opened)
+
+
 def test_table_with_mismatched_degrees_rejected(run):
     code, payload = run("mu", "--m", '{"4": 1, "2,1": 1}', "--mu-dual", '{"4": 1}')
     assert (code, payload["error"]) == (1, "bad-table")
