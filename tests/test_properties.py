@@ -22,7 +22,7 @@ from _oracles import build_parser, sw_monomial_by_regex
 from symchar import cli
 from symchar.catalog import _FAMILIES, _NAMES, parse_space
 from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
-from symchar.errors import SymcharError
+from symchar.errors import BadTableError, SymcharError
 from symchar.partitions import parse_monomial, parse_partition
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,7 +99,7 @@ def test_reading_a_one_key_table_is_total(kind, text):
 @example("@table\x00.json")
 @example("[" * 100_000)
 def test_load_table_is_total(text):
-    _value_or_domain_error(cli._load_table, text)
+    _value_or_domain_error(cli._load_tables, text)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def test_table_files_are_total_with_the_digit_limit_off(table_path, text):
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _value_or_domain_error(cli._load_table, f"@{table_path}")
+        _value_or_domain_error(cli._load_tables, f"@{table_path}")
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -124,7 +124,13 @@ def test_table_files_are_total_with_the_digit_limit_off(table_path, text):
 def test_load_table_refuses_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "table.json"
     path.write_bytes(b"\xff\xfe{}")
-    _value_or_domain_error(cli._load_table, f"@{path}")
+    with pytest.raises(BadTableError, match="^cannot read table file: "):
+        cli._load_tables(f"@{path}")
+
+
+def test_load_table_refuses_a_path_with_a_nul():
+    with pytest.raises(BadTableError, match="^cannot read table file: "):
+        cli._load_tables("@table\x00.json")
 
 
 @pytest.fixture(scope="module")
