@@ -30,12 +30,12 @@ number is a product of coefficients: p_I = prod over i in I of c_(4i/g),
 and w_1^r1 ... w_n^rn = prod of c_(i/g)^ri mod 2 (Milnor-Stasheff,
 Characteristic Classes, sections 15-16).
 
-A table is one walk over the partitions (partitions.walk_runs), a run of
-part k taken r times contributing its key text and a coefficient power:
-"k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}" and
-c_(k/g), 0 or 1, prepended for SW monomials, whose indices ascend.  Each entry
-extends its parent prefix by one run, or by a finished tail of 2s and 1s
-that the walk builds once, so it costs one join and one product.
+A table is one walk over the partitions (partitions.walk_runs) in _numbers:
+a run of part k taken r times contributes its key text and a coefficient
+power, "k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}"
+and c_(k/g)^r, 0 or 1, prepended for SW monomials, whose indices ascend.
+Each entry extends its parent prefix by one run, or by a finished tail of
+2s and 1s that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
 before the total class is computed, and a DualSpace whose dimension has
 more than MAX_DIGITS digits when it is made: no result has a longer integer.
@@ -196,12 +196,6 @@ def _sw_factor(index: int, exponent: int) -> str:
     return f"w{index}" if exponent == 1 else f"w{index}^{exponent}"
 
 
-def _coefficients_by_degree(total: TotalClass, dim: int) -> list:
-    """Coefficient of the total class in each degree 0..dim (0 off the grid)."""
-    g = total.generator_degree
-    return [0 if d % g else total.coefficients[d // g] for d in range(dim + 1)]
-
-
 class CharNumberTable(
     namedtuple("CharNumberTable", "kind dimension entries reason", defaults=(None,))
 ):
@@ -287,36 +281,33 @@ class CharNumberTable(
         return cls(kind, dim, entries, reason)
 
 
-def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
-    """All Pontrjagin numbers p_I, I ranging over partitions of dim/4."""
+def _numbers(kind, space, total, unit, run, sep, prepend=False) -> CharNumberTable:
+    """The table of one kind over the partitions of dim/unit: a run of part
+    k taken r times is spelled run(k, r) and valued c_(unit*k)^r, c_d the
+    coefficient of the total class total(space) in degree d."""
     from symchar.partitions import check_weight, walk_runs
 
     dim = space.real_dimension
-    if dim % 4:
-        return CharNumberTable(PONTRJAGIN, dim, {}, reason="dimension-not-multiple-of-4")
-    check_weight(dim // 4)  # before the class, which costs O(n) products
-    p = _coefficients_by_degree(total_pontrjagin(space), dim)
-    entries = walk_runs(
-        dim // 4, lambda k, r: (",".join([str(k)] * r), p[4 * k] ** r), ","
+    if dim % unit:
+        return CharNumberTable(kind, dim, {}, reason=f"dimension-not-multiple-of-{unit}")
+    check_weight(dim // unit)  # before the class, which costs O(n) products
+    g, _, coefficients = total(space)
+    c = [0 if d % g else coefficients[d // g] for d in range(dim + 1)]
+    entries = walk_runs(dim // unit, lambda k, r: (run(k, r), c[unit * k] ** r), sep, prepend)
+    return CharNumberTable(kind, dim, entries)
+
+
+def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
+    """All Pontrjagin numbers p_I, I ranging over partitions of dim/4."""
+    return _numbers(
+        PONTRJAGIN, space, total_pontrjagin, 4, lambda k, r: ",".join([str(k)] * r), ","
     )
-    return CharNumberTable(PONTRJAGIN, dim, entries)
 
 
 def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
-    from symchar.partitions import check_weight, walk_runs
-
     _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
-    dim = space.real_dimension
-    check_weight(dim)  # before the class, which costs O(n) steps
-    w = _coefficients_by_degree(total_stiefel_whitney(space), dim)
-    entries = walk_runs(
-        dim,
-        lambda k, r: (_sw_factor(k, r), w[k]),
-        " ",
-        prepend=True,
-    )
-    return CharNumberTable(SW, dim, entries)
+    return _numbers(SW, space, total_stiefel_whitney, 1, _sw_factor, " ", prepend=True)
 
 
 def bounds_orientably(

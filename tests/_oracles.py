@@ -196,6 +196,51 @@ def sw_number_plain(total_coeffs, generator_degree: int, dim: int, runs) -> int:
     return (acc[top] & 1) if top < len(acc) else 0
 
 
+def pontrjagin_numbers_by_localization(kind: str, n: int) -> dict:
+    """{partition I: p_I} of CP^n or HP^n, I over the partitions of dim/4, by
+    Atiyah-Bott localization at the n + 1 fixed points i of the maximal
+    torus: p_I[M] is the sum over i of prod_(a in I) e_a(w^2) / prod w, where
+    w runs over the tangent weights at i, x_j - x_i (CP^n) or x_j - x_i and
+    x_j + x_i (HP^n) for j != i, each e_a read off prod (1 + t w^2).  It is
+    evaluated exactly at x_i = i^2 + 3i + 1, then divided by the same sum for
+    u^n, u restricting to x_i (CP^n) or x_i^2 (HP^n), which fixes the
+    orientation: the top power of the generator evaluates to 1."""
+    # imported here: fractions loads decimal, and the benchmark's workers,
+    # which load this module, need neither
+    from fractions import Fraction
+
+    x = [i * i + 3 * i + 1 for i in range(n + 1)]
+    points = []  # (tangent weights, restriction of u) at each fixed point
+    for i, xi in enumerate(x):
+        others = [xj for j, xj in enumerate(x) if j != i]
+        if kind == "complex-projective":
+            points.append(([xj - xi for xj in others], xi))
+        elif kind == "quaternionic-projective":
+            weights = [xj - xi for xj in others] + [xj + xi for xj in others]
+            points.append((weights, xi * xi))
+        else:
+            raise ValueError(kind)
+    dim = 2 * len(points[0][0])  # each weight spans a real plane
+    if dim % 4:
+        return {}
+    fixed = []  # (prod w, [e_0(w^2), e_1(w^2), ...], u) at each fixed point
+    for weights, u in points:
+        elementary = [1]
+        for w in weights:
+            elementary = poly_mul(elementary, [1, w * w])
+        fixed.append((prod(weights), elementary, u))
+    orientation = sum(Fraction(u**n, euler) for euler, _, u in fixed)
+    numbers = {}
+    for partition in partitions_decreasing(dim // 4):
+        total = sum(
+            Fraction(prod(e[a] for a in partition), euler) for euler, e, _ in fixed
+        )
+        number = total / orientation
+        assert number.denominator == 1, (kind, n, partition, number)
+        numbers[partition] = number.numerator
+    return numbers
+
+
 def partitions_by_compositions(n: int) -> set:
     """Distinct decreasing reorderings of all compositions of n."""
     found: set = set()

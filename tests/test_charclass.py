@@ -13,6 +13,7 @@ from _oracles import (
     char_number_plain,
     partitions_decreasing,
     poly_mul,
+    pontrjagin_numbers_by_localization,
     sw_key,
     sw_number_plain,
     total_pontrjagin_plain,
@@ -236,6 +237,35 @@ def test_numbers_match_untruncated_convolution_oracle():
         ]
         table = pontrjagin_numbers(space)
         assert list(table.entries.items()) == expected, space.render()
+
+
+def test_numbers_match_localization_oracle():
+    # a second route that shares no arithmetic with the closed-form classes
+    for space in [complex_projective(n) for n in range(1, 11)] + [
+        quaternionic_projective(n) for n in range(1, 8)
+    ]:
+        expected = [
+            (",".join(map(str, p)), number)
+            for p, number in pontrjagin_numbers_by_localization(space.kind, space.n).items()
+        ]
+        assert list(pontrjagin_numbers(space).entries.items()) == expected, space.render()
+
+
+def test_a_table_past_max_weight_is_refused_before_its_class(monkeypatch):
+    # both spaces are at _LARGEST_N, so their classes would be computed
+    import symchar.charclass as charclass
+
+    def unreachable(space):
+        pytest.fail(f"the total class of {space.render()} was computed")
+
+    monkeypatch.setattr(charclass, "total_pontrjagin", unreachable)
+    monkeypatch.setattr(charclass, "total_stiefel_whitney", unreachable)
+    with pytest.raises(TooLargeError):
+        pontrjagin_numbers(quaternionic_projective(7145))
+    with pytest.raises(TooLargeError):
+        stiefel_whitney_numbers(complex_projective(14290))
+    table = pontrjagin_numbers(sphere(185))
+    assert (table.entries, table.reason) == ({}, "dimension-not-multiple-of-4")
 
 
 def test_sw_class_cp_binomial_mod_2():
