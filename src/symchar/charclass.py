@@ -272,6 +272,7 @@ class CharNumberTable(
             if dim is None:
                 dim = degree
             elif degree != dim:
+                check_digits(max(degree, dim))  # before the message writes both
                 raise BadTableError(
                     f"entry {key!r} has total degree {degree}, expected {dim}"
                 )

@@ -333,30 +333,21 @@ def _parse_command(command: str, tokens: list) -> tuple:
     for name, *_ in arguments:
         setattr(args, _dest(name), None)
 
-    letters, found = "", {}  # A positional, O option, - the first "--"
-    for i, token in enumerate(tokens):
-        if "-" in letters:
-            letters += "A"
-        elif token == "--":
-            letters += "-"
-        elif (option := _read_option(command, token, names)) is None:
-            letters += "A"
-        else:
-            letters += "O"
-            found[i] = option
-
-    def past_separator(k: int) -> int:
-        return k + 1 if letters[k:k + 1] == "-" else k  # there is one at most
+    # each token's reading: an option's (name, joined), None for a positional;
+    # every token after tokens[end], the first "--", is a positional
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    readings = [_read_option(command, token, names) for token in tokens[:end]]
+    readings += [None] * (len(tokens) - end)
 
     def fill_positionals(i: int) -> int:
         """Each remaining positional in turn takes the next positional token
         and the "--" around it; an optional one may take none.  The first
         that finds no token before the next option stops the run."""
         while positionals:
-            k = past_separator(i)
-            if letters[k:k + 1] == "A":
+            k = i + (i == end)
+            if k < len(tokens) and readings[k] is None:
                 setattr(args, positionals[0][0], _convert(command, positionals[0], tokens[k]))
-                k = past_separator(k + 1)
+                k += 1 + (k + 1 == end)
             elif positionals[0][2]:
                 break
             del positionals[0]
@@ -364,7 +355,10 @@ def _parse_command(command: str, tokens: list) -> tuple:
         return i
 
     extras, i = [], 0
-    for at, (name, joined) in found.items():
+    for at, reading in enumerate(readings):
+        if reading is None:
+            continue
+        name, joined = reading
         if i < at:
             i = fill_positionals(i)
             extras += tokens[i:at]
@@ -379,7 +373,7 @@ def _parse_command(command: str, tokens: list) -> tuple:
             args.pretty = True
         else:
             if joined is None:
-                if letters[i:i + 1] != "A":
+                if i == end or readings[i] is not None:
                     _usage_error(command, f"argument {name}: expected one argument")
                 joined, i = tokens[i], i + 1
             setattr(args, _dest(name), _convert(command, options[name], joined))

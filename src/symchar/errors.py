@@ -71,7 +71,9 @@ class TooLargeError(SymcharError):
 
 # The digit ceiling of every size gate.  At 4300, Python's default
 # int-to-text limit, the costliest result a gate admits, p-class
-# 'QHn(7145)', takes 0.73-0.77 s in process (2-vCPU VM, Python 3.11.7).
+# 'QHn(7145)', takes 1.3-1.6 s in cli.main, of which 0.02-0.05 s is the
+# class and most of the rest json.dumps of its coefficients (2-vCPU VM,
+# Python 3.11.7).
 MAX_DIGITS = 4300
 # The least integer of more than MAX_DIGITS digits.
 TEN_TO_MAX_DIGITS = 10**MAX_DIGITS

@@ -241,6 +241,55 @@ def pontrjagin_numbers_by_localization(kind: str, n: int) -> dict:
     return numbers
 
 
+def cayley_plane_tangent_weights() -> list:
+    """The tangent weights of CayP^2 = F4/Spin(9) at its three torus fixed
+    points, in coordinates doubled so that the 16 short roots of F4 that are
+    not roots of Spin(9) are (+-1, +-1, +-1, +-1).  At the base point they
+    are the 8 of these with first coordinate +1.  The fixed points
+    W(F4)/W(B4) are represented by the identity and the reflections
+    s_b(v) = v - (v.b/2) b in b = (1,1,1,1) and (1,1,1,-1), each applied to
+    the weights at the base point."""
+    base = [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+
+    def reflect(b, v):
+        half = sum(bi * vi for bi, vi in zip(b, v)) // 2  # v.b is even
+        return tuple(vi - half * bi for vi, bi in zip(v, b))
+
+    return [base] + [[reflect(b, v) for v in base] for b in ((1, 1, 1, 1), (1, 1, 1, -1))]
+
+
+def cayley_plane_pontrjagin_numbers_by_localization(x) -> dict:
+    """{partition I: p_I} of CayP^2, I over the partitions of 4, by
+    Atiyah-Bott localization: p_I is the sum over the three fixed points of
+    prod_(a in I) e_a(w^2) / prod w, w over the tangent weights there
+    evaluated at the generic integer point x, each e_a read off
+    prod (1 + t w^2).  The signature fixes the orientation: the sums are
+    divided by their L-genus (381 p4 - 71 p3p1 - 19 p2^2 + 22 p2p1^2 -
+    3 p1^4) / 14175, which must be +1 or -1."""
+    # imported here, as in pontrjagin_numbers_by_localization
+    from fractions import Fraction
+
+    totals = dict.fromkeys(partitions_decreasing(4), Fraction(0))
+    for weights in cayley_plane_tangent_weights():
+        values = [sum(wi * xi for wi, xi in zip(w, x)) for w in weights]
+        elementary = [1]
+        for value in values:
+            elementary = poly_mul(elementary, [1, value * value])
+        for partition in totals:
+            totals[partition] += Fraction(prod(elementary[a] for a in partition), prod(values))
+    signature = (
+        381 * totals[(4,)] - 71 * totals[(3, 1)] - 19 * totals[(2, 2)]
+        + 22 * totals[(2, 1, 1)] - 3 * totals[(1, 1, 1, 1)]
+    ) / 14175
+    assert signature in (1, -1), (x, signature)
+    numbers = {}
+    for partition, total in totals.items():
+        number = total / signature
+        assert number.denominator == 1, (x, partition, number)
+        numbers[partition] = number.numerator
+    return numbers
+
+
 def partitions_by_compositions(n: int) -> set:
     """Distinct decreasing reorderings of all compositions of n."""
     found: set = set()

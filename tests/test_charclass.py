@@ -10,6 +10,8 @@ from math import comb
 import pytest
 
 from _oracles import (
+    cayley_plane_pontrjagin_numbers_by_localization,
+    cayley_plane_tangent_weights,
     char_number_plain,
     partitions_decreasing,
     poly_mul,
@@ -48,6 +50,7 @@ from symchar.charclass import (
     _LARGEST_N,
 )
 from symchar.errors import (
+    BadTableError,
     DimensionMismatchError,
     MalformedSpecError,
     SymcharError,
@@ -249,6 +252,20 @@ def test_numbers_match_localization_oracle():
             for p, number in pontrjagin_numbers_by_localization(space.kind, space.n).items()
         ]
         assert list(pontrjagin_numbers(space).entries.items()) == expected, space.render()
+
+
+def test_cayley_numbers_match_localization_from_the_f4_roots():
+    # the golden table behind CAYLEY_PLANE_NOTE, derived from the F4 roots
+    weight_sets = cayley_plane_tangent_weights()
+    assert all(len(set(weights)) == 8 for weights in weight_sets)
+    assert len({frozenset(weights) for weights in weight_sets}) == 3
+    entries = pontrjagin_numbers(cayley_plane()).entries
+    for x in ((3, 7, 19, 41), (29, -18, 44, -5)):
+        expected = {
+            ",".join(map(str, p)): number
+            for p, number in cayley_plane_pontrjagin_numbers_by_localization(x).items()
+        }
+        assert entries == expected, x
 
 
 def test_a_table_past_max_weight_is_refused_before_its_class(monkeypatch):
@@ -547,3 +564,25 @@ def test_a_bare_sw_table_led_by_any_whitespace_reads_as_sw(space):
 def test_a_bare_pontrjagin_table_still_reads_after_whitespace_and_parens():
     read = CharNumberTable.from_json_dict({"\t( 2, 1 )": 5, "3": 1})
     assert read == CharNumberTable(PONTRJAGIN, 12, {"2,1": 5, "3": 1})
+
+
+def test_a_degree_past_the_digit_limit_is_refused_at_its_key():
+    # the mismatch message writes the degree and the dimension, so a key
+    # whose degree passes MAX_DIGITS is refused as too large, not with a
+    # ValueError from the int-to-text limit, and before any later key
+    nines = "9" * 4300
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 0):
+            sys.set_int_max_str_digits(limit)
+            for document in (
+                {"dim": 10**5000, "kind": PONTRJAGIN, "entries": {"1": 1}},
+                {"4": 1, nines: 2, "x": 3},
+                {"dim": 4, "kind": SW, "entries": {"w2^" + nines: 1, "x": 1}},
+            ):
+                with pytest.raises(TooLargeError):
+                    CharNumberTable.from_json_dict(document)
+            with pytest.raises(BadTableError, match="total degree 8, expected 16"):
+                CharNumberTable.from_json_dict({"4": 1, "2": 2})
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -556,6 +556,17 @@ def test_a_literal_double_dash_is_read_as_a_token(run, capsys):
         assert out == "" and "error: argument q: invalid int value: '--'" in err
 
 
+def test_a_long_command_line_is_read_in_linear_time(capsys):
+    # each token is read once: a reader that rescans what it has read
+    # takes about 20 s here
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["classify", *["a"] * 1_000_000])
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: a a" in capsys.readouterr().err
+
+
 def test_classification_round_trips_through_json(run_json):
     for space in SPACES:
         first = run_json("classify", space)

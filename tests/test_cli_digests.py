@@ -94,6 +94,13 @@ def _tables() -> list:
         ["mu", "--m", '{"4":0,"2,2":36}', "--mu-dual", '{"4":39,"2,2":36}'],
         ["mu", "--m", '{"4":13,"2,2":12}', "--mu-dual", '{"4":0,"2,2":36}'],
     ]
+    argvs += [  # a key whose total degree, not the dimension, passes 4300 digits
+        ["wall", "--p", f'{{"4":1,"{nines}":2}}'],
+        [
+            "transfer", "--table",
+            f'{{"dim":4,"kind":"sw","entries":{{"w2^{nines}":1}}}}', "--deg", "1",
+        ],
+    ]
     return argvs
 
 

@@ -388,6 +388,12 @@ def _argparse_reading(argv):
 @example(["gl-order", "7" * 4301, "2"])
 @example(["--pretty", "classify", "X"])
 @example(["-3", "classify", "X"])
+@example(["gl-order", "1", "2", "--"])  # a "--" at the end of the line
+@example(["classify", "X", "Y", "--"])
+@example(["wall", "--", "--p"])  # an option after "--" is a positional
+@example(["transfer", "--table", "--"])  # "--" is no option's value
+@example(["wall", "--p", "x", "--", "y"])
+@example(["mu", "--m", "a", "--mu-dual", "--", "b"])
 def test_parse_args_reads_what_argparse_read(default_digit_limit, argv):
     ours, theirs = _parsed(cli.parse_args, argv), _argparse_reading(argv)
     assert (ours == 2) == (theirs == 2), (ours, theirs)
