@@ -56,6 +56,7 @@ from symchar.errors import (
     UnsupportedClassError,
     check_digits,
     past_digit_limit,
+    quote,
 )
 
 SPHERE = "sphere"
@@ -264,17 +265,17 @@ class CharNumberTable(
                 canonical = " ".join(_sw_factor(i, r) for i, r in exponents)
                 degree = sum(i * r for i, r in exponents)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise BadTableError(f"entry {key!r} must be an integer")
+                raise BadTableError(f"entry {quote(key)} must be an integer")
             if kind == SW:
                 value &= 1
             if canonical in entries:
-                raise BadTableError(f"duplicate table entry {canonical!r}")
+                raise BadTableError(f"duplicate table entry {quote(canonical)}")
             if dim is None:
                 dim = degree
             elif degree != dim:
                 check_digits(max(degree, dim))  # before the message writes both
                 raise BadTableError(
-                    f"entry {key!r} has total degree {degree}, expected {dim}"
+                    f"entry {quote(key)} has total degree {degree}, expected {dim}"
                 )
             entries[canonical] = value
         for value in (dim, *entries.values()):  # after the loop: a key error comes first

@@ -15,8 +15,8 @@ int-text conversion of a call refuses where the gates do, in any environment.
 Each handler imports the library modules it calls, so a call loads only
 what its subcommand runs: a usage error loads none of them.  A handler checks
 its own arguments before it reads any table, so a refused flag costs no read,
-and opens each of its table files before it parses any, so a missing second
-file costs no parse of the first.
+and reads each of its table files, and closes it, before it parses any, so a
+missing or unreadable second file costs no parse of the first.
 """
 
 import json
@@ -35,48 +35,43 @@ from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_l
 MAX_TABLE_CHARS = 16 * 2**20
 
 
-def _load_table(source):
-    """A table argument, its inline JSON or its opened @file, as a
-    CharNumberTable."""
-    from symchar.charclass import CharNumberTable
-
-    if not isinstance(source, str):
+def _read_table(argument: str) -> str:
+    """A table argument's text: its inline JSON, or at most
+    MAX_TABLE_CHARS + 1 characters of its @file, closed on return."""
+    if argument.startswith("@"):
         try:
-            source = source.read(MAX_TABLE_CHARS + 1)  # never the whole of a larger file
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            with open(argument[1:], "r", encoding="utf-8") as fh:
+                argument = fh.read(MAX_TABLE_CHARS + 1)  # never the whole of a larger file
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
             raise BadTableError(f"cannot read table file: {exc}") from None
-    if len(source) > MAX_TABLE_CHARS:
+    if len(argument) > MAX_TABLE_CHARS:
         raise BadTableError(f"table has more than {MAX_TABLE_CHARS} characters")
-    try:
-        data = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise BadTableError(f"table is not valid JSON: {exc}") from None
-    except ValueError:  # under main's limit, int() of more than MAX_DIGITS digits
-        raise BadTableError(f"table has an integer of more than {MAX_DIGITS} digits") from None
-    except RecursionError:
-        raise BadTableError("table is nested too deeply") from None
-    return CharNumberTable.from_json_dict(data)
+    return argument
 
 
 def _load_tables(*arguments) -> list:
     """Each table argument, inline JSON or @file, as a CharNumberTable, and
-    None as None.  Every file is opened before any table is read, so a file
-    that cannot be opened is refused before any table is parsed, and every
-    file is closed on every path."""
-    sources, files = [], []
-    try:
-        for source in arguments:
-            if source is not None and source.startswith("@"):
-                try:
-                    source = open(source[1:], "r", encoding="utf-8")
-                except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-                    raise BadTableError(f"cannot read table file: {exc}") from None
-                files.append(source)
-            sources.append(source)
-        return [None if source is None else _load_table(source) for source in sources]
-    finally:
-        for fh in files:
-            fh.close()
+    None as None.  Every argument is read, and every file closed, before any
+    table is parsed, so a file that cannot be read costs no parse."""
+    from symchar.charclass import CharNumberTable
+
+    tables = [None if argument is None else _read_table(argument) for argument in arguments]
+    # each text in turn gives way to its JSON and then its table, so no text
+    # is held while a table is built
+    for i in range(len(tables)):
+        if tables[i] is not None:
+            try:
+                tables[i] = json.loads(tables[i])
+            except json.JSONDecodeError as exc:
+                raise BadTableError(f"table is not valid JSON: {exc}") from None
+            except ValueError:  # under main's limit, int() of more than MAX_DIGITS digits
+                raise BadTableError(
+                    f"table has an integer of more than {MAX_DIGITS} digits"
+                ) from None
+            except RecursionError:
+                raise BadTableError("table is nested too deeply") from None
+            tables[i] = CharNumberTable.from_json_dict(tables[i])
+    return tables
 
 
 def _space_record(function_name: str):

@@ -107,6 +107,14 @@ def refuse_past_digit_limit(count: int, log10_each: float, log10_rest: float) ->
         raise past_digit_limit()
 
 
+def quote(text: str) -> str:
+    """repr(text), or the repr of its first 100 characters and "..." when it
+    is longer: a message quotes an input of any length in bounded space.
+    No key that symchar writes is longer (the longest, 1,...,1 of
+    p-numbers 'CHn(90)', has 89 characters)."""
+    return repr(text) if len(text) <= 100 else f"{text[:100]!r}..."
+
+
 class BadPrimePowerError(SymcharError):
     code = "bad-prime-power"
 

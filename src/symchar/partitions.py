@@ -32,7 +32,7 @@ above MAX_WEIGHT, before any work is done.
 
 from collections.abc import Callable
 
-from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError
+from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError, quote
 
 Partition = tuple[int, ...]
 
@@ -142,11 +142,11 @@ def parse_partition(text: str) -> Partition:
     try:
         parts = tuple(int(tok.strip()) for tok in s.split(","))
     except ValueError:
-        raise SymcharError(f"malformed partition {text!r}") from None
+        raise SymcharError(f"malformed partition {quote(text)}") from None
     if any(p < 1 for p in parts):
-        raise SymcharError(f"partition parts must be positive: {text!r}")
+        raise SymcharError(f"partition parts must be positive: {quote(text)}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise SymcharError(f"partition parts must be weakly decreasing: {text!r}")
+        raise SymcharError(f"partition parts must be weakly decreasing: {quote(text)}")
     return parts
 
 
@@ -166,7 +166,7 @@ def parse_monomial(text: str) -> tuple:
             or not digits.isdecimal()
             or (caret and not power.isdecimal())
         ):
-            raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
+            raise SymcharError(f"malformed Stiefel-Whitney factor {quote(tok)}")
         try:
             index = int(digits)
             exponent = int(power) if caret else 1
@@ -175,7 +175,7 @@ def parse_monomial(text: str) -> tuple:
                 f"Stiefel-Whitney factor {tok[:20]!r}... is too long"
             ) from None
         if index < 1 or exponent < 1:
-            raise SymcharError(f"malformed Stiefel-Whitney factor {tok!r}")
+            raise SymcharError(f"malformed Stiefel-Whitney factor {quote(tok)}")
         counts[index] = counts.get(index, 0) + exponent
     return tuple(sorted(counts.items()))
 

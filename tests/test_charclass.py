@@ -586,3 +586,23 @@ def test_a_degree_past_the_digit_limit_is_refused_at_its_key():
                 CharNumberTable.from_json_dict({"4": 1, "2": 2})
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"x" * 10**5: 1}, "malformed partition"),
+        ({"1," * 10**5 + "0": 1}, "partition parts must be positive"),
+        ({"1," * 10**5 + "2": 1}, "partition parts must be weakly decreasing"),
+        ({"w1^" + "x" * 10**6: 1}, "malformed Stiefel-Whitney factor"),
+        # an exponent of 0, of as many digits as int() reads at the default limit
+        ({"w1^" + "0" * 4300: 1}, "malformed Stiefel-Whitney factor"),
+        ({"1," * 10**5 + "1": "1"}, "entry .* must be an integer"),
+        ({"4": 1, "1," * 10**5 + "1": 2}, "entry .* has total degree"),
+        ({"1," * 10**5 + "1": 1, "(" + "1," * 10**5 + "1)": 2}, "duplicate table entry"),
+    ],
+)
+def test_a_message_quotes_at_most_100_characters_of_a_key(document, message):
+    with pytest.raises(SymcharError, match=message) as info:
+        CharNumberTable.from_json_dict(document)
+    assert len(str(info.value)) < 250

@@ -266,7 +266,7 @@ def test_transfer_requires_a_mode(run, monkeypatch):
     def no_read(text):
         raise AssertionError(f"table {text!r} read before the flags were checked")
 
-    monkeypatch.setattr(cli, "_load_table", no_read)
+    monkeypatch.setattr(cli, "_read_table", no_read)
     for argv in [
         ("transfer", "--table", "{}"),
         ("transfer", "--table", "{}", "--deg", "2", "--deg-t", "1"),
@@ -432,7 +432,51 @@ def test_every_table_file_is_closed_on_every_path(run, tmp_path, opened):
     ]:
         code, payload = run(*argv)
         assert (code, payload.get("error")) == (0 if error is None else 1, error), argv
-    assert len(opened) == 9 and all(fh.closed for fh in opened)
+    assert len(opened) == 8 and all(fh.closed for fh in opened)
+
+
+def test_a_second_file_that_cannot_be_read_is_refused_before_any_parse(
+    run, monkeypatch, tmp_path, opened
+):
+    good = tmp_path / "good.json"
+    good.write_text('{"4": 13, "2,2": 12}')
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"4": 1} \xff')
+
+    def no_parse(data):
+        raise AssertionError("a table was parsed before every file was read")
+
+    monkeypatch.setattr(CharNumberTable, "from_json_dict", no_parse)
+    for argv in [
+        ("mu", "--m", f"@{good}", "--mu-dual", f"@{not_utf8}"),
+        ("wall", "--p", f"@{good}", "--sw", f"@{not_utf8}"),
+    ]:
+        code, payload = run(*argv)
+        assert (code, payload["error"]) == (1, "bad-table"), argv
+        assert payload["detail"].startswith("cannot read table file"), argv
+    assert len(opened) == 4 and all(fh.closed for fh in opened)
+
+
+def test_every_table_file_is_closed_before_the_first_table_is_parsed(
+    run, monkeypatch, tmp_path, opened
+):
+    good = tmp_path / "good.json"
+    good.write_text('{"4": 39, "2,2": 36}')
+    from_json_dict = CharNumberTable.from_json_dict
+
+    def parse_after_every_close(data):
+        assert opened and all(fh.closed for fh in opened)
+        return from_json_dict(data)
+
+    monkeypatch.setattr(CharNumberTable, "from_json_dict", parse_after_every_close)
+    for argv in [
+        ("mu", "--m", f"@{good}", "--mu-dual", f"@{good}"),
+        ("wall", "--p", f"@{good}", "--sw", '{"w16": 0}'),
+        ("transfer", "--table", f"@{good}", "--deg", "2"),
+    ]:
+        code, payload = run(*argv)
+        assert code == 0 and "error" not in payload, argv
+    assert len(opened) == 4
 
 
 def test_table_with_mismatched_degrees_rejected(run):

@@ -101,6 +101,10 @@ def _tables() -> list:
             f'{{"dim":4,"kind":"sw","entries":{{"w2^{nines}":1}}}}', "--deg", "1",
         ],
     ]
+    argvs += [  # a key of more than 100 characters, quoted by its first 100
+        ["transfer", "--table", f'{{"{"x" * 120}":1}}', "--deg", "1"],
+        ["wall", "--p", f'{{"4":1,"{"1," * 60}1":2}}'],
+    ]
     return argvs
 
 
