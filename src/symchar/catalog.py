@@ -45,6 +45,8 @@ from symchar.errors import (
     UnsupportedClassError,
     UnsupportedFamilyError,
     check_digits,
+    quote,
+    read_int,
     refuse_past_digit_limit,
     within_digit_limit,
 )
@@ -76,7 +78,9 @@ class SpaceSpec(namedtuple("SpaceSpec", "family params")):
     def __new__(cls, family: str, params: tuple):
         fam = _FAMILIES.get(family)
         if fam is None:
-            raise UnknownFamilyError(f"unknown family {family!r}")
+            named = (quote(family) if isinstance(family, str)
+                     else f"of type {type(family).__name__}")
+            raise UnknownFamilyError(f"unknown family {named}")
         arity = len(fam.min_params)
         if len(params) != arity:
             raise MalformedSpecError(f"{fam.name} takes {arity} parameter(s), got {len(params)}")
@@ -211,35 +215,40 @@ _EXCEPTIONAL = {"E6", "E7", "E8", "G2", "F4"}
 
 
 def _parse_space(text: str) -> SpaceSpec:
-    """parse_space of any text, computed."""
+    """parse_space of any text, computed.  A parameter of more than
+    MAX_DIGITS digits is read as +-TEN_TO_MAX_DIGITS, so SpaceSpec refuses
+    it in its own order: arity, minimum, then digits."""
     s = text.strip()
     name, sep, rest = s.partition("(")
     name = name.strip()
     if sep:
         if not rest.endswith(")"):
-            raise MalformedSpecError(f"unbalanced parentheses in {text!r}")
+            raise MalformedSpecError(f"unbalanced parentheses in {quote(text)}")
         body = rest[:-1].strip()
         if not body:
-            raise MalformedSpecError(f"empty parameter list in {text!r}")
+            raise MalformedSpecError(f"empty parameter list in {quote(text)}")
+        tokens = body.split(",")
+        # a parameter of more than MAX_DIGITS digits needs a token of as many
+        # characters; int() alone does not strip U+001C..U+001F, so strip each
+        long = len(body) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
         try:
-            # int() alone does not strip U+001C..U+001F, so strip each token
-            params = tuple(map(int, map(str.strip, body.split(","))))
+            params = tuple(map(read_int if long else int, map(str.strip, tokens)))
         except ValueError:
             raise MalformedSpecError(
-                f"parameters must be integers in {text!r}"
+                f"parameters must be integers in {quote(text)}"
             ) from None
     else:
         params = ()
     if not name:
-        raise MalformedSpecError(f"missing family name in {text!r}")
+        raise MalformedSpecError(f"missing family name in {quote(text)}")
     if name in _EXCEPTIONAL:
         raise UnsupportedFamilyError(
-            f"unsupported family {name!r}: exceptional spaces other than "
+            f"unsupported family {quote(name)}: exceptional spaces other than "
             "CayleyHyperbolic are out of scope"
         )
     canonical = _NAMES.get(name)
     if canonical is None:
-        raise UnknownFamilyError(f"unknown family {name!r}")
+        raise UnknownFamilyError(f"unknown family {quote(name)}")
     return SpaceSpec(canonical, params)
 
 

@@ -9,8 +9,14 @@ No result has more than MAX_DIGITS digits, whatever Python's int-to-text
 limit is: check_digits refuses a longer integer once it is computed, and
 refuse_past_digit_limit from an estimate before work that could be
 unbounded.  A result known to have at most ``bits`` bits needs neither
-when within_digit_limit(bits) holds.  The CLI runs each call at a limit of
-MAX_DIGITS.
+when within_digit_limit(bits) holds.
+
+The same ceiling decides an over-long number at each int-text boundary of
+the library: read_int reads a number of more than MAX_DIGITS digits as
++-TEN_TO_MAX_DIGITS, for the caller to refuse, and quote_int writes one
+into a message as "a number of more than MAX_DIGITS digits".  So Python's
+limit chooses no answer at its default, MAX_DIGITS, or off (0); it
+matters only inside cli.main, which runs each call at MAX_DIGITS.
 """
 
 
@@ -62,9 +68,10 @@ class BadTableError(SymcharError):
 
 class TooLargeError(SymcharError):
     """A request refused for its size: a table over too many partitions, a
-    result past MAX_DIGITS digits (before the work or as soon as it is
-    computed), a probable prime past the range where Miller-Rabin
-    proves primality, or a field size past the bits that it is run on."""
+    table key with a number past MAX_DIGITS digits, a result past
+    MAX_DIGITS digits (before the work or as soon as it is computed), a
+    probable prime past the range where Miller-Rabin proves primality, or
+    a field size past the bits that it is run on."""
 
     code = "too-large"
 
@@ -113,6 +120,30 @@ def quote(text: str) -> str:
     No key that symchar writes is longer (the longest, 1,...,1 of
     p-numbers 'CHn(90)', has 89 characters)."""
     return repr(text) if len(text) <= 100 else f"{text[:100]!r}..."
+
+
+def quote_int(value: int) -> str:
+    """str(value), or "a number of more than MAX_DIGITS digits" when it is
+    longer: a message writes an integer of any size in bounded space."""
+    if value.bit_length() > _SAFE_BITS and abs(value) >= TEN_TO_MAX_DIGITS:
+        return f"a number of more than {MAX_DIGITS} digits"
+    return str(value)
+
+
+def read_int(text: str) -> int:
+    """int(text.strip()), but a number of more than MAX_DIGITS digits,
+    leading zeros counted, is read as TEN_TO_MAX_DIGITS with its sign, which
+    every size gate refuses.  ValueError when int() would raise it for
+    another reason: a number is an optional sign, then decimal digits that
+    single underscores may separate.  A caller whose text has at most
+    MAX_DIGITS characters can call int() instead: no number in it is longer."""
+    s = text.strip()
+    unsigned = s[1:] if s[:1] in ("+", "-") else s
+    if len(unsigned) - unsigned.count("_") <= MAX_DIGITS:
+        return int(s)
+    if not all(map(str.isdecimal, unsigned.split("_"))):
+        raise ValueError(f"invalid literal for int(): {quote(s)}")
+    return -TEN_TO_MAX_DIGITS if s[0] == "-" else TEN_TO_MAX_DIGITS
 
 
 class BadPrimePowerError(SymcharError):

@@ -32,7 +32,15 @@ above MAX_WEIGHT, before any work is done.
 
 from collections.abc import Callable
 
-from symchar.errors import MAX_DIGITS, TEN_TO_MAX_DIGITS, SymcharError, TooLargeError, quote
+from symchar.errors import (
+    MAX_DIGITS,
+    TEN_TO_MAX_DIGITS,
+    SymcharError,
+    TooLargeError,
+    quote,
+    quote_int,
+    read_int,
+)
 
 Partition = tuple[int, ...]
 
@@ -47,10 +55,8 @@ def check_weight(n: int) -> None:
     if n < 0:
         raise SymcharError("partitions are defined for non-negative integers")
     if n > MAX_WEIGHT:
-        # n may have more digits than the CLI writes as text
-        named = n if n < TEN_TO_MAX_DIGITS else f"a number of more than {MAX_DIGITS} digits"
         raise TooLargeError(
-            f"a table over the partitions of {named} is refused: tables are built "
+            f"a table over the partitions of {quote_int(n)} is refused: tables are built "
             f"over the partitions of at most {MAX_WEIGHT}"
         )
 
@@ -132,21 +138,31 @@ def format_partition(partition: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition.  Tolerates surrounding parens and spaces."""
+    """Inverse of format_partition.  Tolerates surrounding parens and spaces.
+    A part of more than MAX_DIGITS digits is refused with TooLargeError,
+    after the checks that the parts are positive and weakly decreasing."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     s = s.strip()
     if not s:
         return ()
+    tokens = s.split(",")
+    # a part of more than MAX_DIGITS digits needs a token of as many characters
+    long = len(s) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
     try:
-        parts = tuple(int(tok.strip()) for tok in s.split(","))
+        # int() alone does not strip U+001C..U+001F, so strip each token
+        parts = tuple(map(read_int if long else int, map(str.strip, tokens)))
     except ValueError:
         raise SymcharError(f"malformed partition {quote(text)}") from None
     if any(p < 1 for p in parts):
         raise SymcharError(f"partition parts must be positive: {quote(text)}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise SymcharError(f"partition parts must be weakly decreasing: {quote(text)}")
+    if long and parts[0] >= TEN_TO_MAX_DIGITS:
+        raise TooLargeError(
+            f"partition {quote(text)} has a part of more than {MAX_DIGITS} digits"
+        )
     return parts
 
 
@@ -154,11 +170,14 @@ def parse_monomial(text: str) -> tuple:
     """((index, exponent), ...) of a monomial such as "w3 w1^2", indices
     ascending and repeated factors summed.  A factor is "w", decimal digits
     and optionally "^" and decimal digits; the digits are any Unicode
-    decimals, which int() reads."""
+    decimals, which int() reads.  A factor whose index or exponent has more
+    than MAX_DIGITS digits is refused with TooLargeError."""
     counts: dict = {}
     tokens = text.split()
     if not tokens:
         raise SymcharError("empty Stiefel-Whitney monomial")
+    # a longer index or exponent needs a token of more than MAX_DIGITS characters
+    long = len(text) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
     for tok in tokens:
         digits, caret, power = tok[1:].partition("^")
         if (
@@ -167,13 +186,13 @@ def parse_monomial(text: str) -> tuple:
             or (caret and not power.isdecimal())
         ):
             raise SymcharError(f"malformed Stiefel-Whitney factor {quote(tok)}")
-        try:
-            index = int(digits)
-            exponent = int(power) if caret else 1
-        except ValueError:  # more digits than Python reads from text
-            raise SymcharError(
-                f"Stiefel-Whitney factor {tok[:20]!r}... is too long"
-            ) from None
+        if long and max(len(digits), len(power)) > MAX_DIGITS:
+            raise TooLargeError(
+                f"Stiefel-Whitney factor {quote(tok)} is too long: it has a "
+                f"number of more than {MAX_DIGITS} digits"
+            )
+        index = int(digits)
+        exponent = int(power) if caret else 1
         if index < 1 or exponent < 1:
             raise SymcharError(f"malformed Stiefel-Whitney factor {quote(tok)}")
         counts[index] = counts.get(index, 0) + exponent

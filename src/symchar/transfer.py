@@ -36,6 +36,8 @@ from symchar.errors import (
     SymcharError,
     TooLargeError,
     check_digits,
+    quote,
+    quote_int,
     refuse_past_digit_limit,
 )
 
@@ -87,8 +89,8 @@ def solve_manifold_numbers(
         quotient, remainder = divmod(numerator, deg_f)
         if remainder:
             raise InconsistentDegreesError(
-                f"entry {key or '()'}: {deg_t} * {value} is not divisible "
-                f"by {deg_f}"
+                f"entry {quote(key)}: {quote_int(deg_t)} * {quote_int(value)} is "
+                f"not divisible by {quote_int(deg_f)}"
             )
         entries[key] = quotient
     for quotient in entries.values():
@@ -129,7 +131,7 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
         if a == 0:
             if b != 0:
                 raise InconsistentTablesError(
-                    f"entry {key or '()'}: the dual number is nonzero while "
+                    f"entry {quote(key)}: the dual number is nonzero while "
                     "the manifold number vanishes; no tangential map of "
                     "nonzero degree allows this"
                 )
@@ -137,7 +139,7 @@ def mu(table_m: CharNumberTable, table_mu: CharNumberTable) -> MuReport:
             continue
         if b == 0:
             raise InconsistentTablesError(
-                f"entry {key or '()'}: the manifold number is nonzero while "
+                f"entry {quote(key)}: the manifold number is nonzero while "
                 "the dual number vanishes; no covering transfer is "
                 "consistent with this"
             )
@@ -269,7 +271,7 @@ def gl_order(n: int, q: int) -> int:
     if n < 1:
         raise SymcharError("matrix size must be a positive integer")
     if _prime_power_base(q) is None:
-        raise BadPrimePowerError(f"{q} is not a prime power")
+        raise BadPrimePowerError(f"{quote_int(q)} is not a prime power")
     refuse_past_digit_limit(n * n, log10(q), _GL_FACTOR_LOG10)
     return _gl_memo(n, q)
 
@@ -315,13 +317,13 @@ def deligne_sullivan_check(mu_value: int, k: int, q1: int, q2: int) -> DSReport:
         raise SymcharError("k must be a positive integer")
     p1 = _prime_power_base(q1)
     if p1 is None:
-        raise BadPrimePowerError(f"{q1} is not a prime power")
+        raise BadPrimePowerError(f"{quote_int(q1)} is not a prime power")
     p2 = _prime_power_base(q2)
     if p2 is None:
-        raise BadPrimePowerError(f"{q2} is not a prime power")
+        raise BadPrimePowerError(f"{quote_int(q2)} is not a prime power")
     if p1 == p2:
         raise EqualCharacteristicError(
-            f"{q1} and {q2} share characteristic {p1}; the test needs "
+            f"{quote_int(q1)} and {quote_int(q2)} share characteristic {p1}; the test needs "
             "distinct characteristics"
         )
     n = 2 * k + 1

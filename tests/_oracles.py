@@ -363,16 +363,16 @@ def sw_monomial_by_regex(text: str):
     """The ((index, exponent), ...) of a monomial such as "w3 w1^2", indices
     ascending, by matching each factor to _FACTOR_RE.  None when the text is
     not a monomial (no factor or a malformed one), "too long" when a factor
-    has a number past Python's int-to-text limit."""
+    has a number of more than 4300 digits, whatever Python's int-to-text
+    limit is."""
     counts: dict = {}
     for token in text.split():
         m = _FACTOR_RE.match(token)
         if not m:
             return None
-        try:
-            index, exponent = int(m[1]), int(m[2] or 1)
-        except ValueError:
+        if len(m[1]) > 4300 or len(m[2] or "") > 4300:
             return "too long"
+        index, exponent = int(m[1]), int(m[2] or 1)
         if index < 1 or exponent < 1:
             return None
         counts[index] = counts.get(index, 0) + exponent

@@ -101,6 +101,10 @@ def _tables() -> list:
             f'{{"dim":4,"kind":"sw","entries":{{"w2^{nines}":1}}}}', "--deg", "1",
         ],
     ]
+    argvs += [  # a part or an index of more than 4300 digits
+        ["transfer", "--table", f'{{"{"1" * 4301}":1}}', "--deg", "1"],
+        ["transfer", "--table", f'{{"w{"1" * 4301}":1}}', "--deg", "1"],
+    ]
     argvs += [  # a key of more than 100 characters, quoted by its first 100
         ["transfer", "--table", f'{{"{"x" * 120}":1}}', "--deg", "1"],
         ["wall", "--p", f'{{"4":1,"{"1," * 60}1":2}}'],
@@ -131,6 +135,10 @@ def _usage() -> list:
 def corpus() -> list:
     """(argv, name) of every case, each with and without --pretty."""
     argvs = [[command, spec] for spec in _specs() for command in _SPACE_COMMANDS]
+    zeros = "0" * 4300
+    argvs += [  # refused by the one digit rule: leading zeros, arity, minimum
+        ["classify", spec] for spec in (f"CHn({zeros}1)", f"SU_pq(1{zeros})", f"CHn(-1{zeros})")
+    ]
     argvs += [["gl-order", str(n), str(q)] for q in _Q for n in range(-1, 72)]
     argvs += [
         ["ds-check", "--mu", str(mu), "--k", str(k), "--q1", str(q1), "--q2", str(q2)]

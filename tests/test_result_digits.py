@@ -34,7 +34,14 @@ from symchar.charclass import (
     total_pontrjagin,
     total_stiefel_whitney,
 )
-from symchar.errors import TooLargeError, UnsupportedClassError
+from symchar.errors import (
+    BadPrimePowerError,
+    EqualCharacteristicError,
+    InconsistentDegreesError,
+    MalformedSpecError,
+    TooLargeError,
+    UnsupportedClassError,
+)
 from symchar.transfer import (
     DSReport,
     deligne_sullivan_check,
@@ -267,6 +274,76 @@ def test_each_size_gate_is_exact_around_14284_bits(digit_limit, cases):
         outcomes.add(expected is TooLargeError)
     assert outcomes == {False, True}  # both sides of the bound are reached
 
+
+
+_ZEROS = "0" * 4300
+_ONES = "1" * 4400
+_PAST = "a number of more than 4300 digits"
+# Each call that reads or writes a number of more than 4300 digits, with the
+# error class and the exact message it must raise at any int-to-text limit.
+_OVER_LONG = {
+    "space parameter": (
+        lambda: parse_space(f"CHn(1{_ZEROS})"), MalformedSpecError,
+        "ComplexHyperbolic_n parameters must have at most 4300 digits",
+    ),
+    "leading zeros": (
+        lambda: parse_space(f"CHn({_ZEROS}1)"), MalformedSpecError,
+        "ComplexHyperbolic_n parameters must have at most 4300 digits",
+    ),
+    "arity first": (
+        lambda: parse_space(f"SU_pq(1{_ZEROS})"), MalformedSpecError,
+        "SU_pq takes 2 parameter(s), got 1",
+    ),
+    "minimum first": (
+        lambda: parse_space(f"CHn(-1{_ZEROS})"), MalformedSpecError,
+        "ComplexHyperbolic_n parameters must be integers >= (1,)",
+    ),
+    "partition part": (
+        lambda: CharNumberTable.from_json_dict({_ONES: 1}), TooLargeError,
+        f"partition {'1' * 100!r}... has a part of more than 4300 digits",
+    ),
+    "sw index": (
+        lambda: CharNumberTable.from_json_dict({"w" + _ONES: 1}), TooLargeError,
+        f"Stiefel-Whitney factor {'w' + '1' * 99!r}... is too long: it has a "
+        "number of more than 4300 digits",
+    ),
+    "sw exponent": (
+        lambda: CharNumberTable.from_json_dict({"w1^" + _ONES: 1}), TooLargeError,
+        f"Stiefel-Whitney factor {'w1^' + '1' * 97!r}... is too long: it has a "
+        "number of more than 4300 digits",
+    ),
+    "gl-order field": (
+        lambda: gl_order(1, 10**5000), BadPrimePowerError, f"{_PAST} is not a prime power",
+    ),
+    "ds-check field": (
+        lambda: deligne_sullivan_check(5, 1, 10**5000, 3), BadPrimePowerError,
+        f"{_PAST} is not a prime power",
+    ),
+    "ds-check characteristic": (
+        lambda: deligne_sullivan_check(5, 1, 2**14300, 2**14301), EqualCharacteristicError,
+        f"{_PAST} and {_PAST} share characteristic 2; the test needs distinct "
+        "characteristics",
+    ),
+    "solved entry": (
+        lambda: solve_manifold_numbers(
+            CharNumberTable(PONTRJAGIN, 4, {"1": 10**4400 + 1}), 1, 3
+        ),
+        InconsistentDegreesError,
+        f"entry '1': 1 * {_PAST} is not divisible by 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVER_LONG))
+def test_an_over_long_number_gets_one_answer_at_every_limit(digit_limit, case):
+    # MAX_DIGITS, not the int-to-text limit, decides: the same class, code
+    # and message at 4300 and 0, in bounded space, and never a bare ValueError
+    call, error, message = _OVER_LONG[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
+    assert (info.value.code, str(info.value)) == (error.code, message)
+    assert len(message) <= 250
 
 
 def test_no_estimate_runs_where_m_plus_e_bounds_the_euler_characteristic(monkeypatch):
