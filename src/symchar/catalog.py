@@ -227,12 +227,11 @@ def _parse_space(text: str) -> SpaceSpec:
         body = rest[:-1].strip()
         if not body:
             raise MalformedSpecError(f"empty parameter list in {quote(text)}")
-        tokens = body.split(",")
-        # a parameter of more than MAX_DIGITS digits needs a token of as many
+        # a parameter of more than MAX_DIGITS digits needs a text of as many
         # characters; int() alone does not strip U+001C..U+001F, so strip each
-        long = len(body) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
+        long = len(body) > MAX_DIGITS
         try:
-            params = tuple(map(read_int if long else int, map(str.strip, tokens)))
+            params = tuple(map(read_int if long else int, map(str.strip, body.split(","))))
         except ValueError:
             raise MalformedSpecError(
                 f"parameters must be integers in {quote(text)}"

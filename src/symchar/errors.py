@@ -125,9 +125,10 @@ def quote(text: str) -> str:
 def quote_int(value: int) -> str:
     """str(value), or "a number of more than MAX_DIGITS digits" when it is
     longer: a message writes an integer of any size in bounded space."""
-    if value.bit_length() > _SAFE_BITS and abs(value) >= TEN_TO_MAX_DIGITS:
+    try:
+        return str(check_digits(value))
+    except TooLargeError:
         return f"a number of more than {MAX_DIGITS} digits"
-    return str(value)
 
 
 def read_int(text: str) -> int:

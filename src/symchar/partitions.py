@@ -147,12 +147,11 @@ def parse_partition(text: str) -> Partition:
     s = s.strip()
     if not s:
         return ()
-    tokens = s.split(",")
-    # a part of more than MAX_DIGITS digits needs a token of as many characters
-    long = len(s) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
+    # a part of more than MAX_DIGITS digits needs a text of as many characters
+    long = len(s) > MAX_DIGITS
     try:
         # int() alone does not strip U+001C..U+001F, so strip each token
-        parts = tuple(map(read_int if long else int, map(str.strip, tokens)))
+        parts = tuple(map(read_int if long else int, map(str.strip, s.split(","))))
     except ValueError:
         raise SymcharError(f"malformed partition {quote(text)}") from None
     if any(p < 1 for p in parts):
@@ -171,13 +170,15 @@ def parse_monomial(text: str) -> tuple:
     ascending and repeated factors summed.  A factor is "w", decimal digits
     and optionally "^" and decimal digits; the digits are any Unicode
     decimals, which int() reads.  A factor whose index or exponent has more
-    than MAX_DIGITS digits is refused with TooLargeError."""
+    than MAX_DIGITS digits, or more than a lower int-to-text limit that the
+    caller set, is refused with TooLargeError."""
     counts: dict = {}
     tokens = text.split()
     if not tokens:
         raise SymcharError("empty Stiefel-Whitney monomial")
-    # a longer index or exponent needs a token of more than MAX_DIGITS characters
-    long = len(text) > MAX_DIGITS and max(map(len, tokens)) > MAX_DIGITS
+    # an index or exponent of more than MAX_DIGITS digits needs a text of as many
+    # characters
+    long = len(text) > MAX_DIGITS
     for tok in tokens:
         digits, caret, power = tok[1:].partition("^")
         if (
@@ -191,8 +192,14 @@ def parse_monomial(text: str) -> tuple:
                 f"Stiefel-Whitney factor {quote(tok)} is too long: it has a "
                 f"number of more than {MAX_DIGITS} digits"
             )
-        index = int(digits)
-        exponent = int(power) if caret else 1
+        try:
+            index = int(digits)
+            exponent = int(power) if caret else 1
+        except ValueError:  # a caller set Python's int-to-text limit below MAX_DIGITS
+            raise TooLargeError(
+                f"Stiefel-Whitney factor {quote(tok)} is too long: it has a "
+                "number of more digits than Python reads from text"
+            ) from None
         if index < 1 or exponent < 1:
             raise SymcharError(f"malformed Stiefel-Whitney factor {quote(tok)}")
         counts[index] = counts.get(index, 0) + exponent

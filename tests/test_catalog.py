@@ -371,6 +371,7 @@ class _Int(int):
 _INVALID_SPECS = {
     "unknown family": ("Nope", (1,), UnknownFamilyError, "unknown family 'Nope'"),
     "alias": ("CHn", (2,), UnknownFamilyError, "unknown family 'CHn'"),
+    "not a str": (5, (), UnknownFamilyError, "unknown family of type int"),
     "count": ("SU_pq", (2,), MalformedSpecError, "SU_pq takes 2 parameter(s), got 1"),
     "bool": (
         "RealHyperbolic_n", (True,), MalformedSpecError,

@@ -335,15 +335,40 @@ _OVER_LONG = {
 
 
 @pytest.mark.parametrize("case", list(_OVER_LONG))
+@pytest.mark.parametrize(
+    "digit_limit",
+    [pytest.param(4300, id="default-limit"), pytest.param(1000, id="limit-1000"),
+     pytest.param(0, id="limit-off")],
+    indirect=True,
+)
 def test_an_over_long_number_gets_one_answer_at_every_limit(digit_limit, case):
     # MAX_DIGITS, not the int-to-text limit, decides: the same class, code
-    # and message at 4300 and 0, in bounded space, and never a bare ValueError
+    # and message at 4300, 1000 and 0, in bounded space, and never a bare
+    # ValueError
     call, error, message = _OVER_LONG[case]
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is error
     assert (info.value.code, str(info.value)) == (error.code, message)
     assert len(message) <= 250
+
+
+@pytest.mark.parametrize("key", ["w" + "1" * 2000, "w1^" + "1" * 2000], ids=["index", "exponent"])
+def test_a_factor_past_a_lower_limit_is_too_large(key):
+    # a caller may set Python's limit below MAX_DIGITS; a factor that int()
+    # cannot read then is still refused with a code, not a bare ValueError
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(ValueError) as info:
+            CharNumberTable.from_json_dict({key: 1})
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert type(info.value) is TooLargeError
+    assert str(info.value) == (
+        f"Stiefel-Whitney factor {key[:100]!r}... is too long: it has a number "
+        "of more digits than Python reads from text"
+    )
 
 
 def test_no_estimate_runs_where_m_plus_e_bounds_the_euler_characteristic(monkeypatch):
