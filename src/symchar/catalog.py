@@ -26,10 +26,10 @@ Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
 
 The family table is the one place that maps a space to its dual and to its
-number tables, and _dual_model decides each spec's model once: a rank-one
+number tables, and _dual_model decides each spec's model once: the verdict
+the ranks give (RankOne for a rank-one family) and, apart, a rank-one
 family's DualSpace (S^n, CP^n, HP^n, CayP^2), whose numbers charclass
-computes, or else the verdict the ranks give.  classify, dual_of and
-pontrjagin_table all read that one model.
+computes.  classify, dual_of and pontrjagin_table all read that one model.
 """
 
 from collections import namedtuple
@@ -278,27 +278,27 @@ def spec_string(spec: SpaceSpec) -> str:
 
 
 def _dual_model(fam: _Family, params: tuple) -> tuple:
-    """(name, dim, rank_gu, rank_k, model) of a family's dual, its dimension
-    not yet checked.  The model is the dual's DualSpace for a rank-one
-    family, else the verdict its ranks give.  Only a name "G_U/K" renders
-    the texts."""
+    """(name, dim, rank_gu, rank_k, verdict, space) of a family's dual, its
+    dimension not yet checked.  The verdict is RankOne for a rank-one
+    family, whose DualSpace is space, else the one its ranks give, and
+    space is None.  Only a name "G_U/K" renders the texts."""
     dim, rank_gu, rank_k = fam.sizes(*params)
     if fam.space is not None:
-        model = fam.space(*params)
-        return model.render(), dim, rank_gu, rank_k, model
+        space = fam.space(*params)
+        return space.render(), dim, rank_gu, rank_k, VERDICT_RANK_ONE, space
     name = fam.label(*params) if fam.label is not None else "/".join(fam.texts(*params))
     if rank_gu is None:
-        model = VERDICT_PARALLELIZABLE
+        verdict = VERDICT_PARALLELIZABLE
     elif rank_gu == rank_k:
-        model = VERDICT_EQUAL_RANK
+        verdict = VERDICT_EQUAL_RANK
     else:
-        model = VERDICT_RANK_GAP
-    return name, dim, rank_gu, rank_k, model
+        verdict = VERDICT_RANK_GAP
+    return name, dim, rank_gu, rank_k, verdict, None
 
 
 def dual_of(spec: SpaceSpec) -> DualPair:
     fam = _FAMILIES[spec.family]
-    name, dim, rank_gu, rank_k, _ = _dual_model(fam, spec.params)
+    name, dim, rank_gu, rank_k, _, _ = _dual_model(fam, spec.params)
     gu, k = (None, None) if fam.texts is None else fam.texts(*spec.params)
     return DualPair(*spec, name, gu, k, check_digits(dim), rank_gu, rank_k)
 
@@ -348,11 +348,10 @@ def _classification(spec: SpaceSpec) -> Classification:
     """classify of a spec, computed."""
     family, params = spec
     fam = _FAMILIES[family]
-    name, dim, rank_gu, rank_k, model = _dual_model(fam, params)
+    name, dim, rank_gu, rank_k, verdict, _ = _dual_model(fam, params)
     check_digits(dim)
     toral = None if rank_gu is None else rank_gu - rank_k
     euler = _two_power_binomial(*fam.euler(*params)) if toral == 0 else 0
-    verdict = model if isinstance(model, str) else VERDICT_RANK_ONE
     return Classification(
         family, params, name, dim, rank_gu, rank_k, toral, verdict, euler, euler > 0,
     )
@@ -383,17 +382,16 @@ def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
 
 def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
     """Pontrjagin numbers of the compact dual, decided by its model:
-    computed for a rank-one dual, refused at equal rank, all zero otherwise.
+    refused at equal rank, computed for a rank-one dual, all zero otherwise.
     The name is rendered as classify renders it, so a "G_U/K" past the digit
     limit is refused before any table is built."""
-    _, dim, _, _, model = _dual_model(_FAMILIES[spec.family], spec.params)
-    if model == VERDICT_EQUAL_RANK:
+    _, dim, _, _, verdict, space = _dual_model(_FAMILIES[spec.family], spec.params)
+    if verdict == VERDICT_EQUAL_RANK:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
-    if isinstance(model, str):  # every number vanishes: the table of 1, as on S^dim
-        model = charclass.sphere(dim)
-    return charclass.pontrjagin_numbers(model)
+    # with no DualSpace every number vanishes: the table of 1, as on S^dim
+    return charclass.pontrjagin_numbers(space or charclass.sphere(dim))
 
 
 def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:

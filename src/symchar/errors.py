@@ -14,9 +14,17 @@ when within_digit_limit(bits) holds.
 The same ceiling decides an over-long number at each int-text boundary of
 the library: read_int reads a number of more than MAX_DIGITS digits as
 +-TEN_TO_MAX_DIGITS, for the caller to refuse, and quote_int writes one
-into a message as "a number of more than MAX_DIGITS digits".  So Python's
-limit chooses no answer at its default, MAX_DIGITS, or off (0); it
-matters only inside cli.main, which runs each call at MAX_DIGITS.
+into a message as "a number of more than MAX_DIGITS digits".
+
+Python's int-to-text limit is a precondition of a library call, not an
+input.  At the limits 0, MAX_DIGITS and above, every answer is the same,
+and a number of more than MAX_DIGITS digits gets the same answer at every
+limit.  At a limit L from 640 to MAX_DIGITS - 1, a number of L + 1 to
+MAX_DIGITS digits may be refused with another code, or raise a bare
+ValueError: at 1000, parse_space of a 2000-digit parameter answers
+malformed-spec, a Pontrjagin key with a 2000-digit part invalid-input,
+and classify, spec_string and gl_order of a 2000-digit number raise.
+cli.main runs each call at MAX_DIGITS.
 """
 
 

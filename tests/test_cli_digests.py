@@ -1,15 +1,18 @@
 """Byte-identity of the command line over a fixed corpus.
 
 Each case runs ``cli.main`` in this process, with and without --pretty.
-The first 16 hex digits of the SHA-256 of its exit code, stdout and stderr
-must equal the digest recorded for it in tests/cli_digests.json, so any
-change to an output byte, an error code or an exit code shows here.  The
-corpus holds no case whose text Python or the OS words (JSON decoder
-messages, file errors): those change between Python versions.
+Its record in tests/cli_digests.json is "<exit> <outcome> <hash>": the
+exit code; "ok" for exit 0, "usage" for exit 2, or the error code of an
+exit-1 document; and the first 16 hex digits of the SHA-256 of its exit
+code, stdout and stderr.  Each must equal the recorded one, so any change
+to an output byte, an error code or an exit code shows here.  The corpus
+holds no case whose text Python or the OS words (JSON decoder messages,
+file errors): those change between Python versions.
 
-Running this module as a script prints the count and the names of the
-cases whose digest changed, appeared or disappeared, and then rewrites
-tests/cli_digests.json from the code on the path:
+Running this module as a script rewrites tests/cli_digests.json from the
+code on the path, and then prints the count of the cases whose record
+changed, appeared or disappeared, and their names grouped by transition
+("0 ok -> 1 too-large: 3 cases"):
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
@@ -159,7 +162,11 @@ def _name(argv: list) -> str:
     return " ".join(re.sub(r"\d{13,}", short, token) for token in argv)
 
 
+_OUTCOMES = {0: "ok", 2: "usage"}  # the outcome of an exit code other than 1
+
+
 def digest(argv: list) -> str:
+    """The case's record: "<exit> <outcome> <hash>"."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -167,7 +174,9 @@ def digest(argv: list) -> str:
         except SystemExit as exc:  # a usage error or --help
             code = exc.code
     text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    # only an exit-1 document, a short one, is decoded: a success may be 22 MB
+    outcome = json.loads(out.getvalue())["error"] if code == 1 else _OUTCOMES[code]
+    return f"{code} {outcome} {hashlib.sha256(text.encode()).hexdigest()[:16]}"
 
 
 def _digests() -> dict:
@@ -177,26 +186,32 @@ def _digests() -> dict:
     return digests
 
 
-def _differences(recorded: dict, digests: dict) -> list:
-    """(status, name) of every case whose digest changed, appeared or
-    disappeared, in corpus order and then recorded order."""
-    found = [
-        ("changed" if name in recorded else "appeared", name)
-        for name, value in digests.items()
-        if recorded.get(name) != value
-    ]
-    return found + [("disappeared", name) for name in recorded if name not in digests]
+def _differences(recorded: dict, digests: dict) -> dict:
+    """Each transition "<exit> <outcome> -> <exit> <outcome>" (or "none"
+    where a case appeared or disappeared) -> the names of the cases whose
+    record changed so, in corpus order and then recorded order."""
+    found = {}
+    for name in digests | recorded:
+        old, new = recorded.get(name), digests.get(name)
+        if old != new:
+            transition = " -> ".join(
+                "none" if entry is None else entry.rpartition(" ")[0] for entry in (old, new)
+            )
+            found.setdefault(transition, []).append(name)
+    return found
 
 
 def test_every_case_prints_its_recorded_bytes():
     differences = _differences(json.loads(DIGESTS.read_text()), _digests())
-    assert not differences, f"{len(differences)} cases differ: {differences}"
+    assert not differences, f"{sum(map(len, differences.values()))} cases differ: {differences}"
 
 
 if __name__ == "__main__":
     digests = _digests()
     differences = _differences(json.loads(DIGESTS.read_text()), digests)
-    print(f"{len(differences)} cases differ")
-    for status, name in differences:
-        print(f"{status}: {name}")
     DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")
+    print(f"{sum(map(len, differences.values()))} cases differ")
+    for transition, names in differences.items():
+        print(f"{transition}: {len(names)} cases")
+        for name in names:
+            print(f"  {name}")

@@ -205,7 +205,7 @@ _BOUND = _CEILING.bit_length() - 1  # 14 284
 _EDGE = range(_BOUND - 40, _BOUND + 31)
 
 
-@pytest.fixture(params=[4300, 0], ids=["default-limit", "limit-off"])
+@pytest.fixture(params=[4300, 20_000, 0], ids=["default-limit", "limit-20000", "limit-off"])
 def digit_limit(request):
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(request.param)
@@ -338,13 +338,13 @@ _OVER_LONG = {
 @pytest.mark.parametrize(
     "digit_limit",
     [pytest.param(4300, id="default-limit"), pytest.param(1000, id="limit-1000"),
-     pytest.param(0, id="limit-off")],
+     pytest.param(20_000, id="limit-20000"), pytest.param(0, id="limit-off")],
     indirect=True,
 )
 def test_an_over_long_number_gets_one_answer_at_every_limit(digit_limit, case):
     # MAX_DIGITS, not the int-to-text limit, decides: the same class, code
-    # and message at 4300, 1000 and 0, in bounded space, and never a bare
-    # ValueError
+    # and message at 4300, 1000, 20000 and 0, in bounded space, and never a
+    # bare ValueError
     call, error, message = _OVER_LONG[case]
     with pytest.raises(ValueError) as info:
         call()
