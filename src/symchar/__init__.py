@@ -24,7 +24,6 @@ _EXPORTS = {
         "wall_verdict",
     ),
     "charclass": (
-        "CharNumberTable",
         "DualSpace",
         "bounds_orientably",
         "cayley_plane",
@@ -42,6 +41,7 @@ _EXPORTS = {
         "parse_partition",
         "partitions_of",
     ),
+    "tables": ("CharNumberTable",),
     "transfer": (
         "DSReport",
         "MuReport",

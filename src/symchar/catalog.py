@@ -18,25 +18,27 @@ arithmetic:
 
 Each family states its dual in closed form: the dimension and the two
 ranks, the texts of G_U and K, and chi at equal rank.  The texts are
-rendered only by dual_of and for the name "G_U/K" of a family with neither
-a DualSpace nor a label, so classify of RHn(n) answers where SO(n+1) has
-too many digits to render.
+rendered only by dual_of and for the name "G_U/K" of a family without a
+label, so classify of RHn(n) answers where SO(n+1) has too many digits to
+render.
 
 Complex-type spaces (TypeIV) have parallelizable duals; no rank data is
 needed or reported for them.
 
 The family table is the one place that maps a space to its dual and to its
 number tables, and _dual_model decides each spec's model once: the verdict
-the ranks give (RankOne for a rank-one family) and, apart, a rank-one
-family's DualSpace (S^n, CP^n, HP^n, CayP^2), whose numbers charclass
-computes.  classify, dual_of and pontrjagin_table all read that one model.
+the ranks give (RankOne for a rank-one family) and, apart, the (kind, n) of
+a rank-one family's DualSpace (S^n, CP^n, HP^n, CayP^2), whose numbers
+charclass computes.  classify, dual_of and pontrjagin_table all read that
+one model.  A rank-one row names its dual with a label, so classify and
+dual_of build no DualSpace and never load charclass: rank_one_dual and the
+table calls import it, each only after its own refusals.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, log10
 
-from symchar import charclass
 from symchar.errors import (
     MAX_DIGITS,
     TEN_TO_MAX_DIGITS,
@@ -120,8 +122,11 @@ class _Family(namedtuple("_Family", "name min_params sizes texts aliases euler s
         rendered; None for TypeIV
     aliases: short names parse_space accepts besides name, a tuple
     euler: params -> (m, k, e), chi(G_U/K) = 2^e C(m, k) at equal rank, or None
-    space: params -> DualSpace, for the rank-one families
-    label: params -> name of the dual, where "G_U/K" is not"""
+    space: params -> (kind, n), the fields of a rank-one family's
+        charclass.DualSpace, which only rank_one_dual and pontrjagin_table
+        build; None for the other families
+    label: params -> name of the dual, where "G_U/K" is not; a rank-one
+        row's is its DualSpace's render(), which tests pin"""
 
     __slots__ = ()
 
@@ -130,11 +135,12 @@ class _Family(namedtuple("_Family", "name min_params sizes texts aliases euler s
 _REAL_HYPERBOLIC = _Family(
     "RealHyperbolic_n", (1,), lambda n: (n, (n + 1) // 2, n // 2),
     lambda n: (f"SO({check_digits(n + 1)})", f"SO({n})"),
-    aliases=("RHn",), euler=lambda n: (0, 0, 1), space=charclass.sphere,
+    aliases=("RHn",), euler=lambda n: (0, 0, 1),
+    space=lambda n: ("sphere", n), label=lambda n: f"S^{n}",
 )
 
 # The dual's name is "G_U/K" rendered from the texts, unless the family
-# has a DualSpace (rank one) or a label of its own.
+# has a label of its own.
 _FAMILIES = {
     f.name: f
     for f in (
@@ -185,17 +191,18 @@ _FAMILIES = {
             "ComplexHyperbolic_n", (1,), lambda n: (2 * n, n, n),
             lambda n: (f"SU({check_digits(n + 1)})", f"S(U1xU{n})"),
             aliases=("CHn",), euler=lambda n: (n + 1, 1, 0),
-            space=charclass.complex_projective,
+            space=lambda n: ("complex-projective", n), label=lambda n: f"CP^{n}",
         ),
         _Family(
             "QuaternionicHyperbolic_n", (1,), lambda n: (4 * n, n + 1, n + 1),
             lambda n: (f"Sp({check_digits(n + 1)})", f"Sp(1)xSp({n})"),
             aliases=("QHn",), euler=lambda n: (n + 1, 1, 0),
-            space=charclass.quaternionic_projective,
+            space=lambda n: ("quaternionic-projective", n), label=lambda n: f"HP^{n}",
         ),
         _Family(
             "CayleyHyperbolic", (), lambda: (16, 4, 4), lambda: ("F4", "Spin(9)"),
-            aliases=("CayH",), euler=lambda: (3, 1, 0), space=charclass.cayley_plane,
+            aliases=("CayH",), euler=lambda: (3, 1, 0),
+            space=lambda: ("cayley-plane", 2), label=lambda: "CayP^2",
         ),
         _REAL_HYPERBOLIC._replace(name="ConstantPositive_n", aliases=("ConstPos",)),
         _Family(
@@ -280,13 +287,13 @@ def spec_string(spec: SpaceSpec) -> str:
 def _dual_model(fam: _Family, params: tuple) -> tuple:
     """(name, dim, rank_gu, rank_k, verdict, space) of a family's dual, its
     dimension not yet checked.  The verdict is RankOne for a rank-one
-    family, whose DualSpace is space, else the one its ranks give, and
-    space is None.  Only a name "G_U/K" renders the texts."""
+    family, and space the (kind, n) of its DualSpace, not yet built; else
+    the verdict is the one its ranks give, and space is None.  Only a name
+    "G_U/K" renders the texts."""
     dim, rank_gu, rank_k = fam.sizes(*params)
-    if fam.space is not None:
-        space = fam.space(*params)
-        return space.render(), dim, rank_gu, rank_k, VERDICT_RANK_ONE, space
     name = fam.label(*params) if fam.label is not None else "/".join(fam.texts(*params))
+    if fam.space is not None:
+        return name, dim, rank_gu, rank_k, VERDICT_RANK_ONE, fam.space(*params)
     if rank_gu is None:
         verdict = VERDICT_PARALLELIZABLE
     elif rank_gu == rank_k:
@@ -370,17 +377,19 @@ def classify(spec: SpaceSpec) -> Classification:
     return _classify_memo(spec)
 
 
-def rank_one_dual(spec: SpaceSpec) -> charclass.DualSpace:
+def rank_one_dual(spec: SpaceSpec) -> "charclass.DualSpace":
     """The compact dual S^n, CP^n, HP^n or CayP^2 of a rank-one family."""
     fam = _FAMILIES[spec.family]
     if fam.space is None:
         raise UnsupportedClassError(
             "characteristic classes are computed for rank-one duals only"
         )
-    return fam.space(*spec.params)
+    from symchar import charclass
+
+    return charclass.DualSpace(*fam.space(*spec.params))
 
 
-def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
+def pontrjagin_table(spec: SpaceSpec) -> "tables.CharNumberTable":
     """Pontrjagin numbers of the compact dual, decided by its model:
     refused at equal rank, computed for a rank-one dual, all zero otherwise.
     The name is rendered as classify renders it, so a "G_U/K" past the digit
@@ -390,13 +399,19 @@ def pontrjagin_table(spec: SpaceSpec) -> charclass.CharNumberTable:
         raise UnsupportedClassError(
             "Pontrjagin numbers of higher-rank equal-rank duals are not computed"
         )
+    from symchar import charclass
+
     # with no DualSpace every number vanishes: the table of 1, as on S^dim
-    return charclass.pontrjagin_numbers(space or charclass.sphere(dim))
+    kind, n = space or (charclass.SPHERE, dim)
+    return charclass.pontrjagin_numbers(charclass.DualSpace(kind, n))
 
 
-def stiefel_whitney_table(spec: SpaceSpec) -> charclass.CharNumberTable:
+def stiefel_whitney_table(spec: SpaceSpec) -> "tables.CharNumberTable":
     """Stiefel-Whitney numbers of a rank-one dual (S^n and CP^n only)."""
-    return charclass.stiefel_whitney_numbers(rank_one_dual(spec))
+    space = rank_one_dual(spec)
+    from symchar import charclass
+
+    return charclass.stiefel_whitney_numbers(space)
 
 
 def wall_verdict(spec: SpaceSpec) -> tuple:
@@ -410,4 +425,6 @@ def wall_verdict(spec: SpaceSpec) -> tuple:
             sw_table = stiefel_whitney_table(spec)
         except UnsupportedClassError:
             pass
+    from symchar import charclass  # loaded by pontrjagin_table
+
     return p_table.dimension, charclass.bounds_orientably(p_table, sw_table)

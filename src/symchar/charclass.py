@@ -30,42 +30,42 @@ number is a product of coefficients: p_I = prod over i in I of c_(4i/g),
 and w_1^r1 ... w_n^rn = prod of c_(i/g)^ri mod 2 (Milnor-Stasheff,
 Characteristic Classes, sections 15-16).
 
-A table is one walk over the partitions (partitions.walk_runs) in _numbers:
-a run of part k taken r times contributes its key text and a coefficient
-power, "k,...,k" and c_(4k/g)^r appended for Pontrjagin numbers, "w{k}^{r}"
-and c_(k/g)^r, 0 or 1, prepended for SW monomials, whose indices ascend.
+A table, a tables.CharNumberTable, is one walk over the partitions
+(partitions.walk_runs) in _numbers: a run of part k taken r times
+contributes its key text and a coefficient power, "k,...,k" and c_(4k/g)^r
+appended for Pontrjagin numbers, tables.sw_factor(k, r) and c_(k/g)^r, 0 or
+1, prepended for SW monomials, whose indices ascend.
 Each entry extends its parent prefix by one run, or by a finished tail of
 2s and 1s that the walk builds once, so it costs one join and one product.
 A table over the partitions of more than MAX_WEIGHT is refused up front,
 before the total class is computed, and a DualSpace whose dimension has
 more than MAX_DIGITS digits when it is made: no result has a longer integer.
-Only the table builders and CharNumberTable.from_json_dict use partitions,
-so they import it: classify, dual and p-class never load it.  The keys are
-written here and read back through partitions.parse_partition,
-format_partition and parse_monomial.
+Only the table builders and tables.CharNumberTable.from_json_dict use
+partitions, so they import it: p-class never loads it.  The keys are written here and
+read back through partitions.parse_partition, format_partition and
+parse_monomial.  CharNumberTable, PONTRJAGIN and SW live in tables, so
+transfer and a table read from JSON never load this module, and catalog
+imports it only once a call needs a DualSpace: classify and dual never
+load it.
 """
 
 from collections import namedtuple
 from itertools import accumulate
 
 from symchar.errors import (
-    BadTableError,
     DimensionMismatchError,
     SymcharError,
     TooLargeError,
     UnsupportedClassError,
     check_digits,
     past_digit_limit,
-    quote,
 )
+from symchar.tables import PONTRJAGIN, SW, CharNumberTable, sw_factor
 
 SPHERE = "sphere"
 COMPLEX_PROJECTIVE = "complex-projective"
 QUATERNIONIC_PROJECTIVE = "quaternionic-projective"
 CAYLEY_PLANE = "cayley-plane"
-
-PONTRJAGIN = "pontrjagin"
-SW = "sw"
 
 BOUNDS = "bounds"
 DOES_NOT_BOUND = "does_not_bound"
@@ -193,96 +193,6 @@ def total_stiefel_whitney(space: DualSpace) -> TotalClass:
     return TotalClass(degree, top, tuple(int(j & bits == j) for j in range(top + 1)))
 
 
-def _sw_factor(index: int, exponent: int) -> str:
-    return f"w{index}" if exponent == 1 else f"w{index}^{exponent}"
-
-
-class CharNumberTable(
-    namedtuple("CharNumberTable", "kind dimension entries reason", defaults=(None,))
-):
-    """Characteristic numbers of one space, a dict keyed by serialized index.
-
-    Pontrjagin tables are keyed by partitions ("2,2"); SW tables by
-    monomials ("w1^2 w2").  ``reason``, a str or None, marks tables that are
-    empty by degree bookkeeping (every number is vacuously zero).
-    """
-
-    __slots__ = ()
-
-    def all_zero(self) -> bool:
-        return not any(self.entries.values())
-
-    def to_json_dict(self) -> dict:
-        """The table, its keys in sorted order and its entries in the walk's.
-        The document shares the table's entries dict: do not mutate it."""
-        payload = {"dim": self.dimension, "entries": self.entries, "kind": self.kind}
-        if self.reason:
-            payload["reason"] = self.reason
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, data) -> "CharNumberTable":
-        """The table of a decoded JSON document: to_json_dict's form, or bare
-        entries whose first key gives the kind and the degree.  Every key is
-        checked and canonicalized, SW values are read mod 2, and a dimension
-        or value past MAX_DIGITS digits is refused with TooLargeError."""
-        from symchar.partitions import format_partition, parse_monomial, parse_partition
-
-        if not isinstance(data, dict):
-            raise BadTableError("table must be a JSON object")
-        reason = None
-        if "entries" in data:
-            raw = data["entries"]
-            kind = data.get("kind")
-            dim = data.get("dim")
-            reason = data.get("reason")
-            if kind not in (PONTRJAGIN, SW):
-                raise BadTableError('table "kind" must be "pontrjagin" or "sw"')
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-                raise BadTableError('table "dim" must be a non-negative integer')
-            if not isinstance(raw, dict):
-                raise BadTableError('table "entries" must be a JSON object')
-            if reason is not None and not isinstance(reason, str):
-                raise BadTableError('table "reason" must be a string or null')
-        else:
-            raw = data
-            if not raw:
-                raise BadTableError(
-                    "cannot infer dimension and kind from an empty table; "
-                    'pass the full {"dim", "kind", "entries"} form'
-                )
-            # the keys split on str.isspace, so any leading whitespace is skipped
-            head = next((c for c in next(iter(raw)) if c != "(" and not c.isspace()), "")
-            kind = SW if head == "w" else PONTRJAGIN
-            dim = None
-        entries: dict = {}
-        for key, value in raw.items():
-            if kind == PONTRJAGIN:
-                partition = parse_partition(key)
-                canonical, degree = format_partition(partition), 4 * sum(partition)
-            else:
-                exponents = parse_monomial(key)
-                canonical = " ".join(_sw_factor(i, r) for i, r in exponents)
-                degree = sum(i * r for i, r in exponents)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadTableError(f"entry {quote(key)} must be an integer")
-            if kind == SW:
-                value &= 1
-            if canonical in entries:
-                raise BadTableError(f"duplicate table entry {quote(canonical)}")
-            if dim is None:
-                dim = degree
-            elif degree != dim:
-                check_digits(max(degree, dim))  # before the message writes both
-                raise BadTableError(
-                    f"entry {quote(key)} has total degree {degree}, expected {dim}"
-                )
-            entries[canonical] = value
-        for value in (dim, *entries.values()):  # after the loop: a key error comes first
-            check_digits(value)
-        return cls(kind, dim, entries, reason)
-
-
 def _numbers(kind, space, total, unit, run, sep, prepend=False) -> CharNumberTable:
     """The table of one kind over the partitions of dim/unit: a run of part
     k taken r times is spelled run(k, r) and valued c_(unit*k)^r, c_d the
@@ -309,7 +219,7 @@ def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
 def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
     _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
-    return _numbers(SW, space, total_stiefel_whitney, 1, _sw_factor, " ", prepend=True)
+    return _numbers(SW, space, total_stiefel_whitney, 1, sw_factor, " ", prepend=True)
 
 
 def bounds_orientably(

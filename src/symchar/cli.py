@@ -1,6 +1,6 @@
 """Command-line interface: it reads text, calls the library and prints one
-JSON document.  A table argument is CharNumberTable.from_json_dict of its
-JSON, and wall of a space is catalog.wall_verdict.
+JSON document.  A table argument is tables.CharNumberTable.from_json_dict
+of its JSON, and wall of a space is catalog.wall_verdict.
 
 Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
 A usage error (an unknown subcommand or option, a missing or malformed
@@ -53,7 +53,7 @@ def _load_tables(*arguments) -> list:
     """Each table argument, inline JSON or @file, as a CharNumberTable, and
     None as None.  Every argument is read, and every file closed, before any
     table is parsed, so a file that cannot be read costs no parse."""
-    from symchar.charclass import CharNumberTable
+    from symchar.tables import CharNumberTable
 
     tables = [None if argument is None else _read_table(argument) for argument in arguments]
     # each text in turn gives way to its JSON and then its table, so no text
@@ -83,10 +83,12 @@ def _space_record(function_name: str):
 
 
 def _cmd_p_class(args) -> dict:
-    from symchar import catalog, charclass
+    from symchar import catalog
 
     spec = catalog.parse_space(args.space)
     space = catalog.rank_one_dual(spec)
+    from symchar import charclass  # only once rank_one_dual has accepted the spec
+
     total = charclass.total_pontrjagin(space)
     payload = {
         "space": catalog.spec_string(spec),

@@ -6,10 +6,10 @@ lexicographically decreasing: partitions_of(4) starts at (4,) and ends at
 corresponds to the partition of n whose parts are the factor indices, and
 is a plain tuple ((index, exponent), ...) of indices ascending, as
 parse_monomial returns it.  This module knows no table kind: charclass
-spells the keys of each kind when it builds a table, and reads them back
-through parse_partition and parse_monomial.  Only the canonical spelling of
-a Pontrjagin key that it reads is written here, by format_partition.  So
-partitions imports only errors.
+spells the keys of each kind when it builds a table, and tables reads them
+back through parse_partition and parse_monomial.  Only the canonical
+spelling of a Pontrjagin key that it reads is written here, by
+format_partition.  So partitions imports only errors.
 
 Every enumeration in the package is one walk, walk_runs.  It reads a
 partition as runs, part k taken r times with k decreasing, and builds each

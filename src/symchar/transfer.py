@@ -19,13 +19,16 @@ needs it over two fields of distinct characteristic, which is the
 ``deligne_sullivan_check`` divisibility test.  Both compute an order as
 q^(n(n-1)/2) * prod_{i=1}^{n} (q^i - 1) and share one memo of them, looked
 up only after every gate on the request has passed.
+
+The tables are tables.CharNumberTable records.  This module imports only
+tables and errors, so a transfer, mu, gl-order or ds-check call never
+loads charclass, and only reading a table from JSON loads partitions.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, lcm, log, log10
 
-from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
     TEN_TO_MAX_DIGITS,
     BadPrimePowerError,
@@ -40,6 +43,7 @@ from symchar.errors import (
     quote_int,
     refuse_past_digit_limit,
 )
+from symchar.tables import PONTRJAGIN, SW, CharNumberTable
 
 
 def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:

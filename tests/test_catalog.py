@@ -181,7 +181,7 @@ def test_ranks_and_texts_match_the_compact_dual_oracle():
         assert (pair.rank_gu, pair.rank_k) == (_group_rank(gu), _group_rank(k)), spec
         assert (pair.gu, pair.k) == (gu_text, _group_text(k)), spec
         fam = _FAMILIES[spec.family]
-        if fam.space is None and fam.label is None:
+        if fam.label is None:  # a rank-one dual is named by its label
             assert cls.dual == pair.dual == f"{gu_text}/{_group_text(k)}", spec
 
 

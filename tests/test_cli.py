@@ -19,10 +19,9 @@ import pytest
 
 import symchar
 from _oracles import euler_char_by_weyl_quotient, partitions_decreasing
-from symchar import catalog, charclass, cli, transfer
+from symchar import catalog, charclass, cli, tables, transfer
 from symchar.catalog import (
     SpaceSpec,
-    VERDICT_RANK_ONE,
     classify,
     dual_of,
     parse_space,
@@ -650,25 +649,33 @@ def _main(*argv):
         ("import symchar", ""),
         ("import symchar.cli", "cli errors"),
         ("import symchar.partitions", "errors partitions"),  # no table kind
-        (_main("gl-order", "3", "2"), "charclass cli errors transfer"),
+        (_main("gl-order", "3", "2"), "cli errors tables transfer"),
         (_main("ds-check", "--mu", "3", "--k", "1", "--q1", "2", "--q2", "3"),
-         "charclass cli errors transfer"),
-        (_main("classify", "SU_pq(2,3)"), "catalog charclass cli errors"),
-        (_main("dual", "SU_pq(2,3)"), "catalog charclass cli errors"),
-        (_main("p-class", "CayH"), "catalog charclass cli errors"),
+         "cli errors tables transfer"),
+        (_main("classify", "SU_pq(2,3)"), "catalog cli errors"),
+        (_main("classify", "CHn(3)"), "catalog cli errors"),  # named by its label
+        (_main("dual", "SU_pq(2,3)"), "catalog cli errors"),
+        (_main("p-numbers", "Foo(2)"), "catalog cli errors"),
+        # the equal-rank refusal comes before charclass
+        (_main("p-numbers", "SU_pq(2,3)"), "catalog cli errors"),
+        (_main("wall", "SU_pq(2,3)"), "catalog cli errors"),
+        (_main("p-class", "SU_pq(2,3)"), "catalog cli errors"),  # by rank_one_dual
+        (_main("p-class", "CayH"), "catalog charclass cli errors tables"),
         (_main("transfer", "--table", '{"1":3}', "--deg", "2"),
-         "charclass cli errors partitions transfer"),
+         "cli errors partitions tables transfer"),
+        (_main("transfer", "--table", '{"4": 1', "--deg", "2"), "cli errors tables transfer"),
         (_main("mu", "--m", '{"1":3}', "--mu-dual", '{"1":6}'),
-         "charclass cli errors partitions transfer"),
-        (_main("wall", "--p", '{"1":3}'), "charclass cli errors partitions"),
-        (_main("wall", "CHn(3)"), "catalog charclass cli errors partitions"),
-        (_main("sw-numbers", "CHn(2)"), "catalog charclass cli errors partitions"),
+         "cli errors partitions tables transfer"),
+        (_main("wall", "--p", '{"1":3}'), "charclass cli errors partitions tables"),
+        (_main("wall", "CHn(3)"), "catalog charclass cli errors partitions tables"),
+        (_main("sw-numbers", "CHn(2)"), "catalog charclass cli errors partitions tables"),
         (_main("gl-order", "3"), "cli errors"),  # a usage error
     ],
     ids=[
-        "package", "cli", "partitions", "gl-order", "ds-check", "classify", "dual",
-        "p-class", "transfer", "mu", "wall-tables", "wall-space", "sw-numbers",
-        "usage-error",
+        "package", "cli", "partitions", "gl-order", "ds-check", "classify",
+        "classify-rank-one", "dual", "p-numbers-refused-spec", "p-numbers-equal-rank",
+        "wall-equal-rank", "p-class-not-rank-one", "p-class", "transfer",
+        "transfer-not-json", "mu", "wall-tables", "wall-space", "sw-numbers", "usage-error",
     ],
 )
 def test_a_call_loads_only_the_modules_it_runs(statement, loaded):
@@ -696,6 +703,13 @@ def test_every_export_resolves_to_its_home_module():
         symchar.no_such_name
     with pytest.raises(ImportError):
         exec("from symchar import no_such_name", {})
+
+
+def test_the_table_record_has_one_home():
+    # charclass builds tables and imports the record from tables, where
+    # transfer and the table reader find it without loading charclass
+    assert symchar.CharNumberTable is charclass.CharNumberTable is tables.CharNumberTable
+    assert CharNumberTable.__module__ == "symchar.tables"
 
 
 def test_all_spaces_classify_deterministically(capsys):
@@ -1069,8 +1083,17 @@ def test_cli_prints_the_library_tables(capsys):
         for command, call in library.items():
             cli.main([command, spec_string(spec)])
             assert capsys.readouterr().out == _encoded(call, spec), (command, spec)
-        if classify(spec).verdict == VERDICT_RANK_ONE:
-            assert dual_of(spec).dual == rank_one_dual(spec).render()
+
+
+@pytest.mark.parametrize("family", ["RHn", "ConstPos", "CHn", "QHn", "CayH"])
+def test_a_rank_one_label_is_the_render_of_its_dual_space(family):
+    # a rank-one row names its dual without building the DualSpace, so the
+    # label and the kind restate DualSpace.render(): the two must agree at
+    # every n
+    texts = ["CayH"] if family == "CayH" else [f"{family}({n})" for n in range(1, 61)]
+    for text in texts:
+        spec = parse_space(text)
+        assert classify(spec).dual == dual_of(spec).dual == rank_one_dual(spec).render(), text
 
 
 def _readme_commands() -> list:
@@ -1101,7 +1124,8 @@ def test_every_record_builds_its_document_in_sorted_key_order():
         transfer.deligne_sullivan_check(7, 1, 2, 3),
     ]
     assert {type(record) for record in records} == {
-        value for module in (catalog, charclass, transfer) for value in vars(module).values()
+        value for module in (catalog, charclass, tables, transfer)
+        for value in vars(module).values()
         if isinstance(value, type) and hasattr(value, "to_json_dict")
     }
     payloads = [record.to_json_dict() for record in records]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from _oracles import build_parser, sw_monomial_by_regex
 from symchar import cli
 from symchar.catalog import _FAMILIES, _NAMES, parse_space
-from symchar.charclass import PONTRJAGIN, SW, CharNumberTable
+from symchar.tables import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import BadTableError, SymcharError
 from symchar.partitions import parse_monomial, parse_partition
 

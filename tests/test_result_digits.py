@@ -39,6 +39,7 @@ from symchar.errors import (
     EqualCharacteristicError,
     InconsistentDegreesError,
     MalformedSpecError,
+    SymcharError,
     TooLargeError,
     UnsupportedClassError,
 )
@@ -193,6 +194,39 @@ def test_classify_of_s_n_answers_where_dual_cannot_render_so_n_plus_1(alias, cap
         dual_of(spec)
     assert cli.main(["dual", text]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "too-large"
+
+
+# classify, dual_of and pontrjagin_table of every family with a parameter
+# of 10^4300 - 1, as (code, message) or "ok", where they differ from
+# _TOO_LARGE on all three.  A rank-one row names its dual by its label,
+# which builds no DualSpace, so check_digits(dim) refuses CP^n and HP^n here
+# where the DualSpace's own check did before.
+_TOO_LARGE = ("too-large", "result has an integer of more than 4300 digits")
+_AT_THE_CEILING = {
+    "RealHyperbolic_n": ("ok", _TOO_LARGE, "ok"),
+    "ConstantPositive_n": ("ok", _TOO_LARGE, "ok"),
+    "TypeIV": ("ok", "ok", "ok"),
+    "Flat_n": ("ok", "ok", "ok"),
+    "Sp_nR": (_TOO_LARGE, _TOO_LARGE, (
+        "unsupported-class",
+        "Pontrjagin numbers of higher-rank equal-rank duals are not computed",
+    )),
+}
+
+
+def test_a_parameter_of_4300_nines_gets_the_same_answer_from_each_call():
+    specs = [spec for spec in _specs() if _CEILING - 1 in spec.params]
+    assert {spec.family for spec in specs} == set(_FAMILIES) - {"CayleyHyperbolic"}
+    for spec in specs:
+        outcomes = []
+        for call in (classify, dual_of, pontrjagin_table):
+            try:
+                call(spec)
+                outcomes.append("ok")
+            except SymcharError as exc:
+                outcomes.append((exc.code, str(exc)))
+        expected = _AT_THE_CEILING.get(spec.family, (_TOO_LARGE,) * 3)
+        assert tuple(outcomes) == expected, _label((spec,))
 
 
 # 10^4300 has 14 285 bits: check_digits compares a value with 10^4300 only

@@ -16,7 +16,7 @@ from _oracles import (
     smallest_degree_scan,
 )
 from symchar import transfer
-from symchar.charclass import CharNumberTable, PONTRJAGIN, SW
+from symchar.tables import PONTRJAGIN, SW, CharNumberTable
 from symchar.errors import (
     BadPrimePowerError,
     DimensionMismatchError,
