@@ -1,5 +1,3 @@
-import sys
+from symchar.cli import run
 
-from symchar.cli import main
-
-sys.exit(main())
+run()

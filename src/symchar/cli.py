@@ -6,7 +6,15 @@ Success exits 0.  Domain errors exit 1 with {"error": code, "detail": text}.
 A usage error (an unknown subcommand or option, a missing or malformed
 argument) exits 2 with the usage and the error on stderr and nothing on
 stdout; -h or --help prints help and exits 0.  A closed or full stdout
-exits 1 with no traceback, and a full one with a line on stderr.
+exits 1 with no traceback, and a full one with a line on stderr.  A stdout
+closed before the process started exits 1 with nothing on stderr; a stderr
+closed then is not written to, and a usage error still exits 2.
+
+main is the in-process call: it returns the exit code and leaves the
+garbage collector alone.  run is the process entry point, of python -m
+symchar and of the installed symchar script: it exits with main's code and
+freezes the collector on the way out, so that the interpreter's teardown
+does not collect the objects of the call one by one.
 
 main runs each call with Python's int-to-text limit at errors.MAX_DIGITS,
 the ceiling of the size gates, and then restores the caller's: every
@@ -19,6 +27,7 @@ and reads each of its table files, and closes it, before it parses any, so a
 missing or unreadable second file costs no parse of the first.
 """
 
+import gc
 import json
 import os
 import re
@@ -234,7 +243,8 @@ def _usage(command: str | None) -> str:
 def _usage_error(command: str | None, message: str):
     prog = "symchar" if command is None else f"symchar {command}"
     try:
-        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+        if sys.stderr is not None:  # None: stderr was closed when the process started
+            sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
     except OSError:  # a full stderr: the exit code still tells a usage error
         pass
     raise SystemExit(2)
@@ -243,6 +253,8 @@ def _usage_error(command: str | None, message: str):
 def _print(text: str) -> int:
     """Print text and flush stdout in one try: 0, or 1 when stdout is closed
     or full (a small text meets a full device only at the flush)."""
+    if sys.stdout is None:  # stdout was closed when the process started
+        return 1
     try:
         print(text)
         sys.stdout.flush()
@@ -434,3 +446,16 @@ def main(argv=None) -> int:
         return _print(text) or status
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def run():
+    """The process entry point: exit with main's code.  The garbage
+    collector is frozen on the way out, after main and before the
+    interpreter's teardown, whose collections would otherwise find and free
+    one by one each class, function and module dict the call built: memory
+    the system takes back at exit anyway.  main itself never freezes, since
+    a caller that lives on needs its cycles collected."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

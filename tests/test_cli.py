@@ -5,14 +5,17 @@ real ``python -m symchar`` process (each exit code, cross-process
 determinism) start one.
 """
 
+import gc
 import importlib
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -568,6 +571,73 @@ def test_a_usage_error_exits_2_when_stderr_is_full(argv):
             [sys.executable, "-m", "symchar", *argv], stdout=subprocess.PIPE, stderr=full, text=True
         )
     assert (child.returncode, child.stdout) == (2, "")
+
+
+# A descriptor closed before the exec leaves sys.stdout or sys.stderr None.
+@pytest.mark.parametrize("argv", [["classify", "CHn(3)"], ["classify", "Foo(2)"], ["--help"]])
+def test_a_stdout_closed_at_start_exits_1_with_nothing_on_stderr(argv):
+    child = subprocess.run(
+        [sys.executable, "-m", "symchar", *argv],
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (child.returncode, child.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["gl-order", "3"]])
+def test_a_usage_error_exits_2_when_stderr_is_closed_at_start(argv):
+    child = subprocess.run(
+        [sys.executable, "-m", "symchar", *argv],
+        stdout=subprocess.PIPE,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert (child.returncode, child.stdout) == (2, b"")
+
+
+_RUN_WITH_ATEXIT = """\
+import atexit, gc, sys
+from symchar import cli
+atexit.register(lambda: sys.stderr.write(f"atexit frozen={gc.get_freeze_count() > 0}\\n"))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["classify", "CHn(3)"], 0), (["classify", "Foo(2)"], 1), (["gl-order", "3"], 2), (["--help"], 0)],
+)
+def test_run_exits_with_mains_code_and_runs_atexit_handlers_after_the_freeze(argv, code, capsys):
+    child = subprocess.run(
+        [sys.executable, "-c", _RUN_WITH_ATEXIT, *argv], capture_output=True, text=True
+    )
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    out, err = capsys.readouterr()
+    assert (child.returncode, child.stdout) == (code, out)
+    assert child.stderr == err + "atexit frozen=True\n"
+
+
+@pytest.mark.parametrize("argv", [["classify", "CHn(3)"], ["gl-order", "3"], ["--help"]])
+def test_main_never_freezes_the_collector(argv, capsys):
+    frozen = gc.get_freeze_count()
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_both_process_entries_go_through_run(monkeypatch):
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"symchar": "symchar.cli:run"}
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    monkeypatch.delitem(sys.modules, "symchar.__main__", raising=False)
+    runpy.run_module("symchar", run_name="__main__")
+    assert calls == ["run"]
 
 
 @pytest.mark.parametrize(
