@@ -48,7 +48,7 @@ from symchar.errors import (
     UnsupportedFamilyError,
     check_digits,
     quote,
-    read_int,
+    read_ints,
     refuse_past_digit_limit,
     within_digit_limit,
 )
@@ -234,11 +234,8 @@ def _parse_space(text: str) -> SpaceSpec:
         body = rest[:-1].strip()
         if not body:
             raise MalformedSpecError(f"empty parameter list in {quote(text)}")
-        # a parameter of more than MAX_DIGITS digits needs a text of as many
-        # characters; int() alone does not strip U+001C..U+001F, so strip each
-        long = len(body) > MAX_DIGITS
         try:
-            params = tuple(map(read_int if long else int, map(str.strip, body.split(","))))
+            params = read_ints(body)
         except ValueError:
             raise MalformedSpecError(
                 f"parameters must be integers in {quote(text)}"

@@ -31,22 +31,15 @@ and w_1^r1 ... w_n^rn = prod of c_(i/g)^ri mod 2 (Milnor-Stasheff,
 Characteristic Classes, sections 15-16).
 
 A table, a tables.CharNumberTable, is one walk over the partitions
-(partitions.walk_runs) in _numbers: a run of part k taken r times
-contributes its key text and a coefficient power, "k,...,k" and c_(4k/g)^r
-appended for Pontrjagin numbers, tables.sw_factor(k, r) and c_(k/g)^r, 0 or
-1, prepended for SW monomials, whose indices ascend.
-Each entry extends its parent prefix by one run, or by a finished tail of
-2s and 1s that the walk builds once, so it costs one join and one product.
-A table over the partitions of more than MAX_WEIGHT is refused up front,
-before the total class is computed, and a DualSpace whose dimension has
-more than MAX_DIGITS digits when it is made: no result has a longer integer.
-Only the table builders and tables.CharNumberTable.from_json_dict use
-partitions, so they import it: p-class never loads it.  The keys are written here and
-read back through partitions.parse_partition, format_partition and
-parse_monomial.  CharNumberTable, PONTRJAGIN and SW live in tables, so
-transfer and a table read from JSON never load this module, and catalog
-imports it only once a call needs a DualSpace: classify and dual never
-load it.
+(partitions.walk_runs) in _numbers: a run of part k taken r times gives
+its key text by tables.SPELLING and a coefficient power, c_(4k/g)^r for
+Pontrjagin numbers and c_(k/g)^r, 0 or 1, for SW monomials.  A table over
+the partitions of more than MAX_WEIGHT is refused before the total class
+is computed, and a DualSpace whose dimension has more than MAX_DIGITS
+digits when it is made: no result has a longer integer.  Only the table
+builders import partitions, so p-class never loads it.  transfer and a
+table read from JSON never load this module, and catalog imports it only
+once a call needs a DualSpace: classify and dual never load it.
 """
 
 from collections import namedtuple
@@ -60,7 +53,7 @@ from symchar.errors import (
     check_digits,
     past_digit_limit,
 )
-from symchar.tables import PONTRJAGIN, SW, CharNumberTable, sw_factor
+from symchar.tables import PONTRJAGIN, SPELLING, SW, CharNumberTable
 
 SPHERE = "sphere"
 COMPLEX_PROJECTIVE = "complex-projective"
@@ -193,12 +186,13 @@ def total_stiefel_whitney(space: DualSpace) -> TotalClass:
     return TotalClass(degree, top, tuple(int(j & bits == j) for j in range(top + 1)))
 
 
-def _numbers(kind, space, total, unit, run, sep, prepend=False) -> CharNumberTable:
-    """The table of one kind over the partitions of dim/unit: a run of part
-    k taken r times is spelled run(k, r) and valued c_(unit*k)^r, c_d the
-    coefficient of the total class total(space) in degree d."""
+def _numbers(kind, space, total) -> CharNumberTable:
+    """The table of one kind over the partitions of dim/unit, its keys spelled
+    by tables.SPELLING and a run of part k taken r times valued c_(unit*k)^r,
+    c_d the coefficient of the total class total(space) in degree d."""
     from symchar.partitions import check_weight, walk_runs
 
+    unit, run, sep, prepend = SPELLING[kind]
     dim = space.real_dimension
     if dim % unit:
         return CharNumberTable(kind, dim, {}, reason=f"dimension-not-multiple-of-{unit}")
@@ -206,20 +200,18 @@ def _numbers(kind, space, total, unit, run, sep, prepend=False) -> CharNumberTab
     g, _, coefficients = total(space)
     c = [0 if d % g else coefficients[d // g] for d in range(dim + 1)]
     entries = walk_runs(dim // unit, lambda k, r: (run(k, r), c[unit * k] ** r), sep, prepend)
-    return CharNumberTable(kind, dim, entries)
+    return tuple.__new__(CharNumberTable, (kind, dim, entries, None))  # canonical keys
 
 
 def pontrjagin_numbers(space: DualSpace) -> CharNumberTable:
     """All Pontrjagin numbers p_I, I ranging over partitions of dim/4."""
-    return _numbers(
-        PONTRJAGIN, space, total_pontrjagin, 4, lambda k, r: ",".join([str(k)] * r), ","
-    )
+    return _numbers(PONTRJAGIN, space, total_pontrjagin)
 
 
 def stiefel_whitney_numbers(space: DualSpace) -> CharNumberTable:
     """All SW numbers, indexed by degree-dim monomials in w_1 .. w_dim."""
     _require_sw(space)  # HP^n and CayP^2 are unsupported at any size
-    return _numbers(SW, space, total_stiefel_whitney, 1, sw_factor, " ", prepend=True)
+    return _numbers(SW, space, total_stiefel_whitney)
 
 
 def bounds_orientably(

@@ -36,11 +36,11 @@ from types import SimpleNamespace
 
 from symchar.errors import MAX_DIGITS, BadTableError, SymcharError, past_digit_limit
 
-# The largest table symchar writes, p-numbers 'CHn(90)' --pretty (9.1 M
-# characters, 89 134 keys), reads back in 0.7-1.0 s: 8-11 us a key, most of
-# it in checking the key, so the cap bounds a read.  At the cap, 596 766 to
+# p-numbers 'CHn(90)' --pretty, the largest table symchar writes (9.1 M
+# characters, 89 134 keys), reads back in 0.11-0.12 s, 0.08 s of it json.loads.
+# Past MAX_WEIGHT every key is parsed, so the cap bounds a read: 596 766 to
 # 600 293 SW keys of degree 60-64 took 4.5-7.8 s in from_json_dict after
-# 0.3-0.7 s in json.loads (2-vCPU VM, Python 3.11.7; python -c pass 51-60 ms).
+# 0.3-0.7 s in json.loads (2-vCPU VM, Python 3.11.7; python -c pass 43-60 ms).
 MAX_TABLE_CHARS = 16 * 2**20
 
 

@@ -155,6 +155,12 @@ def read_int(text: str) -> int:
     return -TEN_TO_MAX_DIGITS if s[0] == "-" else TEN_TO_MAX_DIGITS
 
 
+def read_ints(text: str) -> tuple:
+    """The comma-separated integers of text, each stripped (int() does not strip
+    U+001C..U+001F), by read_int if text could hold one past MAX_DIGITS digits."""
+    return tuple(map(read_int if len(text) > MAX_DIGITS else int, map(str.strip, text.split(","))))
+
+
 class BadPrimePowerError(SymcharError):
     code = "bad-prime-power"
 

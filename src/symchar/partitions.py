@@ -5,11 +5,9 @@ lexicographically decreasing: partitions_of(4) starts at (4,) and ends at
 (1, 1, 1, 1).  A degree-n SW monomial w_1^r1 ... w_n^rn with sum(i * ri) = n
 corresponds to the partition of n whose parts are the factor indices, and
 is a plain tuple ((index, exponent), ...) of indices ascending, as
-parse_monomial returns it.  This module knows no table kind: charclass
-spells the keys of each kind when it builds a table, and tables reads them
-back through parse_partition and parse_monomial.  Only the canonical
-spelling of a Pontrjagin key that it reads is written here, by
-format_partition.  So partitions imports only errors.
+parse_monomial returns it.  This module knows no table kind: tables spells
+the keys of each kind, walks them here and parses them with parse_partition
+and parse_monomial.  So partitions imports only errors.
 
 Every enumeration in the package is one walk, walk_runs.  It reads a
 partition as runs, part k taken r times with k decreasing, and builds each
@@ -39,7 +37,7 @@ from symchar.errors import (
     TooLargeError,
     quote,
     quote_int,
-    read_int,
+    read_ints,
 )
 
 Partition = tuple[int, ...]
@@ -147,18 +145,15 @@ def parse_partition(text: str) -> Partition:
     s = s.strip()
     if not s:
         return ()
-    # a part of more than MAX_DIGITS digits needs a text of as many characters
-    long = len(s) > MAX_DIGITS
     try:
-        # int() alone does not strip U+001C..U+001F, so strip each token
-        parts = tuple(map(read_int if long else int, map(str.strip, s.split(","))))
+        parts = read_ints(s)
     except ValueError:
         raise SymcharError(f"malformed partition {quote(text)}") from None
     if any(p < 1 for p in parts):
         raise SymcharError(f"partition parts must be positive: {quote(text)}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise SymcharError(f"partition parts must be weakly decreasing: {quote(text)}")
-    if long and parts[0] >= TEN_TO_MAX_DIGITS:
+    if parts[0] >= TEN_TO_MAX_DIGITS:
         raise TooLargeError(
             f"partition {quote(text)} has a part of more than {MAX_DIGITS} digits"
         )

@@ -20,9 +20,9 @@ needs it over two fields of distinct characteristic, which is the
 q^(n(n-1)/2) * prod_{i=1}^{n} (q^i - 1) and share one memo of them, looked
 up only after every gate on the request has passed.
 
-The tables are tables.CharNumberTable records.  This module imports only
-tables and errors, so a transfer, mu, gl-order or ds-check call never
-loads charclass, and only reading a table from JSON loads partitions.
+The tables are tables.CharNumberTable records; the two made here have a
+checked table's keys, so they are made unchecked.  This module imports only
+tables and errors, so a transfer, mu, gl-order or ds-check call never loads charclass.
 """
 
 from collections import namedtuple
@@ -62,7 +62,7 @@ def pullback_numbers(table: CharNumberTable, degree: int) -> CharNumberTable:
         entries = {}
         for key, value in table.entries.items():
             entries[key] = check_digits(value * degree)
-    return CharNumberTable(table.kind, table.dimension, entries, table.reason)
+    return tuple.__new__(CharNumberTable, (table.kind, table.dimension, entries, table.reason))
 
 
 def solve_manifold_numbers(
@@ -99,8 +99,8 @@ def solve_manifold_numbers(
         entries[key] = quotient
     for quotient in entries.values():
         check_digits(quotient)
-    return CharNumberTable(
-        PONTRJAGIN, dual_table.dimension, entries, dual_table.reason
+    return tuple.__new__(
+        CharNumberTable, (PONTRJAGIN, dual_table.dimension, entries, dual_table.reason)
     )
 
 

@@ -483,7 +483,7 @@ def _records() -> list:
         ),
         (complex_projective(3), "kind n", {}, True),
         (total_pontrjagin(cayley_plane()), "generator_degree truncation_top coefficients", {}, False),
-        (cayley, "kind dimension entries reason", {"reason": None}, False),
+        (cayley, "kind dimension entries reason", {"reason": None}, True),
         (mu(cayley, cayley), "mu contributions skipped", {}, False),
         (deligne_sullivan_check(3, 1, 2, 3), "divides order_1 order_2 order_product", {}, False),
     ]

@@ -9,6 +9,10 @@ to an output byte, an error code or an exit code shows here.  The corpus
 holds no case whose text Python or the OS words (JSON decoder messages,
 file errors): those change between Python versions.
 
+A table argument "@<p-numbers QHn(45)>" is read from a file that holds
+what that command line prints: the large tables are read back from files,
+and the case's name stays short.
+
 Running this module as a script rewrites tests/cli_digests.json from the
 code on the path, and then prints the count of the cases whose record
 changed, appeared or disappeared, and their names grouped by transition
@@ -21,6 +25,7 @@ import hashlib
 import io
 import json
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -112,6 +117,10 @@ def _tables() -> list:
         ["transfer", "--table", f'{{"{"x" * 120}":1}}', "--deg", "1"],
         ["wall", "--p", f'{{"4":1,"{"1," * 60}1":2}}'],
     ]
+    argvs += [  # the largest tables read back from what symchar printed
+        ["transfer", "--table", "@<p-numbers QHn(45)>", "--deg", "3"],
+        ["wall", "--p", "@<p-numbers CHn(22)>", "--sw", "@<sw-numbers CHn(22)>"],
+    ]
     return argvs
 
 
@@ -165,23 +174,47 @@ def _name(argv: list) -> str:
 _OUTCOMES = {0: "ok", 2: "usage"}  # the outcome of an exit code other than 1
 
 
-def digest(argv: list) -> str:
-    """The case's record: "<exit> <outcome> <hash>"."""
+def _run(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # a usage error or --help
             code = exc.code
-    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def _file_argument(token: str, folder: str, written: dict) -> str:
+    """token, or "@path" of a file in folder that holds the output of the
+    command line that a token "@<command line>" names, written once."""
+    match = re.fullmatch(r"@<(.+)>", token)
+    if match is None:
+        return token
+    if token not in written:
+        path = Path(folder, f"{len(written)}.json")
+        path.write_text(_run(match.group(1).split())[1], encoding="utf-8")
+        written[token] = f"@{path}"
+    return written[token]
+
+
+def digest(argv: list) -> str:
+    """The case's record: "<exit> <outcome> <hash>"."""
+    code, out, err = _run(argv)
+    text = f"{code}\0{out}\0{err}"
     # only an exit-1 document, a short one, is decoded: a success may be 22 MB
-    outcome = json.loads(out.getvalue())["error"] if code == 1 else _OUTCOMES[code]
+    outcome = json.loads(out)["error"] if code == 1 else _OUTCOMES[code]
     return f"{code} {outcome} {hashlib.sha256(text.encode()).hexdigest()[:16]}"
 
 
 def _digests() -> dict:
     cases = corpus()
-    digests = {name: digest(argv) for argv, name in cases}
+    written: dict = {}
+    with tempfile.TemporaryDirectory() as folder:
+        digests = {
+            name: digest([_file_argument(token, folder, written) for token in argv])
+            for argv, name in cases
+        }
     assert len(digests) == len(cases)  # no two cases share a name
     return digests
 
