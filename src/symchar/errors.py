@@ -156,8 +156,7 @@ def read_int(text: str) -> int:
 
 
 def read_ints(text: str) -> tuple:
-    """The comma-separated integers of text, each stripped (int() does not strip
-    U+001C..U+001F), by read_int if text could hold one past MAX_DIGITS digits."""
+    """The comma-separated integers of text, each stripped: int() keeps U+001C..U+001F."""
     return tuple(map(read_int if len(text) > MAX_DIGITS else int, map(str.strip, text.split(","))))
 
 

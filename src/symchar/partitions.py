@@ -7,7 +7,8 @@ corresponds to the partition of n whose parts are the factor indices, and
 is a plain tuple ((index, exponent), ...) of indices ascending, as
 parse_monomial returns it.  This module knows no table kind: tables spells
 the keys of each kind, walks them here and parses them with parse_partition
-and parse_monomial.  So partitions imports only errors.
+and parse_monomial.  format_partition, kept as the public spelling of a
+partition, must agree with tables.SPELLING.  So partitions imports only errors.
 
 Every enumeration in the package is one walk, walk_runs.  It reads a
 partition as runs, part k taken r times with k decreasing, and builds each

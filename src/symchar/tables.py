@@ -64,9 +64,8 @@ def _checked(kind, dim, raw, reason, respell: bool) -> dict:
     if reason is not None and not isinstance(reason, str):
         raise BadTableError('table "reason" must be a string or null')
     keys = _canonical_keys(kind, dim, len(raw))
-    # no check below fails on canonical keys with int values, 0 or 1 in SW
-    if (keys and raw.keys() <= keys.keys() and {*map(type, raw.values())} <= {int}
-            and (kind == PONTRJAGIN or {*raw.values()} <= {0, 1})):
+    if raw.keys() <= keys.keys() and {*map(type, raw.values())} <= {int} and (
+            kind == PONTRJAGIN or {*raw.values()} <= {0, 1}):  # the loop would pass them all
         return dict(raw)
     entries: dict = {}
     for key, value in raw.items():

@@ -254,3 +254,12 @@ def test_a_canonical_table_is_read_by_the_walk_and_a_small_one_by_parses(monkeyp
         patch.setattr(partitions, "walk_runs", refused)
         assert CharNumberTable.from_json_dict({"45": 1}).dimension == 180
         assert CharNumberTable(PONTRJAGIN, 180, {"45": 1, "44,1": 2}).entries["44,1"] == 2
+
+
+def test_format_partition_spells_a_key_as_the_table_does():
+    for n in range(9):
+        keys = [format_partition(p) for p in partitions.partitions_of(n)]
+        # all of them are read by the walk, each alone by a parse
+        assert list(CharNumberTable(PONTRJAGIN, 4 * n, dict.fromkeys(keys, 1)).entries) == keys
+        for key in keys:
+            assert CharNumberTable(PONTRJAGIN, 4 * n, {key: 1}).entries == {key: 1}
