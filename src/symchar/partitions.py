@@ -23,7 +23,9 @@ Stojmenovic's successor rule treats trailing 2s and 1s ("Fast algorithms
 for generating integer partitions", 1998).  The recursion so runs only
 where a part >= 3 can follow (221 calls for the 2436 entries of weight 26,
 6288 for the 89 134 of weight 45), at most as deep as the number of
-distinct parts, below sqrt(2n).
+distinct parts, below sqrt(2n).  A walk returns with no reference cycle,
+so its table, its working lists and its tails are freed as soon as the
+caller drops them, not at the garbage collector's next run.
 
 p(n) grows like exp(pi sqrt(2n/3)), so a walk is refused with TooLargeError
 above MAX_WEIGHT, before any work is done.
@@ -70,7 +72,9 @@ def walk_runs(
     order of decreasing part; a value is the product of its runs' values.
     Texts may be strings or tuples; sep has the same type.  A remainder
     that holds only parts <= 2 is placed from a list built once per walk,
-    so descend recurses only where a part >= 3 can follow.
+    so descend recurses only where a part >= 3 can follow.  The walk
+    returns with no reference cycle: nothing it built waits for the
+    garbage collector.
     """
     check_weight(n)
     if not n:
@@ -122,6 +126,7 @@ def walk_runs(
                         entries[child + text] = v * w
 
     descend(n, n, sep[:0], 1, first)
+    del descend  # it refers to itself through its closure cell: break that cycle
     entries.update(twos(n, first))
     return entries
 
